@@ -1,29 +1,26 @@
-(* bench-topk: single-query latency of block-max pruned candidate
-   generation against the exhaustive DAAT traversal (the same searcher
-   with [~blockmax:false]), on three corpus layouts:
+(* bench-topk: single-query latency of the searcher's block-max pruned
+   traversal, and how many of the conjunctive candidates
+   ([Searcher.candidates]) it still aligns, on three corpus layouts:
 
    - "uniform": strong documents spread evenly over the id space. This
      is the layout block-max pruning is for — and where whole-list
      max-score pruning is useless: the degraded (weak, dense) forms
-     are conjunctive everywhere, so the exhaustive traversal aligns
-     nearly every document, while the block-max traversal demotes the
-     weak forms to non-essential as soon as the heap fills (their
-     proximity-free ceiling loses to the k-th strong score) and
-     leapfrogs only the sparse strong lists, region-skipping the rest
-     block by block.
+     are conjunctive everywhere, so nearly every document is a
+     candidate, while the traversal demotes the weak forms to
+     non-essential as soon as the heap fills (their proximity-free
+     ceiling loses to the k-th strong score) and leapfrogs only the
+     sparse strong lists, region-skipping the rest block by block.
 
    - "quality_ordered": strong documents first. The whole-list
-     max-score early-stop already kills the tail here, so block-max
-     must show no regression — its extra bookkeeping has to stay in
-     the noise.
+     max-score early stop kills the tail here.
 
    - "impact_skewed": uniform plus heavy term repetition in a few
      documents, varying the per-block quantized impact ceilings the
      skip metadata records.
 
-   The pruned hits are checked byte-identical to the exhaustive hits
-   before anything is timed (the knob must be a pure performance
-   knob). Results land in BENCH_topk.json. *)
+   The pruned hits are checked byte-identical to the exhaustive
+   reference ([Pj_reference]) before anything is timed. Results land in
+   BENCH_topk.json. *)
 
 open Pj_workload
 
@@ -121,79 +118,63 @@ let hit_key (h : Pj_engine.Searcher.hit) =
 let run_layout ~repetitions ~n_docs ~name layout =
   let rng = Pj_util.Prng.create 2024 in
   let corpus = build_corpus ~n_docs ~layout rng in
-  let searcher =
-    Pj_engine.Searcher.create (Pj_index.Inverted_index.build corpus)
-  in
-  let search ~blockmax () =
-    Pj_engine.Searcher.search ~k ~blockmax searcher scoring query
-  in
+  let index = Pj_index.Inverted_index.build corpus in
+  let searcher = Pj_engine.Searcher.create index in
+  let search () = Pj_engine.Searcher.search ~k searcher scoring query in
   (* Losslessness gate: the pruned traversal must reproduce the
-     exhaustive top-k bit for bit before any timing counts. *)
+     reference top-k bit for bit before any timing counts. *)
   if
-    List.map hit_key (search ~blockmax:true ())
-    <> List.map hit_key (search ~blockmax:false ())
+    List.map hit_key (search ())
+    <> List.map hit_key (Pj_reference.search ~k index scoring query)
   then
     failwith
-      (Printf.sprintf "bench-topk (%s): blockmax results diverge" name);
+      (Printf.sprintf "bench-topk (%s): blockmax differs from reference" name);
   (* Candidate generation in isolation: how many aligned candidates
      reach the scoring stage (counted through the [accept] hook, which
-     sees every candidate before bounding or solving). The pruned
-     traversal never aligns the candidates it region-skips. *)
-  let visited blockmax =
-    let n = ref 0 in
-    ignore
-      (Pj_engine.Searcher.search_fragment ~k ~blockmax
-         ~accept:(fun _ ->
-           incr n;
-           true)
-         searcher scoring query);
-    !n
+     sees every candidate before bounding or solving), out of every
+     conjunctive candidate. The traversal never aligns the candidates it
+     region-skips. *)
+  let conjunctive =
+    Array.length (Pj_engine.Searcher.candidates searcher query)
   in
-  let visited_ex = visited false and visited_bm = visited true in
-  let candidate_speedup =
-    float_of_int visited_ex /. float_of_int (Stdlib.max 1 visited_bm)
+  let aligned = ref 0 in
+  ignore
+    (Pj_engine.Searcher.search_fragment ~k
+       ~accept:(fun _ ->
+         incr aligned;
+         true)
+       searcher scoring query);
+  let aligned = !aligned in
+  let aligned_ratio =
+    float_of_int aligned /. float_of_int (Stdlib.max 1 conjunctive)
   in
   Runs.print_header
     (Printf.sprintf
-       "bench-topk (%s): single-query latency, %d docs, candidates %d -> %d \
-        (%.1fx)"
-       name n_docs visited_ex visited_bm candidate_speedup)
-    [ "latency"; "speedup"; "alloc B" ];
-  let exhaustive =
-    measure_point ~repetitions (fun () ->
-        ignore (Sys.opaque_identity (search ~blockmax:false ())))
-  in
-  Runs.print_row "exhaustive"
-    [ Runs.seconds exhaustive.mean_s; "1.00x";
-      Printf.sprintf "%.0f" exhaustive.alloc_bytes ];
+       "bench-topk (%s): single-query latency, %d docs, aligned %d of %d \
+        candidates (%.3f)"
+       name n_docs aligned conjunctive aligned_ratio)
+    [ "latency"; "alloc B" ];
   let blockmax =
     measure_point ~repetitions (fun () ->
-        ignore (Sys.opaque_identity (search ~blockmax:true ())))
+        ignore (Sys.opaque_identity (search ())))
   in
-  let speedup = exhaustive.mean_s /. Float.max 1e-12 blockmax.mean_s in
   Runs.print_row "blockmax"
-    [ Runs.seconds blockmax.mean_s; Printf.sprintf "%.2fx" speedup;
-      Printf.sprintf "%.0f" blockmax.alloc_bytes ];
-  let json =
-    Printf.sprintf
-      "    %S: {\"exhaustive\": %s, \"blockmax\": %s, \"speedup\": %.3f, \
-       \"candidates_exhaustive\": %d, \"candidates_blockmax\": %d, \
-       \"candidate_speedup\": %.3f}"
-      name (json_point exhaustive) (json_point blockmax) speedup visited_ex
-      visited_bm candidate_speedup
-  in
-  (json, speedup, candidate_speedup)
+    [ Runs.seconds blockmax.mean_s; Printf.sprintf "%.0f" blockmax.alloc_bytes ];
+  Printf.sprintf
+    "    %S: {\"blockmax\": %s, \"candidates\": %d, \"aligned\": %d, \
+     \"aligned_ratio\": %.4f}"
+    name (json_point blockmax) conjunctive aligned aligned_ratio
 
 let run ~quick ~repetitions =
   let n_docs = if quick then 2000 else 10_000 in
-  let uniform_json, uniform_speedup, uniform_candidate_speedup =
-    run_layout ~repetitions ~n_docs ~name:"uniform" `Uniform
-  in
-  let quality_json, quality_speedup, _ =
-    run_layout ~repetitions ~n_docs ~name:"quality_ordered" `Quality_ordered
-  in
-  let skewed_json, _, _ =
-    run_layout ~repetitions ~n_docs ~name:"impact_skewed" `Impact_skewed
+  let layouts =
+    List.map
+      (fun (name, layout) -> run_layout ~repetitions ~n_docs ~name layout)
+      [
+        ("uniform", `Uniform);
+        ("quality_ordered", `Quality_ordered);
+        ("impact_skewed", `Impact_skewed);
+      ]
   in
   let path = "BENCH_topk.json" in
   let oc = open_out path in
@@ -201,16 +182,11 @@ let run ~quick ~repetitions =
     "{\n\
     \  \"n_docs\": %d,\n\
     \  \"k\": %d,\n\
-    \  \"uniform_speedup\": %.3f,\n\
-    \  \"uniform_candidate_speedup\": %.3f,\n\
-    \  \"quality_ordered_speedup\": %.3f,\n\
     \  \"layouts\": {\n\
-     %s,\n\
-     %s,\n\
      %s\n\
     \  }\n\
      }\n"
-    n_docs k uniform_speedup uniform_candidate_speedup quality_speedup
-    uniform_json quality_json skewed_json;
+    n_docs k
+    (String.concat ",\n" layouts);
   close_out oc;
   Printf.printf "[bench-topk] wrote %s\n" path

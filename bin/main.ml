@@ -124,7 +124,7 @@ let run_extract file terms family alpha threshold =
 
 (* --- isearch: index-driven engine search with snippets ---------------- *)
 
-let run_isearch file terms family alpha top_k shards blockmax =
+let run_isearch file terms family alpha top_k shards =
   let graph = Pj_ontology.Mini_wordnet.create () in
   let query = build_query graph terms in
   (* The index path matches expansion forms against indexed tokens, so
@@ -154,7 +154,7 @@ let run_isearch file terms family alpha top_k shards blockmax =
     if shards <= 1 then begin
       let index = Pj_index.Inverted_index.build corpus in
       let searcher = Pj_engine.Searcher.create index in
-      ( Pj_engine.Searcher.search ~k:top_k ~blockmax searcher scoring query,
+      ( Pj_engine.Searcher.search ~k:top_k searcher scoring query,
         Array.length (Pj_engine.Searcher.candidates searcher query) )
     end
     else begin
@@ -167,8 +167,7 @@ let run_isearch file terms family alpha top_k shards blockmax =
         in
         n := !n + Array.length (Pj_engine.Searcher.candidates fragment query)
       done;
-      ( Pj_engine.Shard_searcher.search ~k:top_k ~blockmax searcher scoring
-          query,
+      ( Pj_engine.Shard_searcher.search ~k:top_k searcher scoring query,
         !n )
     end
   in
@@ -448,8 +447,8 @@ let run_compact src dst shards =
        /. float_of_int info.Pj_ondisk.Mapped_index.postings_bytes)
 
 let run_serve file index_path host port domains queue cache deadline_ms
-    drain_ms log_every shards live live_dir memtable mmap_segments merge_par
-    blockmax wal fsync_policy_s =
+    drain_ms log_every shards live live_dir memtable mmap_segments merge_par wal
+    fsync_policy_s =
   let graph = Pj_ontology.Mini_wordnet.create () in
   let fsync_policy =
     match Pj_live.Wal.fsync_policy_of_string fsync_policy_s with
@@ -507,7 +506,7 @@ let run_serve file index_path host port domains queue cache deadline_ms
     match live_index with
     | Some index ->
         ( Pj_live.Live_index.corpus index,
-          Pj_server.Worker_pool.of_live ~blockmax index,
+          Pj_server.Worker_pool.of_live index,
           1 )
     | None -> begin
         match index_path with
@@ -525,7 +524,7 @@ let run_serve file index_path host port domains queue cache deadline_ms
             in
             if Array.length counts <= 1 then
               ( corpus,
-                Pj_server.Worker_pool.of_searcher ~blockmax
+                Pj_server.Worker_pool.of_searcher
                   (Pj_engine.Searcher.create (Pj_ondisk.Mapped_index.index mapped)),
                 1 )
             else begin
@@ -535,7 +534,7 @@ let run_serve file index_path host port domains queue cache deadline_ms
                     Pj_ondisk.Mapped_index.shard_index mapped ~pos ~len)
               in
               ( corpus,
-                Pj_server.Worker_pool.of_shard_searcher ~blockmax
+                Pj_server.Worker_pool.of_shard_searcher
                   (Pj_engine.Shard_searcher.create sharded),
                 Array.length counts )
             end
@@ -543,14 +542,14 @@ let run_serve file index_path host port domains queue cache deadline_ms
             let corpus = stemmed_corpus_of_file file in
             if shards <= 1 then
               ( corpus,
-                Pj_server.Worker_pool.of_searcher ~blockmax
+                Pj_server.Worker_pool.of_searcher
                   (Pj_engine.Searcher.create
                      (Pj_index.Inverted_index.build corpus)),
                 1 )
             else begin
               let sharded = Pj_index.Sharded_index.build ~shards corpus in
               ( corpus,
-                Pj_server.Worker_pool.of_shard_searcher ~blockmax
+                Pj_server.Worker_pool.of_shard_searcher
                   (Pj_engine.Shard_searcher.create sharded),
                 Pj_index.Sharded_index.n_shards sharded )
             end
@@ -891,23 +890,10 @@ let shards_arg =
            scatter-gather (default honors \\$PROXJOIN_SHARDS; 1 disables \
            sharding). Results are identical either way.")
 
-let blockmax_arg =
-  let no_blockmax =
-    Arg.(
-      value & flag
-      & info [ "no-blockmax" ]
-          ~doc:
-            "Disable block-max pruned candidate generation and fall back to \
-             the exhaustive DAAT traversal. Results are byte-identical \
-             either way — this is an escape hatch and an oracle for \
-             debugging or benchmarking the pruned path.")
-  in
-  Term.(const not $ no_blockmax)
-
 let isearch_cmd =
   let top_k = Arg.(value & opt int 5 & info [ "top" ] ~doc:"Results shown.") in
-  let run file terms family alpha k shards blockmax =
-    wrap (fun () -> run_isearch file terms family alpha k shards blockmax)
+  let run file terms family alpha k shards =
+    wrap (fun () -> run_isearch file terms family alpha k shards)
   in
   Cmd.v
     (Cmd.info "isearch"
@@ -915,7 +901,7 @@ let isearch_cmd =
     Term.(
       ret
         (const run $ file_arg $ terms_arg $ family_arg $ alpha_arg $ top_k
-       $ shards_arg $ blockmax_arg))
+       $ shards_arg))
 
 let ask_cmd =
   let question =
@@ -1073,12 +1059,11 @@ let serve_cmd =
              loss).")
   in
   let run file index host port domains queue cache deadline drain log_every
-      shards live live_dir memtable mmap_segments merge_par blockmax wal
-      fsync_policy =
+      shards live live_dir memtable mmap_segments merge_par wal fsync_policy =
     wrap (fun () ->
         run_serve file index host port domains queue cache deadline drain
-          log_every shards live live_dir memtable mmap_segments merge_par
-          blockmax wal fsync_policy)
+          log_every shards live live_dir memtable mmap_segments merge_par wal
+          fsync_policy)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1091,7 +1076,7 @@ let serve_cmd =
         (const run $ opt_file_arg $ index_arg $ host_arg
        $ port_arg ~default:7070 $ domains $ queue $ cache $ deadline $ drain
        $ log_every $ shards_arg $ live $ live_dir $ memtable $ mmap_segments
-       $ merge_par $ blockmax_arg $ wal $ fsync_policy))
+       $ merge_par $ wal $ fsync_policy))
 
 let serve_router_cmd =
   let backends =

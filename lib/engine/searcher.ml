@@ -14,11 +14,14 @@ type hit = {
 (* One query term = the union of its expansion forms' posting lists,
    traversed as a bank of cursors (never materialized). [max_score] is
    the best expansion score with any posting at all — the term's
-   contribution ceiling for max-score pruning. *)
+   contribution ceiling for max-score pruning. [essential] marks the
+   forms that drive the alignment: every form, until a threshold
+   demotes the ones that can no longer matter (see [refresh]). *)
 type term_cursor = {
   forms : Pj_index.Posting_list.cursor array;
   scores : float array;
   payloads : int array;  (** token id of each form, for match payloads *)
+  essential : bool array;
   max_score : float;
 }
 
@@ -55,21 +58,27 @@ let term_cursor t (m : Pj_matching.Matcher.t) =
         forms = Pj_util.Vec.to_array forms;
         scores;
         payloads = Pj_util.Vec.to_array payloads;
+        essential = Array.make (Array.length scores) true;
         max_score = Array.fold_left Float.max 0. scores;
       }
 
-(* Smallest document id under any form cursor; -1 once all exhausted. *)
+(* Smallest document id under any essential form cursor; -1 once all
+   are exhausted. *)
 let term_current tc =
   let d = ref (-1) in
-  Array.iter
-    (fun c ->
-      let cd = Pj_index.Posting_list.current_doc c in
-      if cd >= 0 && (!d < 0 || cd < !d) then d := cd)
+  Array.iteri
+    (fun i c ->
+      if tc.essential.(i) then begin
+        let cd = Pj_index.Posting_list.current_doc c in
+        if cd >= 0 && (!d < 0 || cd < !d) then d := cd
+      end)
     tc.forms;
   !d
 
 let term_seek tc target =
-  Array.iter (fun c -> Pj_index.Posting_list.seek c target) tc.forms
+  Array.iteri
+    (fun i c -> if tc.essential.(i) then Pj_index.Posting_list.seek c target)
+    tc.forms
 
 (* Best expansion score among forms present in [doc] — equals the
    maximum individual match score of the term's match list for [doc],
@@ -83,49 +92,36 @@ let term_best_at tc doc =
     tc.forms;
   !best
 
-(* Leapfrog the term cursors over every document carrying at least one
-   posting for every term, in increasing id order. [check] runs once
-   per alignment round (so deadlines hold even through long barren
-   stretches of the intersection); [on_candidate] may raise to stop. *)
-let daat_iter ~check terms on_candidate =
+(* Leapfrog the essential banks from [start] (where term 0 sits) until
+   n consecutive terms agree on one document; -1 when some bank runs
+   dry. [check] runs once per round, so deadlines hold even through
+   long barren stretches of the intersection. With every form
+   essential this is the plain conjunction of the terms. *)
+let align ~check terms start =
   let n = Array.length terms in
-  (* Invariant: term 0 sits on [start]; realign the rest round-robin
-     until n consecutive cursors agree on one document. *)
-  let align start =
-    let target = ref start
-    and idx = ref (1 mod n)
-    and agreed = ref 1
-    and result = ref (-2) in
-    while !result = -2 do
-      check ();
-      if !agreed = n then result := !target
+  let target = ref start
+  and idx = ref (1 mod n)
+  and agreed = ref 1
+  and result = ref (if start < 0 then -1 else -2) in
+  while !result = -2 do
+    check ();
+    if !agreed = n then result := !target
+    else begin
+      let tc = terms.(!idx) in
+      term_seek tc !target;
+      let d = term_current tc in
+      if d < 0 then result := -1
       else begin
-        let tc = terms.(!idx) in
-        term_seek tc !target;
-        let d = term_current tc in
-        if d < 0 then result := -1
+        if d = !target then incr agreed
         else begin
-          if d = !target then incr agreed
-          else begin
-            target := d;
-            agreed := 1
-          end;
-          idx := (!idx + 1) mod n
-        end
+          target := d;
+          agreed := 1
+        end;
+        idx := (!idx + 1) mod n
       end
-    done;
-    !result
-  in
-  let continue_from start =
-    if start < 0 then -1 else align start
-  in
-  let current = ref (continue_from (term_current terms.(0))) in
-  while !current >= 0 do
-    let doc = !current in
-    on_candidate doc;
-    term_seek terms.(0) (doc + 1);
-    current := continue_from (term_current terms.(0))
-  done
+    end
+  done;
+  !result
 
 let with_term_cursors t (q : Pj_matching.Query.t) ~none ~some =
   let n = Array.length q.Pj_matching.Query.matchers in
@@ -140,12 +136,48 @@ let with_term_cursors t (q : Pj_matching.Query.t) ~none ~some =
 let candidates t q =
   with_term_cursors t q ~none:[||] ~some:(fun terms ->
       let out = Pj_util.Vec.create () in
-      daat_iter ~check:(fun () -> ()) terms (fun doc ->
-          Pj_util.Vec.push out doc);
+      let next () = align ~check:ignore terms (term_current terms.(0)) in
+      let current = ref (next ()) in
+      while !current >= 0 do
+        Pj_util.Vec.push out !current;
+        term_seek terms.(0) (!current + 1);
+        current := next ()
+      done;
       Pj_util.Vec.to_array out)
+
+(* --- one query's traversal --------------------------------------------- *)
 
 exception Expired
 exception Early_stop
+
+(* Everything one fragment search carries: the term banks, the bounded
+   result heap (a min-heap of size k; the root is the weakest hit), and
+   the threshold signature ([seen_*]) the essential sets were last
+   classified against. *)
+type run = {
+  terms : term_cursor array;
+  scoring : Pj_core.Scoring.t;
+  k : int;
+  heap : hit Pj_util.Heap.t;
+  threshold : float Atomic.t option;
+  check_deadline : unit -> unit;
+  global_bound : float;
+      (* the same-for-every-document ceiling from each term's
+         [max_score] *)
+  live_max : float array;  (* per term: best score of an unexhausted form *)
+  bounds : float array;  (* per-term scratch for regional/document bounds *)
+  mutable seen_full : bool;
+  mutable seen_root : float;
+  mutable seen_shared : float;
+}
+
+(* Heap order keeping the weakest hit on top; on score ties the larger
+   doc id is the weaker. *)
+let weaker_first a b =
+  match compare b.score a.score with 0 -> a.doc_id <= b.doc_id | c -> c <= 0
+
+let shared r =
+  match r.threshold with None -> Float.neg_infinity | Some tau -> Atomic.get tau
 
 (* Raise a shared threshold to [v] (monotone: only ever increases).
    [compare_and_set] on the freshly read box retries cleanly under
@@ -154,18 +186,292 @@ let rec atomic_max a v =
   let cur = Atomic.get a in
   if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
 
-let search_impl ?deadline ?threshold ?accept ?(blockmax = true) ~k ~dedup
-    ~prune t scoring q =
-  if k < 0 then invalid_arg "Searcher.search: negative k";
-  (* Block-max traversal is a pruning strategy; without pruning there
-     is no threshold to skip against. *)
-  let blockmax = blockmax && prune in
-  let accepted =
-    match accept with None -> fun _ -> true | Some f -> f
+(* --- bounding -------------------------------------------------------------
+   Threshold-aware candidate generation on the skip metadata every
+   cursor carries ([block_max_score] / [block_last_doc]):
+
+   - Essential-form pruning (max-score over the expansion banks): a
+     form whose score ceiling cannot lift any document past the
+     current threshold — even with every *other* term at its live
+     maximum — stops driving the alignment. Its postings are only
+     dragged forward when a candidate is actually solved, so dense
+     low-scored expansions no longer force the intersection to crawl
+     their lists. Live maxima are exhaustion-aware: a finished
+     cursor's score leaves the bound, which tightens the early stop as
+     lists drain.
+
+   - Block-granular region skips ("next-shallow" moves): at an aligned
+     candidate [d], let [h] be the shallowest [block_last_doc] among
+     the driving cursors. Within [d, h] only forms whose cursor already
+     sits at or before [h] can occur, so [Scoring.upper_bound] over
+     those per-term regional maxima bounds every document in the region
+     at once; when it loses to the threshold, every driving cursor
+     skips past [h] in one galloping move — on a mmap-backed index that
+     crosses block boundaries through the skip table without decoding
+     a posting.
+
+   - The per-candidate bound ([worth_solving]): [Scoring.upper_bound]
+     over the expansion scores present in the document, checked before
+     any match list is built.
+
+   Every prune is sound for the strict shared-threshold rule and the
+   tie-aware in-fragment rule (candidates arrive in increasing doc id,
+   so a tied bound always loses), so the top-k equals the unpruned
+   conjunction's. Match scores are the static expansion-form scores,
+   so form presence — not the tf-impact ceiling — is the per-block
+   quantity these bounds are built from. *)
+
+(* Could a document with upper bound [b] still enter the heap? Strict
+   against the shared threshold (a sibling shard's tied hit may have a
+   larger doc id); tie-losing against our own root (later candidates
+   have larger ids). *)
+let could_win r b = b >= r.seen_shared && ((not r.seen_full) || b > r.seen_root)
+
+(* Take a fresh threshold signature; true when it moved since the last
+   classification. *)
+let threshold_moved r =
+  let full = Pj_util.Heap.length r.heap = r.k in
+  let root =
+    match Pj_util.Heap.peek r.heap with
+    | Some w -> w.score
+    | None -> Float.neg_infinity
   in
+  let sh = shared r in
+  if full <> r.seen_full || root <> r.seen_root || sh <> r.seen_shared then begin
+    r.seen_full <- full;
+    r.seen_root <- root;
+    r.seen_shared <- sh;
+    true
+  end
+  else false
+
+(* Recompute live maxima and re-classify the form banks against the
+   moved threshold; [Early_stop] when even the live maxima cannot win.
+   Essential sets only shrink (thresholds are monotone), and whenever
+   the traversal may continue, each term's top live form is essential
+   — its per-form bound *is* the global live bound. *)
+let refresh r =
+  Array.iteri
+    (fun j tc ->
+      let m = ref 0. in
+      Array.iteri
+        (fun i c ->
+          if Pj_index.Posting_list.current_doc c >= 0 && tc.scores.(i) > !m
+          then m := tc.scores.(i))
+        tc.forms;
+      r.live_max.(j) <- !m)
+    r.terms;
+  if not (could_win r (Pj_core.Scoring.upper_bound r.scoring r.live_max)) then
+    raise Early_stop;
+  Array.iteri
+    (fun j tc ->
+      let saved = r.live_max.(j) in
+      Array.iteri
+        (fun i c ->
+          if tc.essential.(i) then
+            if Pj_index.Posting_list.current_doc c < 0 then
+              tc.essential.(i) <- false
+            else begin
+              r.live_max.(j) <- tc.scores.(i);
+              if
+                not
+                  (could_win r
+                     (Pj_core.Scoring.upper_bound r.scoring r.live_max))
+              then tc.essential.(i) <- false
+            end)
+        tc.forms;
+      r.live_max.(j) <- saved)
+    r.terms
+
+(* Shallowest block boundary among the driving cursors; [max_int] when
+   none reports one. *)
+let shallowest_block_end terms =
+  let h = ref max_int in
+  Array.iter
+    (fun tc ->
+      Array.iteri
+        (fun i c ->
+          if tc.essential.(i) && Pj_index.Posting_list.current_doc c >= 0 then begin
+            let bl = Pj_index.Posting_list.block_last_doc c in
+            if bl >= 0 && bl < !h then h := bl
+          end)
+        tc.forms)
+    terms;
+  !h
+
+(* The next-shallow move at aligned candidate [d]. Only meaningful once
+   some threshold exists; true after skipping every driving cursor past
+   the region. *)
+let region_skip r d =
+  if not (r.seen_full || r.seen_shared > Float.neg_infinity) then false
+  else begin
+    let h = shallowest_block_end r.terms in
+    if h = max_int || h < d then false
+    else begin
+      Array.iteri
+        (fun j tc ->
+          let m = ref 0. in
+          Array.iteri
+            (fun i c ->
+              if tc.essential.(i) then begin
+                let cd = Pj_index.Posting_list.current_doc c in
+                if cd >= 0 && cd <= h && tc.scores.(i) > !m then
+                  m := tc.scores.(i)
+              end)
+            tc.forms;
+          r.bounds.(j) <- !m)
+        r.terms;
+      if could_win r (Pj_core.Scoring.upper_bound r.scoring r.bounds) then false
+      else begin
+        Array.iter (fun tc -> term_seek tc (h + 1)) r.terms;
+        true
+      end
+    end
+  end
+
+(* Advance from [start] to the next aligned candidate that survives the
+   region bound, or -1. The deadline is checked on every iteration: one
+   round here may gallop across an arbitrary doc-id range, and must not
+   outlive the budget doing so. *)
+let next_candidate r start =
+  let result = ref (-2) and start = ref start in
+  while !result = -2 do
+    let d = align ~check:r.check_deadline r.terms !start in
+    if d < 0 then result := -1
+    else begin
+      r.check_deadline ();
+      if threshold_moved r then begin
+        refresh r;
+        (* The banks may have shrunk under [d]; realign on the
+           surviving essential forms. *)
+        start := term_current r.terms.(0)
+      end
+      else if region_skip r d then start := term_current r.terms.(0)
+      else result := d
+    end
+  done;
+  !result
+
+(* Could solving [doc_id] change the heap? The proximity-free
+   [Scoring.upper_bound] over the forms present in the document, checked
+   before any match list is built. Raises [Early_stop] once even the
+   per-term maxima cannot reach a score the heap (or a sibling fragment)
+   already beats. The shared-threshold checks are strict: it comes from
+   hits whose doc ids may be smaller than this fragment's candidates, so
+   a tied bound could still win the global tiebreak. *)
+let worth_solving r doc_id =
+  let doc_bound () =
+    Array.iteri (fun j tc -> r.bounds.(j) <- term_best_at tc doc_id) r.terms;
+    Pj_core.Scoring.upper_bound r.scoring r.bounds
+  in
+  let tau = shared r in
+  if r.global_bound < tau then raise Early_stop;
+  if Pj_util.Heap.length r.heap < r.k then
+    tau = Float.neg_infinity || doc_bound () >= tau
+  else
+    match Pj_util.Heap.peek r.heap with
+    | None -> true
+    | Some weakest ->
+        (* Candidates arrive in increasing doc id, so a tied bound can
+           never win the tiebreak either. *)
+        if r.global_bound <= weakest.score then raise Early_stop;
+        let bound = doc_bound () in
+        bound >= tau
+        && (bound > weakest.score
+           || (bound = weakest.score && doc_id < weakest.doc_id))
+
+(* --- solving ------------------------------------------------------------ *)
+
+(* The candidate's match lists, straight off the term cursors: at
+   candidate time every essential cursor sits at or past [doc_id], and
+   a cursor sits exactly on [doc_id] iff its form occurs there — so the
+   positions are already in hand, with no per-form re-seek through the
+   index (which on a mmap-backed index would decode blocks from scratch
+   for every solved candidate). Non-essential cursors are not driven by
+   the alignment; they are dragged up to the candidate first (a no-op
+   for a cursor already at or past it). *)
+let problem_at r doc_id =
+  Array.map
+    (fun tc ->
+      Array.iter (fun c -> Pj_index.Posting_list.seek c doc_id) tc.forms;
+      let matches = Pj_util.Vec.create () in
+      Array.iteri
+        (fun i c ->
+          if Pj_index.Posting_list.current_doc c = doc_id then
+            match Pj_index.Posting_list.current c with
+            | None -> ()
+            | Some p ->
+                let score = tc.scores.(i) and payload = tc.payloads.(i) in
+                Array.iter
+                  (fun loc ->
+                    Pj_util.Vec.push matches
+                      (Pj_core.Match0.make ~payload ~loc ~score ()))
+                  p.Pj_index.Posting.positions)
+        tc.forms;
+      Pj_matching.Match_builder.of_form_matches (Pj_util.Vec.to_array matches))
+    r.terms
+
+(* Once this fragment holds k hits, its weakest score is a lower bound
+   on the *global* k-th score (a subset's k-th best never exceeds the
+   union's), so it is safe to publish into the shared threshold for
+   sibling shards to prune against. *)
+let publish r =
+  match r.threshold with
+  | Some tau when Pj_util.Heap.length r.heap = r.k -> (
+      match Pj_util.Heap.peek r.heap with
+      | Some weakest -> atomic_max tau weakest.score
+      | None -> ())
+  | Some _ | None -> ()
+
+let offer r hit =
+  let admitted =
+    Pj_util.Heap.length r.heap < r.k
+    ||
+    match Pj_util.Heap.peek r.heap with
+    | Some weakest
+      when hit.score > weakest.score
+           || (hit.score = weakest.score && hit.doc_id < weakest.doc_id) ->
+        ignore (Pj_util.Heap.pop r.heap);
+        true
+    | Some _ | None -> false
+  in
+  if admitted then begin
+    Pj_util.Heap.push r.heap hit;
+    publish r
+  end
+
+(* Best valid matchset (the Section VI duplicate handler around the
+   family's solver). The deadline is checked before every
+   duplicate-unaware solve: when terms share locations, the
+   branch-and-bound can need thousands of them for one document. *)
+let solve r doc_id =
+  let solver p =
+    r.check_deadline ();
+    Pj_core.Best_join.solve r.scoring p
+  in
+  match fst (Pj_core.Dedup.best_valid solver (problem_at r doc_id)) with
+  | None -> ()
+  | Some res ->
+      offer r
+        {
+          doc_id;
+          score = res.Pj_core.Naive.score;
+          matchset = res.Pj_core.Naive.matchset;
+        }
+
+(* Drain the heap weakest-first, consing into best-first order. *)
+let drain heap =
+  let rec go acc =
+    match Pj_util.Heap.pop heap with Some h -> go (h :: acc) | None -> acc
+  in
+  go []
+
+let search_impl ?deadline ?threshold ?(accept = fun _ -> true) ~k t scoring q
+    =
+  if k < 0 then invalid_arg "Searcher.search: negative k";
   let check_deadline =
     match deadline with
-    | None -> fun () -> ()
+    | None -> ignore
     | Some d ->
         fun () -> if Pj_util.Timing.monotonic_now () > d then raise Expired
   in
@@ -174,426 +480,43 @@ let search_impl ?deadline ?threshold ?accept ?(blockmax = true) ~k ~dedup
   if k = 0 then []
   else
     with_term_cursors t q ~none:[] ~some:(fun terms ->
-        (* Bounded result set: a min-heap of size k; the root is the
-           weakest hit and is evicted when a better one arrives. *)
-        let heap =
-          Pj_util.Heap.create ~leq:(fun a b ->
-              (* max-heap orders by leq; invert to keep the weakest on
-                 top. Prefer evicting larger doc ids on ties. *)
-              match compare b.score a.score with
-              | 0 -> a.doc_id <= b.doc_id
-              | c -> c <= 0)
-        in
-        (* The same-for-every-document score ceiling: once the heap root
-           beats it, no remaining document can enter the heap (later
-           candidates also lose every doc-id tie), so the whole scan can
-           stop. *)
-        let global_bound =
-          lazy
-            (Pj_core.Scoring.upper_bound scoring
-               (Array.map (fun tc -> tc.max_score) terms))
-        in
-        (* Once this fragment holds k hits, its weakest score is a
-           lower bound on the *global* k-th score (a subset's k-th best
-           never exceeds the union's), so it is safe to publish into
-           the shared threshold for sibling shards to prune against. *)
-        let publish () =
-          match threshold with
-          | None -> ()
-          | Some tau ->
-              if Pj_util.Heap.length heap = k then begin
-                match Pj_util.Heap.peek heap with
-                | Some weakest -> atomic_max tau weakest.score
-                | None -> ()
-              end
-        in
-        (* Match lists come straight off the term cursors: at candidate
-           time [daat_iter] has sought every form cursor of every term
-           to at least [doc_id], and a cursor sits exactly on [doc_id]
-           iff its form occurs there — so the positions are already in
-           hand, with no per-form re-seek through the index (which on a
-           mmap-backed index would decode blocks from scratch for every
-           solved candidate). *)
-        let solve doc_id =
-          (* Under block-max traversal, non-essential form cursors are
-             not driven by the alignment; drag them up to the candidate
-             now so the match lists are complete. A cursor already at
-             or past [doc_id] makes this a no-op. *)
-          if blockmax then
-            Array.iter (fun tc -> term_seek tc doc_id) terms;
-          let problem =
-            Array.map
-              (fun tc ->
-                let matches = Pj_util.Vec.create () in
-                Array.iteri
-                  (fun i c ->
-                    if Pj_index.Posting_list.current_doc c = doc_id then
-                      match Pj_index.Posting_list.current c with
-                      | None -> ()
-                      | Some p ->
-                          let score = tc.scores.(i)
-                          and payload = tc.payloads.(i) in
-                          Array.iter
-                            (fun loc ->
-                              Pj_util.Vec.push matches
-                                (Pj_core.Match0.make ~payload ~loc ~score ()))
-                            p.Pj_index.Posting.positions)
-                  tc.forms;
-                Pj_matching.Match_builder.of_form_matches
-                  (Pj_util.Vec.to_array matches))
-              terms
-          in
-          match Pj_core.Best_join.solve ~dedup scoring problem with
-          | None -> ()
-          | Some r ->
-              let hit =
-                {
-                  doc_id;
-                  score = r.Pj_core.Naive.score;
-                  matchset = r.Pj_core.Naive.matchset;
-                }
-              in
-              if Pj_util.Heap.length heap < k then begin
-                Pj_util.Heap.push heap hit;
-                publish ()
-              end
-              else begin
-                match Pj_util.Heap.peek heap with
-                | Some weakest
-                  when hit.score > weakest.score
-                       || (hit.score = weakest.score
-                          && hit.doc_id < weakest.doc_id) ->
-                    ignore (Pj_util.Heap.pop heap);
-                    Pj_util.Heap.push heap hit;
-                    publish ()
-                | Some _ | None -> ()
-              end
-        in
-        (* The cross-shard prunes are *strict*: the shared threshold
-           comes from hits whose doc ids may be smaller than this
-           fragment's candidates, so — unlike the within-fragment
-           checks — a tied bound could still win the global tiebreak
-           and must be solved. *)
-        let shared () =
-          match threshold with
-          | None -> Float.neg_infinity
-          | Some tau -> Atomic.get tau
-        in
-        let on_candidate doc_id =
-          check_deadline ();
-          (* Tombstoned documents are invisible: skipped before any
-             solving or threshold publication, exactly as if their
-             postings were absent. *)
-          if not (accepted doc_id) then ()
-          else if not prune then solve doc_id
-          else begin
-            let tau = shared () in
-            if Lazy.force global_bound < tau then
-              (* No document of this fragment can reach the global
-                 top-k: even the proximity-free per-term ceilings fall
-                 strictly short of a score k hits already beat. *)
-              raise Early_stop;
-            if Pj_util.Heap.length heap < k then begin
-              if tau = Float.neg_infinity then solve doc_id
-              else begin
-                let best =
-                  Array.map (fun tc -> term_best_at tc doc_id) terms
-                in
-                let bound = Pj_core.Scoring.upper_bound scoring best in
-                if bound >= tau then solve doc_id
-              end
-            end
-            else begin
-              match Pj_util.Heap.peek heap with
-              | None -> solve doc_id
-              | Some weakest ->
-                  if Lazy.force global_bound <= weakest.score then
-                    (* Candidates arrive in increasing doc id, so a tied
-                       bound can never win the tiebreak either. *)
-                    raise Early_stop
-                  else begin
-                    (* Per-document upper bound from the forms actually
-                       present — the proximity-free prune of
-                       [Scoring.upper_bound], now without building the
-                       match-list problem first. *)
-                    let best =
-                      Array.map (fun tc -> term_best_at tc doc_id) terms
-                    in
-                    let bound = Pj_core.Scoring.upper_bound scoring best in
-                    if bound < tau then ()
-                    else if
-                      bound > weakest.score
-                      || (bound = weakest.score && doc_id < weakest.doc_id)
-                    then solve doc_id
-                  end
-            end
-          end
-        in
-        (* --- block-max traversal --------------------------------------
-           The skip metadata the cursors already carry ([block_max_score]
-           / [block_last_doc]), put to work. Two lossless accelerations
-           on top of the plain conjunction:
-
-           - Essential-form pruning (max-score over the expansion
-             banks): a form whose score ceiling cannot lift any document
-             past the current threshold — even with every *other* term
-             at its live maximum — stops driving the alignment. Its
-             postings are only dragged forward when a candidate is
-             actually solved, so dense low-scored expansions no longer
-             force the intersection to crawl their lists. Live maxima
-             are exhaustion-aware: a finished cursor's score leaves the
-             bound, which tightens the early-stop as lists drain.
-
-           - Block-granular region skips ("next-shallow" moves): at an
-             aligned candidate [d], let [h] be the shallowest
-             [block_last_doc] among the driving cursors. Within [d, h]
-             only forms whose cursor already sits at or before [h] can
-             occur, so [Scoring.upper_bound] over those per-term
-             regional maxima bounds every document in the region at
-             once; when it loses to the threshold, every driving cursor
-             skips past [h] in one galloping move — on a mmap-backed
-             index that crosses block boundaries through the skip table
-             without decoding a posting.
-
-           Both prunes are sound for the strict shared-threshold rule
-           and the tie-aware in-fragment rule (candidates arrive in
-           increasing doc id, so a tied bound always loses), keeping
-           results byte-identical to the exhaustive scan. Match scores
-           are the static expansion-form scores, so form presence — not
-           the tf-impact ceiling — is the per-block quantity these
-           bounds are built from; the impact metadata itself stays an
-           admissible ceiling for impact-weighted consumers. *)
-        let run_blockmax () =
-          let n = Array.length terms in
-          let ess =
-            Array.map (fun tc -> Array.make (Array.length tc.forms) true) terms
-          in
-          let live_max = Array.map (fun tc -> tc.max_score) terms in
-          let last_full = ref false
-          and last_root = ref Float.neg_infinity
-          and last_shared = ref Float.neg_infinity in
-          (* Could a document with upper bound [b] still enter the heap?
-             Strict against the shared threshold (a sibling shard's tied
-             hit may have a larger doc id); tie-losing against our own
-             root (later candidates have larger ids). *)
-          let could_win b =
-            b >= !last_shared && ((not !last_full) || b > !last_root)
-          in
-          let sig_changed () =
-            let full = Pj_util.Heap.length heap = k in
-            let root =
-              match Pj_util.Heap.peek heap with
-              | Some w -> w.score
-              | None -> Float.neg_infinity
-            in
-            let sh = shared () in
-            if full <> !last_full || root <> !last_root || sh <> !last_shared
-            then begin
-              last_full := full;
-              last_root := root;
-              last_shared := sh;
-              true
-            end
-            else false
-          in
-          (* Recompute live maxima and re-classify the form banks
-             against the moved threshold. Essential sets only shrink
-             (thresholds are monotone), and whenever the traversal may
-             continue, each term's top live form is essential — its
-             per-form bound *is* the global live bound. *)
-          let refresh () =
-            Array.iteri
-              (fun j tc ->
-                let m = ref 0. in
-                Array.iteri
-                  (fun i c ->
-                    if
-                      Pj_index.Posting_list.current_doc c >= 0
-                      && tc.scores.(i) > !m
-                    then m := tc.scores.(i))
-                  tc.forms;
-                live_max.(j) <- !m)
-              terms;
-            if not (could_win (Pj_core.Scoring.upper_bound scoring live_max))
-            then raise Early_stop;
-            Array.iteri
-              (fun j tc ->
-                let saved = live_max.(j) in
-                Array.iteri
-                  (fun i c ->
-                    if ess.(j).(i) then
-                      if Pj_index.Posting_list.current_doc c < 0 then
-                        ess.(j).(i) <- false
-                      else begin
-                        live_max.(j) <- tc.scores.(i);
-                        if
-                          not
-                            (could_win
-                               (Pj_core.Scoring.upper_bound scoring live_max))
-                        then ess.(j).(i) <- false
-                      end)
-                  tc.forms;
-                live_max.(j) <- saved)
-              terms
-          in
-          let ess_current j =
-            let tc = terms.(j) and e = ess.(j) in
-            let d = ref (-1) in
-            Array.iteri
-              (fun i c ->
-                if e.(i) then begin
-                  let cd = Pj_index.Posting_list.current_doc c in
-                  if cd >= 0 && (!d < 0 || cd < !d) then d := cd
-                end)
-              tc.forms;
-            !d
-          in
-          let ess_seek j target =
-            let tc = terms.(j) and e = ess.(j) in
-            Array.iteri
-              (fun i c -> if e.(i) then Pj_index.Posting_list.seek c target)
-              tc.forms
-          in
-          (* Essential-bank leapfrog, same invariant as [daat_iter]:
-             term 0's essential view sits on [start]. *)
-          let align start =
-            let target = ref start
-            and idx = ref (1 mod n)
-            and agreed = ref 1
-            and result = ref (-2) in
-            while !result = -2 do
-              check_deadline ();
-              if !agreed = n then result := !target
-              else begin
-                ess_seek !idx !target;
-                let d = ess_current !idx in
-                if d < 0 then result := -1
-                else begin
-                  if d = !target then incr agreed
-                  else begin
-                    target := d;
-                    agreed := 1
-                  end;
-                  idx := (!idx + 1) mod n
-                end
-              end
-            done;
-            !result
-          in
-          let rb = Array.make n 0. in
-          (* The next-shallow move. Only meaningful once some threshold
-             exists; returns true after skipping every driving cursor
-             past the region. *)
-          let region_skip d =
-            if not (!last_full || !last_shared > Float.neg_infinity) then
-              false
-            else begin
-              let h = ref max_int in
-              Array.iteri
-                (fun j _ ->
-                  let tc = terms.(j) and e = ess.(j) in
-                  Array.iteri
-                    (fun i c ->
-                      if
-                        e.(i) && Pj_index.Posting_list.current_doc c >= 0
-                      then begin
-                        let bl = Pj_index.Posting_list.block_last_doc c in
-                        if bl >= 0 && bl < !h then h := bl
-                      end)
-                    tc.forms)
-                terms;
-              if !h = max_int || !h < d then false
-              else begin
-                Array.iteri
-                  (fun j tc ->
-                    let e = ess.(j) in
-                    let m = ref 0. in
-                    Array.iteri
-                      (fun i c ->
-                        if e.(i) then begin
-                          let cd = Pj_index.Posting_list.current_doc c in
-                          if cd >= 0 && cd <= !h && tc.scores.(i) > !m then
-                            m := tc.scores.(i)
-                        end)
-                      tc.forms;
-                    rb.(j) <- !m)
-                  terms;
-                if could_win (Pj_core.Scoring.upper_bound scoring rb) then
-                  false
-                else begin
-                  let target = !h + 1 in
-                  for j = 0 to n - 1 do
-                    ess_seek j target
-                  done;
-                  true
-                end
-              end
-            end
-          in
-          (* Advance to the next candidate that survives the region
-             bound. The deadline is checked on every iteration: one
-             round here may gallop across an arbitrary doc-id range,
-             and must not outlive the budget doing so. *)
-          let next_candidate start =
-            let result = ref (-2) and start = ref start in
-            while !result = -2 do
-              if !start < 0 then result := -1
-              else begin
-                let d = align !start in
-                if d < 0 then result := -1
-                else begin
-                  check_deadline ();
-                  if sig_changed () then begin
-                    refresh ();
-                    (* The banks may have shrunk under [d]; realign on
-                       the surviving essential forms. *)
-                    start := ess_current 0
-                  end
-                  else if region_skip d then start := ess_current 0
-                  else result := d
-                end
-              end
-            done;
-            !result
-          in
-          let current = ref (next_candidate (ess_current 0)) in
-          while !current >= 0 do
-            let doc = !current in
-            on_candidate doc;
-            ess_seek 0 (doc + 1);
-            current := next_candidate (ess_current 0)
-          done
+        let maxima = Array.map (fun tc -> tc.max_score) terms in
+        let r =
+          {
+            terms;
+            scoring;
+            k;
+            heap = Pj_util.Heap.create ~leq:weaker_first;
+            threshold;
+            check_deadline;
+            global_bound = Pj_core.Scoring.upper_bound scoring maxima;
+            live_max = Array.copy maxima;
+            bounds = Array.make (Array.length terms) 0.;
+            seen_full = false;
+            seen_root = Float.neg_infinity;
+            seen_shared = Float.neg_infinity;
+          }
         in
         (try
-           if blockmax then run_blockmax ()
-           else daat_iter ~check:check_deadline terms on_candidate
+           let current = ref (next_candidate r (term_current terms.(0))) in
+           while !current >= 0 do
+             let doc_id = !current in
+             check_deadline ();
+             (* Tombstoned documents are invisible: skipped before any
+                solving or threshold publication, exactly as if their
+                postings were absent. *)
+             if accept doc_id && worth_solving r doc_id then solve r doc_id;
+             term_seek terms.(0) (doc_id + 1);
+             current := next_candidate r (term_current terms.(0))
+           done
          with Early_stop -> ());
-        (* Drain the heap weakest-first, then reverse into best-first
-           order. *)
-        let out = ref [] in
-        let rec drain () =
-          match Pj_util.Heap.pop heap with
-          | Some h ->
-              out := h :: !out;
-              drain ()
-          | None -> ()
-        in
-        drain ();
-        !out)
+        drain r.heap)
 
-let search ?(k = 10) ?(dedup = true) ?(prune = true) ?(blockmax = true) t
-    scoring q =
-  search_impl ~blockmax ~k ~dedup ~prune t scoring q
+let search ?(k = 10) t scoring q = search_impl ~k t scoring q
 
-let search_within ?(k = 10) ?(dedup = true) ?(prune = true) ?(blockmax = true)
-    ~deadline t scoring q =
-  try Ok (search_impl ~deadline ~blockmax ~k ~dedup ~prune t scoring q)
-  with Expired -> Error `Timeout
+let search_within ?(k = 10) ~deadline t scoring q =
+  try Ok (search_impl ~deadline ~k t scoring q) with Expired -> Error `Timeout
 
-let search_fragment ?deadline ?threshold ?accept ?(k = 10) ?(dedup = true)
-    ?(prune = true) ?(blockmax = true) t scoring q =
-  try
-    Ok
-      (search_impl ?deadline ?threshold ?accept ~blockmax ~k ~dedup ~prune t
-         scoring q)
+let search_fragment ?deadline ?threshold ?accept ?(k = 10) t scoring q =
+  try Ok (search_impl ?deadline ?threshold ?accept ~k t scoring q)
   with Expired -> Error `Timeout

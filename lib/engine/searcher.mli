@@ -11,7 +11,8 @@
     — no per-term document set is ever materialized — and per-term
     maximum expansion scores give proximity-free upper bounds that skip
     or stop the scan once the top-k can no longer change (max-score
-    pruning in the sense of Fagin-style early termination). *)
+    pruning in the sense of Fagin-style early termination, sharpened to
+    block granularity). *)
 
 type t
 
@@ -25,52 +26,47 @@ type hit = {
 
 val candidates : t -> Pj_matching.Query.t -> int array
 (** Document ids containing at least one match for every term, in
-    increasing order, from the DAAT cursor intersection. Requires
+    increasing order: the search's leapfrog with every expansion form
+    driving and no threshold, i.e. the plain conjunction. Requires
     matchers with finite expansions. A query with zero matchers has no
     candidates (empty array). *)
 
-val search :
-  ?k:int ->
-  ?dedup:bool ->
-  ?prune:bool ->
-  ?blockmax:bool ->
-  t ->
-  Pj_core.Scoring.t ->
-  Pj_matching.Query.t ->
-  hit list
-(** Top-[k] (default 10) documents by overall-best-matchset score, best
-    first; ties broken toward smaller document ids. [dedup] (default
-    true) restricts to valid matchsets. Candidates whose only matchsets
+val search : ?k:int -> t -> Pj_core.Scoring.t -> Pj_matching.Query.t -> hit list
+(** Top-[k] (default 10) documents by best {e valid} matchset score (the
+    Section VI duplicate handler always applies), best first; ties
+    broken toward smaller document ids. Candidates whose only matchsets
     are invalid are skipped. [k = 0] and zero-matcher queries return []
-    without touching the index. With [prune] (default true), once [k]
-    hits are held, two lossless max-score prunes apply before any
-    match-list materialization: a candidate whose
-    [Scoring.upper_bound] over the expansion scores present in the
-    document (proximity penalty dropped) cannot beat the weakest held
-    hit is skipped without building its match lists, and the scan stops
-    outright when even the per-term {e maximum} expansion scores cannot
-    beat it — sound, since both bounds dominate every matchset score in
-    any remaining document and later candidates lose every doc-id tie.
+    without touching the index.
 
-    With [blockmax] (default true; only meaningful under [prune]), the
-    candidate generation itself turns threshold-aware, using the skip
-    metadata every cursor carries ({!Pj_index.Posting_list.block_max_score}
-    / [block_last_doc]): expansion forms whose score ceiling cannot lift
-    any document past the current threshold stop driving the alignment
-    (they are dragged forward only for solved candidates), per-term
-    ceilings shrink as cursors exhaust, and whole cursor regions up to
-    the shallowest block boundary are skipped in one move when the
-    region's [Scoring.upper_bound] cannot win ("next-shallow" moves in
-    the block-max WAND sense). All three accelerations are lossless —
-    the returned top-[k] is byte-identical to the exhaustive scan;
-    [blockmax:false] keeps the plain conjunction traversal as an escape
-    hatch and an oracle. *)
+    There is one traversal: block-max pruned DAAT. Candidates come from
+    a leapfrog over the term cursors, and three threshold prunes apply
+    once a threshold exists (k hits held, or a shared [threshold] from
+    {!search_fragment}):
+
+    - {e Essential forms.} An expansion form whose score cannot lift any
+      document past the threshold, even with every other term at its
+      live maximum, stops driving the alignment; its cursor is dragged
+      forward only for solved candidates. Live maxima drop as cursors
+      exhaust, and the scan stops outright when even they cannot win.
+    - {e Region skips.} At an aligned candidate, the shallowest
+      [block_last_doc] among the driving cursors bounds a region in
+      which only forms already at or before it can occur; when
+      [Scoring.upper_bound] over those forms cannot win, every driving
+      cursor skips past the region in one move
+      ({!Pj_index.Posting_list.block_last_doc}).
+    - {e Per-candidate bound.} [Scoring.upper_bound] over the expansion
+      scores present in the document (proximity penalty dropped) is
+      checked before any match list is built.
+
+    Every bound dominates every matchset score in the documents it
+    discards, and candidates arrive in increasing doc id, so a later
+    candidate with a tied bound loses the tiebreak: the prunes are
+    admissible and the result equals the unpruned conjunction's
+    ([test/reference/] is the independent oracle the tests compare
+    against). *)
 
 val search_within :
   ?k:int ->
-  ?dedup:bool ->
-  ?prune:bool ->
-  ?blockmax:bool ->
   deadline:float ->
   t ->
   Pj_core.Scoring.t ->
@@ -79,22 +75,21 @@ val search_within :
 (** [search] with a wall-clock budget: [deadline] is an absolute time on
     the monotonic clock (as returned by [Pj_util.Timing.monotonic_now] —
     immune to NTP steps) after which evaluation stops. The deadline is
-    checked on every cursor-alignment round and before each candidate
-    solve, so the overrun is bounded by one document's work even when
-    the intersection crosses long barren stretches of the posting
-    lists. Returns [Error `Timeout] when the deadline passes before the
-    candidate list is exhausted — partial results are discarded, since
-    an incomplete top-k is not the true top-k. A deadline already in
-    the past times out immediately (before any solving). *)
+    checked on every cursor-alignment round, before each candidate, and
+    before each duplicate-unaware solve inside a candidate's
+    duplicate handling, so the overrun is bounded by one solver call
+    even when the intersection crosses long barren stretches of the
+    posting lists or a document's terms share locations. Returns
+    [Error `Timeout] when the deadline passes before the candidate list
+    is exhausted — partial results are discarded, since an incomplete
+    top-k is not the true top-k. A deadline already in the past times
+    out immediately (before any solving). *)
 
 val search_fragment :
   ?deadline:float ->
   ?threshold:float Atomic.t ->
   ?accept:(int -> bool) ->
   ?k:int ->
-  ?dedup:bool ->
-  ?prune:bool ->
-  ?blockmax:bool ->
   t ->
   Pj_core.Scoring.t ->
   Pj_matching.Query.t ->

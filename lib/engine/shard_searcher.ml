@@ -38,7 +38,7 @@ let rec take n = function
 let merge ~k per_shard =
   List.concat per_shard |> List.sort compare_hits |> take k
 
-let search_impl ?deadline ~k ~dedup ~prune ~blockmax t scoring q =
+let search_impl ?deadline ~k t scoring q =
   if k < 0 then invalid_arg "Shard_searcher.search: negative k";
   if k = 0 then Ok []
   else begin
@@ -54,8 +54,7 @@ let search_impl ?deadline ~k ~dedup ~prune ~blockmax t scoring q =
     let results =
       Pj_util.Parallel.map_array ~domains
         (fun fragment ->
-          Searcher.search_fragment ?deadline ~threshold ~k ~dedup ~prune
-            ~blockmax fragment scoring q)
+          Searcher.search_fragment ?deadline ~threshold ~k fragment scoring q)
         t.fragments
     in
     if Array.exists (function Error `Timeout -> true | Ok _ -> false) results
@@ -85,7 +84,7 @@ type degraded = { hits : Searcher.hit list; failed : int list }
    than the dead shard's bound may have been pruned, so the guarantee
    degrades from "exact top-k of survivors" to "genuine, exactly
    scored hits in order". *)
-let search_degraded_impl ?deadline ~k ~dedup ~prune ~blockmax t scoring q =
+let search_degraded ?(k = 10) ~deadline t scoring q =
   if k < 0 then invalid_arg "Shard_searcher.search_degraded: negative k";
   if k = 0 then Ok { hits = []; failed = [] }
   else begin
@@ -97,8 +96,8 @@ let search_degraded_impl ?deadline ~k ~dedup ~prune ~blockmax t scoring q =
         (fun i ->
           match
             Pj_util.Failpoint.hit t.sites.(i);
-            Searcher.search_fragment ?deadline ~threshold ~k ~dedup ~prune
-              ~blockmax t.fragments.(i) scoring q
+            Searcher.search_fragment ~deadline ~threshold ~k t.fragments.(i)
+              scoring q
           with
           | Ok hits -> `Hits hits
           | Error `Timeout -> `Expired
@@ -118,16 +117,10 @@ let search_degraded_impl ?deadline ~k ~dedup ~prune ~blockmax t scoring q =
     end
   end
 
-let search_degraded ?(k = 10) ?(dedup = true) ?(prune = true)
-    ?(blockmax = true) ~deadline t scoring q =
-  search_degraded_impl ~deadline ~k ~dedup ~prune ~blockmax t scoring q
-
-let search ?(k = 10) ?(dedup = true) ?(prune = true) ?(blockmax = true) t
-    scoring q =
-  match search_impl ~k ~dedup ~prune ~blockmax t scoring q with
+let search ?(k = 10) t scoring q =
+  match search_impl ~k t scoring q with
   | Ok hits -> hits
   | Error `Timeout -> assert false (* no deadline given *)
 
-let search_within ?(k = 10) ?(dedup = true) ?(prune = true) ?(blockmax = true)
-    ~deadline t scoring q =
-  search_impl ~deadline ~k ~dedup ~prune ~blockmax t scoring q
+let search_within ?(k = 10) ~deadline t scoring q =
+  search_impl ~deadline ~k t scoring q

@@ -1,8 +1,8 @@
 (** Scatter-gather top-k search over a sharded index.
 
     One query fans out across the shards of a
-    {!Pj_index.Sharded_index.t}, each shard running the full DAAT +
-    max-score search ({!Searcher.search_fragment}) on
+    {!Pj_index.Sharded_index.t}, each shard running the block-max
+    pruned DAAT search ({!Searcher.search_fragment}) on
     {!Pj_util.Parallel} domains. The fragments cooperate through one
     [Atomic.t] threshold — the best known lower bound on the global
     k-th score, in the spirit of Fagin-style threshold algorithms — so
@@ -32,9 +32,6 @@ val sharded_index : t -> Pj_index.Sharded_index.t
 
 val search :
   ?k:int ->
-  ?dedup:bool ->
-  ?prune:bool ->
-  ?blockmax:bool ->
   t ->
   Pj_core.Scoring.t ->
   Pj_matching.Query.t ->
@@ -44,9 +41,6 @@ val search :
 
 val search_within :
   ?k:int ->
-  ?dedup:bool ->
-  ?prune:bool ->
-  ?blockmax:bool ->
   deadline:float ->
   t ->
   Pj_core.Scoring.t ->
@@ -66,9 +60,6 @@ type degraded = {
 
 val search_degraded :
   ?k:int ->
-  ?dedup:bool ->
-  ?prune:bool ->
-  ?blockmax:bool ->
   deadline:float ->
   t ->
   Pj_core.Scoring.t ->

@@ -955,13 +955,13 @@ let rec take n = function
   | x :: tl -> x :: take (n - 1) tl
 
 (* Search one immutable snapshot: every fragment (sealed segments, then
-   the memtable) runs the full DAAT + max-score search, cascading one
+   the memtable) runs the block-max pruned DAAT search, cascading one
    shared threshold so later fragments prune against the best bound so
    far; tombstones are hidden by the [accept] filter. The merge by
    (score desc, doc id asc) is byte-identical to a monolithic search
    over the surviving documents — same vocabulary, same global doc ids,
    same strict cross-fragment prune as [Shard_searcher]. *)
-let search_snapshot ?deadline ~k ~dedup ~prune ~blockmax s scoring q =
+let search_snapshot ?deadline ~k s scoring q =
   if k = 0 then Ok []
   else begin
     let accept =
@@ -978,8 +978,8 @@ let search_snapshot ?deadline ~k ~dedup ~prune ~blockmax s scoring q =
         List.concat_map
           (fun sr ->
             match
-              Searcher.search_fragment ?deadline ~threshold ?accept ~k ~dedup
-                ~prune ~blockmax sr scoring q
+              Searcher.search_fragment ?deadline ~threshold ?accept ~k sr
+                scoring q
             with
             | Ok hits -> hits
             | Error `Timeout -> raise Frag_timeout)
@@ -989,18 +989,13 @@ let search_snapshot ?deadline ~k ~dedup ~prune ~blockmax s scoring q =
     with Frag_timeout -> Error `Timeout
   end
 
-let search ?(k = 10) ?(dedup = true) ?(prune = true) ?(blockmax = true) t
-    scoring q =
-  match
-    search_snapshot ~k ~dedup ~prune ~blockmax (Atomic.get t.snap) scoring q
-  with
+let search ?(k = 10) t scoring q =
+  match search_snapshot ~k (Atomic.get t.snap) scoring q with
   | Ok hits -> hits
   | Error `Timeout -> assert false (* no deadline *)
 
-let search_within ?(k = 10) ?(dedup = true) ?(prune = true) ?(blockmax = true)
-    ~deadline t scoring q =
-  search_snapshot ~deadline ~k ~dedup ~prune ~blockmax (Atomic.get t.snap)
-    scoring q
+let search_within ?(k = 10) ~deadline t scoring q =
+  search_snapshot ~deadline ~k (Atomic.get t.snap) scoring q
 
 (* --- stats ------------------------------------------------------------- *)
 

@@ -175,9 +175,6 @@ val quiesce : t -> unit
 
 val search :
   ?k:int ->
-  ?dedup:bool ->
-  ?prune:bool ->
-  ?blockmax:bool ->
   t ->
   Pj_core.Scoring.t ->
   Pj_matching.Query.t ->
@@ -188,9 +185,6 @@ val search :
 
 val search_within :
   ?k:int ->
-  ?dedup:bool ->
-  ?prune:bool ->
-  ?blockmax:bool ->
   deadline:float ->
   t ->
   Pj_core.Scoring.t ->

@@ -106,11 +106,12 @@ let parse_request line =
              cmd)
 
 (* The key under which a search is cached: scoring parameters plus the
-   terms sorted, so queries differing only in term order share an
-   entry (every scoring family is symmetric in its terms). *)
+   terms in request order. Reordered terms get their own entry: the
+   families are symmetric in exact arithmetic, but a MAX or MED score
+   summed in another order can differ in the last bit, and a line must
+   never be answered with a reordering's bytes. *)
 let cache_key { family; alpha; k; terms } =
-  Printf.sprintf "%s|%.17g|%d|%s" family alpha k
-    (String.concat "\x00" (List.sort compare terms))
+  Printf.sprintf "%s|%.17g|%d|%s" family alpha k (String.concat "\x00" terms)
 
 (* Error payloads come from arbitrary exception messages
    ([Printexc.to_string] in the ingest batcher and worker pool), so

@@ -59,8 +59,9 @@ val scoring_of :
     family name — the same mapping the CLI uses. *)
 
 val cache_key : search_request -> string
-(** Normalized cache key: scoring family, alpha, k, and the terms
-    sorted (term order does not affect scores). *)
+(** Cache key: scoring family, alpha, k, and the terms in request
+    order. Term order is part of the key because floating-point MAX and
+    MED scores can depend on it in the last bit. *)
 
 val text_precision : int
 (** Significant digits of a score on the text wire (9): short enough

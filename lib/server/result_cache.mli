@@ -1,7 +1,7 @@
 (** Thread-safe LRU cache of rendered SEARCH responses.
 
-    Keys come from {!Protocol.cache_key} (normalized query + scoring
-    parameters); values are complete response lines, so a hit is
+    Keys come from {!Protocol.cache_key} (scoring parameters plus the
+    terms in request order); values are complete response lines, so a hit is
     byte-identical to the response the solvers would have produced and
     costs one lock plus one hash lookup — no query parsing, no queue
     slot, no worker domain. Hit/miss counters feed the [STATS]

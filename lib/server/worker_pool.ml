@@ -11,26 +11,24 @@ type search =
   Pj_matching.Query.t ->
   (Pj_engine.Searcher.hit list * int list, [ `Timeout ]) result
 
-let of_searcher ?(blockmax = true) searcher ~scoring ~k ~deadline query =
+let of_searcher searcher ~scoring ~k ~deadline query =
   (* A monolithic index has no shards to lose: complete or timed out. *)
   Result.map
     (fun hits -> (hits, []))
-    (Pj_engine.Searcher.search_within ~k ~blockmax ~deadline searcher scoring
-       query)
+    (Pj_engine.Searcher.search_within ~k ~deadline searcher scoring query)
 
-let of_shard_searcher ?(blockmax = true) sharded ~scoring ~k ~deadline query =
+let of_shard_searcher sharded ~scoring ~k ~deadline query =
   Result.map
     (fun { Pj_engine.Shard_searcher.hits; failed } -> (hits, failed))
-    (Pj_engine.Shard_searcher.search_degraded ~k ~blockmax ~deadline sharded
-       scoring query)
+    (Pj_engine.Shard_searcher.search_degraded ~k ~deadline sharded scoring
+       query)
 
-let of_live ?(blockmax = true) live ~scoring ~k ~deadline query =
+let of_live live ~scoring ~k ~deadline query =
   (* Like a monolithic index: a snapshot search is complete or timed
      out, never degraded. *)
   Result.map
     (fun hits -> (hits, []))
-    (Pj_live.Live_index.search_within ~k ~blockmax ~deadline live scoring
-       query)
+    (Pj_live.Live_index.search_within ~k ~deadline live scoring query)
 
 (* A one-shot result cell the submitting thread blocks on. *)
 type cell = {

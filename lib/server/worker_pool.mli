@@ -43,19 +43,16 @@ type search =
     to call from several domains at once (both provided constructors
     are: they only read an immutable index). *)
 
-val of_searcher : ?blockmax:bool -> Pj_engine.Searcher.t -> search
-(** [Pj_engine.Searcher.search_within] over one monolithic index;
-    never degraded. [blockmax] (default true) selects block-max pruned
-    candidate generation; [false] is the exhaustive-traversal escape
-    hatch (the server's [--no-blockmax]). *)
+val of_searcher : Pj_engine.Searcher.t -> search
+(** [Pj_engine.Searcher.search_within] (block-max pruned DAAT, the one
+    traversal) over one monolithic index; never degraded. *)
 
-val of_shard_searcher :
-  ?blockmax:bool -> Pj_engine.Shard_searcher.t -> search
+val of_shard_searcher : Pj_engine.Shard_searcher.t -> search
 (** [Pj_engine.Shard_searcher.search_degraded] — fault-isolated
     scatter-gather over the shards, byte-identical results to
     {!of_searcher} on the same corpus when every shard answers. *)
 
-val of_live : ?blockmax:bool -> Pj_live.Live_index.t -> search
+val of_live : Pj_live.Live_index.t -> search
 (** [Pj_live.Live_index.search_within] over the live index's current
     snapshot — domain-safe because each query reads one immutable
     snapshot; never degraded. *)

@@ -25,7 +25,7 @@ let docs =
 
 (* Shared vocabulary order so token ids (match payloads) line up
    between the full index and the one missing [rejected]. *)
-let searcher_over ?(rejected = []) () =
+let index_over ?(rejected = []) () =
   let corpus = Pj_index.Corpus.create () in
   let vocab = Pj_index.Corpus.vocab corpus in
   List.iter
@@ -37,44 +37,43 @@ let searcher_over ?(rejected = []) () =
         (Pj_index.Corpus.add_tokens corpus
            (if List.mem id rejected then [||] else d)))
     docs;
-  Searcher.create (Pj_index.Inverted_index.build corpus)
+  Pj_index.Inverted_index.build corpus
 
-let fragment_hits ?accept searcher ~k ~prune =
-  match Searcher.search_fragment ?accept ~k ~prune searcher scoring query with
+let fragment_hits ?accept searcher ~k =
+  match Searcher.search_fragment ?accept ~k searcher scoring query with
   | Ok hits -> hits
   | Error `Timeout -> Alcotest.fail "no deadline was given"
 
+(* The reference searches an index that never held the rejected
+   documents. *)
 let test_accept_equals_absence () =
-  let full = searcher_over () in
+  let full = Searcher.create (index_over ()) in
   List.iter
     (fun rejected ->
-      let without = searcher_over ~rejected () in
+      let without = index_over ~rejected () in
       List.iter
         (fun k ->
-          List.iter
-            (fun prune ->
-              let accept id = not (List.mem id rejected) in
-              Alcotest.(check bool)
-                (Printf.sprintf "rejected=[%s] k=%d prune=%b"
-                   (String.concat "," (List.map string_of_int rejected))
-                   k prune)
-                true
-                (fragment_hits ~accept full ~k ~prune
-                = fragment_hits without ~k ~prune))
-            [ true; false ])
+          let accept id = not (List.mem id rejected) in
+          Alcotest.(check bool)
+            (Printf.sprintf "rejected=[%s] k=%d"
+               (String.concat "," (List.map string_of_int rejected))
+               k)
+            true
+            (fragment_hits ~accept full ~k
+            = Pj_reference.search ~k without scoring query))
         [ 1; 3; 10 ])
     [ [ 0 ]; [ 1 ]; [ 0; 3 ]; [ 0; 1; 3; 4 ] ]
 
 let test_accept_none_is_identity () =
-  let full = searcher_over () in
+  let full = Searcher.create (index_over ()) in
   Alcotest.(check bool) "no accept = accept everything" true
-    (fragment_hits full ~k:10 ~prune:true
-    = fragment_hits ~accept:(fun _ -> true) full ~k:10 ~prune:true)
+    (fragment_hits full ~k:10
+    = fragment_hits ~accept:(fun _ -> true) full ~k:10)
 
 let test_accept_nothing () =
-  let full = searcher_over () in
+  let full = Searcher.create (index_over ()) in
   Alcotest.(check int) "reject all" 0
-    (List.length (fragment_hits ~accept:(fun _ -> false) full ~k:10 ~prune:true))
+    (List.length (fragment_hits ~accept:(fun _ -> false) full ~k:10))
 
 let suite =
   [

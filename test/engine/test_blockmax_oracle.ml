@@ -1,8 +1,7 @@
 (* Block-max candidate generation must be lossless: for every corpus
-   layout, scoring family, k, and prune setting, [search ~blockmax:true]
-   returns hits byte-identical (doc ids, float score bits, matchsets)
-   to the exhaustive [~blockmax:false] traversal — monolithic and
-   sharded alike.
+   layout, scoring family, and k, [search] returns hits byte-identical
+   (doc ids, float score bits, matchsets) to the exhaustive reference
+   ([Pj_reference]) — monolithic and sharded alike.
 
    Corpora are big enough (hundreds of documents) that posting lists
    span several 128-posting blocks, so next-shallow region skips and
@@ -131,7 +130,8 @@ let check_layout seed layout =
   let rng = Pj_util.Prng.create seed in
   let n_docs = 350 + Pj_util.Prng.int rng 300 in
   let corpus = build_corpus rng layout ~n_docs in
-  let searcher = Searcher.create (Pj_index.Inverted_index.build corpus) in
+  let index = Pj_index.Inverted_index.build corpus in
+  let searcher = Searcher.create index in
   let sharded =
     Shard_searcher.create (Pj_index.Sharded_index.build ~shards:3 corpus)
   in
@@ -141,35 +141,21 @@ let check_layout seed layout =
         (fun scoring ->
           List.iter
             (fun k ->
-              List.iter
-                (fun prune ->
-                  let want =
-                    Searcher.search ~k ~prune ~blockmax:false searcher scoring
-                      q
-                  in
-                  let got =
-                    Searcher.search ~k ~prune ~blockmax:true searcher scoring q
-                  in
-                  if not (hits_equal got want) then
-                    Alcotest.failf
-                      "seed %d %s %s %s k=%d prune=%b: blockmax differs\n\
-                       blockmax:   %s\n\
-                       exhaustive: %s"
-                      seed (layout_name layout) q.Pj_matching.Query.label
-                      (Pj_core.Scoring.name scoring)
-                      k prune (pp_hits got) (pp_hits want);
-                  let got_sharded =
-                    Shard_searcher.search ~k ~prune ~blockmax:true sharded
-                      scoring q
-                  in
-                  if not (hits_equal got_sharded want) then
-                    Alcotest.failf
-                      "seed %d %s %s %s k=%d prune=%b: sharded blockmax \
-                       differs\nsharded:    %s\nexhaustive: %s"
-                      seed (layout_name layout) q.Pj_matching.Query.label
-                      (Pj_core.Scoring.name scoring)
-                      k prune (pp_hits got_sharded) (pp_hits want))
-                [ true; false ])
+              let want = Pj_reference.search ~k index scoring q in
+              let fail what got =
+                Alcotest.failf
+                  "seed %d %s %s %s k=%d: %s differs\n\
+                   got:       %s\n\
+                   reference: %s"
+                  seed (layout_name layout) q.Pj_matching.Query.label
+                  (Pj_core.Scoring.name scoring)
+                  k what (pp_hits got) (pp_hits want)
+              in
+              let got = Searcher.search ~k searcher scoring q in
+              if not (hits_equal got want) then fail "blockmax" got;
+              let got_sharded = Shard_searcher.search ~k sharded scoring q in
+              if not (hits_equal got_sharded want) then
+                fail "sharded blockmax" got_sharded)
             ks)
         scorings)
     queries
@@ -210,22 +196,17 @@ let test_deadline_in_skip_loop () =
       ]
   in
   let scoring = Pj_core.Scoring.Win (Pj_core.Scoring.win_exponential ~alpha:0.2) in
-  List.iter
-    (fun blockmax ->
-      match
-        Searcher.search_within ~k:1 ~blockmax
-          ~deadline:(Pj_util.Timing.monotonic_now () -. 1e-6)
-          searcher scoring q
-      with
-      | Error `Timeout -> ()
-      | Ok _ ->
-          Alcotest.failf "blockmax=%b: expired deadline did not time out"
-            blockmax)
-    [ true; false ]
+  match
+    Searcher.search_within ~k:1
+      ~deadline:(Pj_util.Timing.monotonic_now () -. 1e-6)
+      searcher scoring q
+  with
+  | Error `Timeout -> ()
+  | Ok _ -> Alcotest.fail "expired deadline did not time out"
 
 let suite =
   [
-    ( "blockmax = exhaustive, all layouts/families/ks",
+    ( "blockmax = reference, all layouts/families/ks",
       `Quick,
       test_oracle );
     ("expired deadline times out in the skip loop", `Quick, test_deadline_in_skip_loop);

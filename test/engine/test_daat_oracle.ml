@@ -1,84 +1,10 @@
 (* The DAAT cursor searcher must return byte-identical hit lists (doc
-   ids, scores, order) to the pre-change set-intersection searcher, the
-   implementation this file preserves as the reference. Exercised over
-   randomized corpora, all three scoring families, multi-form matchers
-   (so the per-term cursor is a genuine union), and k in {0, 1, 10,
-   1000}. *)
+   ids, scores, order) to the set-intersection reference searcher
+   ([Pj_reference]). Exercised over randomized corpora, all three
+   scoring families, multi-form matchers (so the per-term cursor is a
+   genuine union), and k in {0, 1, 10, 1000}. *)
 
 open Pj_engine
-
-(* --- the pre-change searcher, verbatim semantics ----------------------- *)
-
-module Iset = Set.Make (Int)
-
-let naive_term_doc_ids idx (m : Pj_matching.Matcher.t) =
-  match m.Pj_matching.Matcher.expansions with
-  | None -> assert false
-  | Some expansions ->
-      List.fold_left
-        (fun acc (form, _) ->
-          let pl = Pj_index.Inverted_index.postings_of_word idx form in
-          Pj_index.Posting_list.fold
-            (fun acc p -> Iset.add p.Pj_index.Posting.doc_id acc)
-            acc pl)
-        Iset.empty expansions
-
-let naive_candidates idx (q : Pj_matching.Query.t) =
-  let sets = Array.map (naive_term_doc_ids idx) q.Pj_matching.Query.matchers in
-  let smallest =
-    Array.fold_left
-      (fun acc s -> if Iset.cardinal s < Iset.cardinal acc then s else acc)
-      sets.(0) sets
-  in
-  let all =
-    Iset.filter
-      (fun doc -> Array.for_all (fun s -> Iset.mem doc s) sets)
-      smallest
-  in
-  Array.of_list (Iset.elements all)
-
-let naive_search ~k idx scoring q =
-  let heap =
-    Pj_util.Heap.create ~leq:(fun (a : Searcher.hit) b ->
-        match compare b.Searcher.score a.Searcher.score with
-        | 0 -> a.Searcher.doc_id <= b.Searcher.doc_id
-        | c -> c <= 0)
-  in
-  Array.iter
-    (fun doc_id ->
-      let problem = Pj_matching.Match_builder.from_index idx ~doc_id q in
-      match Pj_core.Best_join.solve ~dedup:true scoring problem with
-      | None -> ()
-      | Some r ->
-          let hit =
-            {
-              Searcher.doc_id;
-              score = r.Pj_core.Naive.score;
-              matchset = r.Pj_core.Naive.matchset;
-            }
-          in
-          if Pj_util.Heap.length heap < k then Pj_util.Heap.push heap hit
-          else begin
-            match Pj_util.Heap.peek heap with
-            | Some weakest
-              when hit.Searcher.score > weakest.Searcher.score
-                   || (hit.Searcher.score = weakest.Searcher.score
-                      && hit.Searcher.doc_id < weakest.Searcher.doc_id) ->
-                ignore (Pj_util.Heap.pop heap);
-                Pj_util.Heap.push heap hit
-            | Some _ | None -> ()
-          end)
-    (naive_candidates idx q);
-  let out = ref [] in
-  let rec drain () =
-    match Pj_util.Heap.pop heap with
-    | Some h ->
-        out := h :: !out;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  !out
 
 (* --- randomized corpora and queries ------------------------------------ *)
 
@@ -137,24 +63,14 @@ let test_daat_equals_naive () =
           (fun scoring ->
             List.iter
               (fun k ->
-                let expected = List.map hit_repr (naive_search ~k idx scoring q) in
-                let pruned =
-                  List.map hit_repr (Searcher.search ~k ~prune:true s scoring q)
+                let expected =
+                  List.map hit_repr (Pj_reference.search ~k idx scoring q)
                 in
-                let unpruned =
-                  List.map hit_repr (Searcher.search ~k ~prune:false s scoring q)
-                in
+                let got = List.map hit_repr (Searcher.search ~k s scoring q) in
                 (* Scores stem from identical Best_join.solve calls, so
                    equality is exact, not approximate. *)
-                if pruned <> expected then
-                  Alcotest.failf
-                    "trial %d %s %s k=%d: pruned DAAT differs from naive"
-                    trial q.Pj_matching.Query.label
-                    (Pj_core.Scoring.name scoring)
-                    k;
-                if unpruned <> expected then
-                  Alcotest.failf
-                    "trial %d %s %s k=%d: unpruned DAAT differs from naive"
+                if got <> expected then
+                  Alcotest.failf "trial %d %s %s k=%d: DAAT differs from reference"
                     trial q.Pj_matching.Query.label
                     (Pj_core.Scoring.name scoring)
                     k)
@@ -174,7 +90,7 @@ let test_candidates_equal () =
     List.iter
       (fun q ->
         Alcotest.(check (array int))
-          "candidates" (naive_candidates idx q)
+          "candidates" (Pj_reference.candidates idx q)
           (Searcher.candidates s q))
       queries
   done

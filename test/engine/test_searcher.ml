@@ -70,14 +70,9 @@ let test_search_respects_dedup () =
           [ ("china", 1.); ("porcelain", 0.8) ];
       ]
   in
-  (match Searcher.search ~dedup:true s scoring q with
+  match Searcher.search s scoring q with
   | [ hit ] ->
       Alcotest.(check bool) "valid matchset" true
-        (Pj_core.Matchset.is_valid hit.Searcher.matchset)
-  | hits -> Alcotest.failf "expected 1 hit, got %d" (List.length hits));
-  match Searcher.search ~dedup:false s scoring q with
-  | [ hit ] ->
-      Alcotest.(check bool) "duplicate allowed without dedup" false
         (Pj_core.Matchset.is_valid hit.Searcher.matchset)
   | hits -> Alcotest.failf "expected 1 hit, got %d" (List.length hits)
 
@@ -109,32 +104,6 @@ let test_heap_eviction_order () =
         (Printf.sprintf "rank %d doc" i)
         expected.Searcher.doc_id hit.Searcher.doc_id)
     top5
-
-let test_prune_equals_unpruned () =
-  (* Pruning must never change the result, including under score ties. *)
-  let rng = Pj_util.Prng.create 19 in
-  for trial = 1 to 30 do
-    let corpus = Pj_index.Corpus.create () in
-    let n_docs = 5 + Pj_util.Prng.int rng 15 in
-    for _ = 1 to n_docs do
-      (* Small gap alphabet creates frequent exact score ties. *)
-      let gap = 1 + Pj_util.Prng.int rng 3 in
-      let filler = List.init gap (fun i -> "zz" ^ string_of_int i) in
-      let tokens = ("alpha" :: filler) @ [ "beta" ] in
-      ignore (Pj_index.Corpus.add_text corpus (String.concat " " tokens))
-    done;
-    let s = Searcher.create (Pj_index.Inverted_index.build corpus) in
-    let q =
-      Pj_matching.Query.make "ab"
-        [ Pj_matching.Matcher.exact "alpha"; Pj_matching.Matcher.exact "beta" ]
-    in
-    let k = 1 + Pj_util.Prng.int rng 5 in
-    let a = Searcher.search ~k ~prune:true s scoring q in
-    let b = Searcher.search ~k ~prune:false s scoring q in
-    if List.map (fun h -> h.Searcher.doc_id) a
-       <> List.map (fun h -> h.Searcher.doc_id) b
-    then Alcotest.failf "trial %d: pruned search differs" trial
-  done
 
 let test_zero_matcher_query () =
   (* A query with no matchers (constructible directly as a record, even
@@ -185,9 +154,36 @@ let test_search_within_expired_deadline () =
   | Error `Timeout -> ()
   | Ok _ -> Alcotest.fail "a deadline in the past must time out"
 
+(* Two terms matching the same locations make every branch-and-bound
+   node of the duplicate handler bound at the unconstrained optimum, so
+   nothing is pruned and the solver count roughly doubles with each
+   extra occurrence (about 33k solves at 14, over a second unchecked).
+   The deadline must hold inside that one document's solve, not only
+   between candidates. *)
+let test_deadline_inside_dedup () =
+  let corpus = Pj_index.Corpus.create () in
+  ignore
+    (Pj_index.Corpus.add_tokens corpus
+       (Array.init 200 (fun i ->
+            if i mod 14 = 5 && i < 14 * 14 then "aa"
+            else Printf.sprintf "f%d" i)));
+  let s = Searcher.create (Pj_index.Inverted_index.build corpus) in
+  let q =
+    Pj_matching.Query.make "aa aa"
+      [ Pj_matching.Matcher.exact "aa"; Pj_matching.Matcher.exact "aa" ]
+  in
+  let start = Pj_util.Timing.monotonic_now () in
+  let result = Searcher.search_within ~deadline:(start +. 0.05) s scoring q in
+  let elapsed = Pj_util.Timing.monotonic_now () -. start in
+  (match result with
+  | Error `Timeout -> ()
+  | Ok _ -> Alcotest.fail "a shared-form query must honor its deadline");
+  if elapsed >= 0.5 then
+    Alcotest.failf "timed out only after %.3f s (deadline 0.05 s)" elapsed
+
 let suite =
   [
-    ("searcher: prune = no-prune", `Quick, test_prune_equals_unpruned);
+    ("searcher: deadline inside dedup", `Quick, test_deadline_inside_dedup);
     ("searcher: deadline generous", `Quick, test_search_within_generous_deadline);
     ("searcher: deadline expired", `Quick, test_search_within_expired_deadline);
     ("searcher: candidates", `Quick, test_candidates);
@@ -196,6 +192,6 @@ let suite =
     ("searcher: no candidates", `Quick, test_no_candidates);
     ("searcher: zero matchers", `Quick, test_zero_matcher_query);
     ("searcher: k=0 short-circuit", `Quick, test_k_zero_short_circuits);
-    ("searcher: dedup flag", `Quick, test_search_respects_dedup);
+    ("searcher: dedup always applies", `Quick, test_search_respects_dedup);
     ("searcher: heap eviction", `Quick, test_heap_eviction_order);
   ]

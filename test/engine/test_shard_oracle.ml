@@ -1,9 +1,9 @@
 (* Property test: scatter-gather search over a sharded index must be
-   byte-identical to [Searcher.search] over the monolithic index —
-   same hits, same scores, same order, same matchsets, same
-   smaller-doc-id tie-breaks — for every shard count, scoring family,
-   k, and prune setting. This is the contract that makes `--shards` a
-   pure performance knob. *)
+   byte-identical to [Searcher.search] over the monolithic index, and
+   both to the exhaustive reference ([Pj_reference]) — same hits, same
+   scores, same order, same matchsets, same smaller-doc-id tie-breaks —
+   for every shard count, scoring family, and k. This is the contract
+   that makes `--shards` a pure performance knob. *)
 
 open Pj_engine
 
@@ -65,7 +65,8 @@ let pp_hits hits =
 
 let check_all docs =
   let corpus = build docs in
-  let mono = Searcher.create (Pj_index.Inverted_index.build corpus) in
+  let index = Pj_index.Inverted_index.build corpus in
+  let mono = Searcher.create index in
   List.for_all
     (fun shards ->
       let sharded =
@@ -76,21 +77,17 @@ let check_all docs =
           List.for_all
             (fun k ->
               List.for_all
-                (fun prune ->
-                  List.for_all
-                    (fun q ->
-                      let want = Searcher.search ~k ~prune mono scoring q in
-                      let got =
-                        Shard_searcher.search ~k ~prune sharded scoring q
-                      in
-                      hits_equal want got
-                      ||
-                      (QCheck.Test.fail_reportf
-                         "S=%d %s k=%d prune=%b query=%s:\nwant [%s]\ngot  [%s]"
-                         shards family k prune q.Pj_matching.Query.label
-                         (pp_hits want) (pp_hits got)))
-                    queries)
-                [ true; false ])
+                (fun q ->
+                  let want = Pj_reference.search ~k index scoring q in
+                  let got_mono = Searcher.search ~k mono scoring q in
+                  let got = Shard_searcher.search ~k sharded scoring q in
+                  (hits_equal want got_mono && hits_equal want got)
+                  ||
+                  (QCheck.Test.fail_reportf
+                     "S=%d %s k=%d query=%s:\nwant [%s]\nmono [%s]\ngot  [%s]"
+                     shards family k q.Pj_matching.Query.label (pp_hits want)
+                     (pp_hits got_mono) (pp_hits got)))
+                queries)
             ks)
         scorings)
     shard_counts
@@ -99,7 +96,8 @@ let sharded_equals_monolithic =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:60
        ~name:
-         "Shard_searcher = Searcher for all S x family x k x prune (byte-identical)"
+         "Shard_searcher = Searcher = reference for all S x family x k \
+          (byte-identical)"
        corpus_arb check_all)
 
 let suite = [ sharded_equals_monolithic ]

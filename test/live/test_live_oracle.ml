@@ -47,9 +47,10 @@ let random_doc rng =
     (1 + Pj_util.Prng.int rng 12)
     (fun _ -> alphabet.(Pj_util.Prng.int rng (Array.length alphabet)))
 
-(* From-scratch reference over the surviving documents. [docs] is every
-   document ever added, in id order. *)
-let scratch_searcher docs deleted =
+(* From-scratch index over the surviving documents, searched by the
+   shared reference ([Pj_reference]). [docs] is every document ever
+   added, in id order. *)
+let scratch_index docs deleted =
   let corpus = Pj_index.Corpus.create () in
   let vocab = Pj_index.Corpus.vocab corpus in
   List.iter
@@ -61,45 +62,30 @@ let scratch_searcher docs deleted =
         (Pj_index.Corpus.add_tokens corpus
            (if IntSet.mem id deleted then [||] else doc)))
     docs;
-  Pj_engine.Searcher.create (Pj_index.Inverted_index.build corpus)
+  Pj_index.Inverted_index.build corpus
 
 let hit_line (h : Pj_engine.Searcher.hit) =
   Printf.sprintf "doc %d score %.17g matches %d" h.Pj_engine.Searcher.doc_id
     h.Pj_engine.Searcher.score
     (Array.length h.Pj_engine.Searcher.matchset)
 
+(* The live search runs block-max skips over every snapshot shape
+   (memtable prefix cursors, sealed and mmap segments, tombstone accept
+   filters). *)
 let check_equal ~ctx live docs deleted =
-  let scratch = scratch_searcher (List.rev docs) deleted in
+  let scratch = scratch_index (List.rev docs) deleted in
   List.iter
     (fun scoring ->
       List.iter
         (fun k ->
-          List.iter
-            (fun prune ->
-              (* The reference is always the exhaustive traversal;
-                 [blockmax:true] exercises block-max skips over every
-                 snapshot shape (memtable prefix cursors, sealed and
-                 mmap segments, tombstone accept filters). *)
-              let want =
-                Pj_engine.Searcher.search ~k ~prune ~blockmax:false scratch
-                  scoring query
-              in
-              List.iter
-                (fun blockmax ->
-                  let got =
-                    Live_index.search ~k ~prune ~blockmax live scoring query
-                  in
-                  if got <> want then
-                    Alcotest.failf
-                      "%s: %s k=%d prune=%b blockmax=%b\n\
-                       live:    %s\n\
-                       scratch: %s" ctx
-                      (Pj_core.Scoring.name scoring)
-                      k prune blockmax
-                      (String.concat "; " (List.map hit_line got))
-                      (String.concat "; " (List.map hit_line want)))
-                [ true; false ])
-            [ true; false ])
+          let want = Pj_reference.search ~k scratch scoring query in
+          let got = Live_index.search ~k live scoring query in
+          if got <> want then
+            Alcotest.failf "%s: %s k=%d\nlive:    %s\nscratch: %s" ctx
+              (Pj_core.Scoring.name scoring)
+              k
+              (String.concat "; " (List.map hit_line got))
+              (String.concat "; " (List.map hit_line want)))
         [ 1; 10; 1000 ])
     scorings
 

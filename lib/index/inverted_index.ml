@@ -43,64 +43,140 @@ type t = {
   store : store;
 }
 
-(* Shared accumulation: positions per (token, doc), one Vec per token,
-   relying on [iter_docs] visiting documents in increasing id order so
-   each per-token Vec stays sorted. *)
-let accumulate per_tok_of iter_docs =
-  iter_docs (fun d ->
-      Array.iteri
-        (fun pos tok ->
-          let per_tok = per_tok_of tok in
-          let doc_id = d.Pj_text.Document.id in
-          if
-            Pj_util.Vec.is_empty per_tok
-            || fst (Pj_util.Vec.last per_tok) <> doc_id
-          then begin
-            let v = Pj_util.Vec.create () in
-            Pj_util.Vec.push v pos;
-            Pj_util.Vec.push per_tok (doc_id, v)
-          end
-          else Pj_util.Vec.push (snd (Pj_util.Vec.last per_tok)) pos)
-        d.Pj_text.Document.tokens)
-
-let list_of_acc per_tok =
-  let pl =
-    Pj_util.Vec.to_list per_tok
-    |> List.map (fun (doc_id, v) ->
-           Posting.make ~doc_id ~positions:(Pj_util.Vec.to_array v))
-    |> Posting_list.of_postings
+(* The counting build shared by [build], [build_docs] and the live
+   segment writer. Documents arrive as token runs over dense slots
+   [0, n_slots), with their ids in strictly increasing order. Postings
+   are numbered slot by slot — slot [s] owns [start.(s), start.(s+1)),
+   in document order — so every array is allocated at its exact size
+   and one term's postings are allocated together, which keeps the
+   walks that read a term at a time (the on-disk writer, cursors) on
+   neighbouring memory. Both orders hold by construction — documents
+   in id order, positions in location order — so nothing is re-sorted
+   or copied. *)
+let count_postings ~n_slots (ids : int array) (runs : int array array) =
+  let n_docs = Array.length runs in
+  (* Pass 1: document frequencies. *)
+  let df = Array.make n_slots 0 and last = Array.make n_slots (-1) in
+  for i = 0 to n_docs - 1 do
+    let run = runs.(i) in
+    for j = 0 to Array.length run - 1 do
+      let s = run.(j) in
+      if last.(s) <> i then begin
+        last.(s) <- i;
+        df.(s) <- df.(s) + 1
+      end
+    done
+  done;
+  let start = Array.make (n_slots + 1) 0 in
+  for s = 0 to n_slots - 1 do
+    start.(s + 1) <- start.(s) + df.(s)
+  done;
+  let n_postings = start.(n_slots) in
+  (* [cur.(s)] is the number of slot [s]'s posting in the current
+     document, [next.(s)] that of its next one. *)
+  let next = Array.sub start 0 n_slots and cur = Array.make n_slots 0 in
+  let enter i s =
+    if last.(s) <> i then begin
+      last.(s) <- i;
+      cur.(s) <- next.(s);
+      next.(s) <- next.(s) + 1
+    end
   in
-  (* Freeze/seal time: build the per-block skip sidecar up front, so
-     block-max traversal never pays the one-off build on a query. *)
+  (* Pass 2: each posting's document and term frequency. *)
+  let doc_of = Array.make n_postings 0 and tf = Array.make n_postings 0 in
+  Array.fill last 0 n_slots (-1);
+  for i = 0 to n_docs - 1 do
+    let run = runs.(i) in
+    for j = 0 to Array.length run - 1 do
+      let s = run.(j) in
+      enter i s;
+      let p = cur.(s) in
+      doc_of.(p) <- ids.(i);
+      tf.(p) <- tf.(p) + 1
+    done
+  done;
+  let positions = Array.init n_postings (fun p -> Array.make tf.(p) 0) in
+  (* Pass 3: positions in location order; [tf.(p)] counts down the
+     occurrences still to place. *)
+  Array.fill last 0 n_slots (-1);
+  Array.blit start 0 next 0 n_slots;
+  for i = 0 to n_docs - 1 do
+    let run = runs.(i) in
+    for pos = 0 to Array.length run - 1 do
+      let s = run.(pos) in
+      enter i s;
+      let p = cur.(s) in
+      let a = positions.(p) in
+      a.(Array.length a - tf.(p)) <- pos;
+      tf.(p) <- tf.(p) - 1
+    done
+  done;
+  Array.init n_slots (fun s ->
+      Array.init df.(s) (fun k ->
+          let p = start.(s) + k in
+          Posting.of_sorted ~doc_id:doc_of.(p) ~positions:positions.(p)))
+
+(* Adopt one finished array and build its block sidecar now
+   (freeze/seal time), so block-max traversal never pays the one-off
+   build on a query. *)
+let seal_list posts =
+  let pl = Posting_list.of_sorted_array posts in
   Posting_list.seal pl;
   pl
 
 let build corpus =
-  let vocab_size = Pj_text.Vocab.size (Corpus.vocab corpus) in
-  let acc : (int * int Pj_util.Vec.t) Pj_util.Vec.t array =
-    Array.init vocab_size (fun _ -> Pj_util.Vec.create ())
+  let n_slots = Pj_text.Vocab.size (Corpus.vocab corpus) in
+  let docs = Array.init (Corpus.size corpus) (Corpus.document corpus) in
+  let posts =
+    count_postings ~n_slots
+      (Array.map (fun d -> d.Pj_text.Document.id) docs)
+      (Array.map (fun d -> d.Pj_text.Document.tokens) docs)
   in
-  accumulate (fun tok -> acc.(tok)) (fun f -> Corpus.iter f corpus);
-  { corpus; store = Dense (Array.map list_of_acc acc) }
+  let lists =
+    Array.map
+      (fun p -> if Array.length p = 0 then Posting_list.empty else seal_list p)
+      posts
+  in
+  { corpus; store = Dense lists }
+
+(* Token ids are global, and a memtable or segment touches a sliver of
+   the vocabulary: slots are the distinct tokens of [docs] in
+   first-occurrence order, so the scratch arrays are O(distinct
+   tokens), not O(vocabulary). *)
+module Slots = Hashtbl.Make (Int)
 
 let build_docs ?(skip = fun _ -> false) corpus docs =
-  let acc : (int, (int * int Pj_util.Vec.t) Pj_util.Vec.t) Hashtbl.t =
-    Hashtbl.create 256
+  let docs =
+    Array.of_seq
+      (Seq.filter
+         (fun d -> not (skip d.Pj_text.Document.id))
+         (Array.to_seq docs))
   in
-  let per_tok_of tok =
-    match Hashtbl.find_opt acc tok with
-    | Some v -> v
-    | None ->
-        let v = Pj_util.Vec.create () in
-        Hashtbl.add acc tok v;
-        v
+  let slot_of = Slots.create 256 and tokens = Pj_util.Vec.create () in
+  let runs =
+    Array.map
+      (fun d ->
+        Array.map
+          (fun tok ->
+            match Slots.find_opt slot_of tok with
+            | Some s -> s
+            | None ->
+                let s = Pj_util.Vec.length tokens in
+                Slots.add slot_of tok s;
+                Pj_util.Vec.push tokens tok;
+                s)
+          d.Pj_text.Document.tokens)
+      docs
   in
-  accumulate per_tok_of (fun f ->
-      Array.iter
-        (fun d -> if not (skip d.Pj_text.Document.id) then f d)
-        docs);
-  let lists = Hashtbl.create (Hashtbl.length acc) in
-  Hashtbl.iter (fun tok per_tok -> Hashtbl.add lists tok (list_of_acc per_tok)) acc;
+  let posts =
+    count_postings ~n_slots:(Pj_util.Vec.length tokens)
+      (Array.map (fun d -> d.Pj_text.Document.id) docs)
+      runs
+  in
+  let lists = Hashtbl.create (Array.length posts) in
+  Array.iteri
+    (fun s p -> Hashtbl.add lists (Pj_util.Vec.get tokens s) (seal_list p))
+    posts;
   { corpus; store = Sparse lists }
 
 let of_provider corpus provider = { corpus; store = Virtual provider }

@@ -10,6 +10,13 @@ let make ~doc_id ~positions =
   Array.sort compare positions;
   { doc_id; positions }
 
+let of_sorted ~doc_id ~positions =
+  for i = 1 to Array.length positions - 1 do
+    if positions.(i - 1) >= positions.(i) then
+      invalid_arg "Posting.of_sorted: positions not strictly increasing"
+  done;
+  { doc_id; positions }
+
 let pp ppf t =
   Format.fprintf ppf "@[<h>doc %d: [%a]@]" t.doc_id
     (Format.pp_print_array

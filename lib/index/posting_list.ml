@@ -133,6 +133,8 @@ let of_sorted_array (a : Posting.t array) : t =
   done;
   wrap a
 
+let to_sorted_array t = t.posts
+
 let reject f t : t =
   if Array.exists (fun p -> f p.Posting.doc_id) t.posts then
     wrap

@@ -39,6 +39,11 @@ val of_sorted_array : Posting.t array -> t
     caller must not mutate it afterwards). Raises [Invalid_argument]
     when the order does not hold. *)
 
+val to_sorted_array : t -> Posting.t array
+(** The postings in increasing document id, as the list's own array —
+    no copy, so a bulk reader (the on-disk writer) walks them
+    directly. The caller must not mutate it. *)
+
 val reject : (int -> bool) -> t -> t
 (** [reject f t] keeps the postings whose document id does {e not}
     satisfy [f] — the tombstone-purge primitive of segment compaction.

@@ -2,41 +2,32 @@ let magic = "PJIX"
 let version = 3
 
 (* Standard CRC-32 (polynomial 0xEDB88320, reflected), as used by zlib
-   and PNG — implemented here so the format needs no C bindings. *)
+   and PNG — implemented here so the format needs no C bindings. The
+   register is a native int holding 32 bits, so the loop never boxes. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 ?(pos = 0) ?len s =
   let len = match len with Some l -> l | None -> String.length s - pos in
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
+  let c = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
-    let idx =
-      Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code s.[i]))) 0xFFl)
-    in
-    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+    c := crc_table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
   done;
-  Int32.logxor !c 0xFFFFFFFFl
+  Int32.of_int (!c lxor 0xFFFFFFFF)
 
 let write_varint buf n =
   assert (n >= 0);
-  let rec go n =
-    if n < 0x80 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
+  let n = ref n in
+  while !n >= 0x80 do
+    Buffer.add_char buf (Char.unsafe_chr (0x80 lor (!n land 0x7f)));
+    n := !n lsr 7
+  done;
+  Buffer.add_char buf (Char.unsafe_chr !n)
 
 let read_varint s ~pos =
   let value = ref 0 and shift = ref 0 and continue = ref true in

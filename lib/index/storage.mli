@@ -68,6 +68,10 @@ val crc32 : ?pos:int -> ?len:int -> string -> int32
 (** Standard CRC-32 (zlib/PNG polynomial) of a substring ([pos]
     defaults to 0, [len] to the rest of the string). *)
 
+val crc_table : int array
+(** The 256-entry byte table behind {!crc32}, for checksumming data
+    that is not an OCaml string (a mapped region). Read-only. *)
+
 val write_file_atomic :
   ?fp_write:string -> ?fp_rename:string -> string -> Buffer.t -> unit
 (** Crash-safe file publication: write the buffer to [path.tmp], fsync,

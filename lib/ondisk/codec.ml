@@ -46,14 +46,14 @@ let encode out (posts : Pj_index.Posting.t array) =
         let tf = Array.length p.Pj_index.Posting.positions in
         let impact = Pj_index.Posting_list.impact ~tf in
         Buffer.add_char blocks (Char.chr (quantize impact));
-        qmax := Stdlib.max !qmax (quantize_up impact);
+        let q = quantize_up impact in
+        if q > !qmax then qmax := q;
         Pj_index.Storage.write_varint blocks tf;
-        let prev_pos = ref (-1) in
-        Array.iter
-          (fun pos ->
-            Pj_index.Storage.write_varint blocks (pos - !prev_pos);
-            prev_pos := pos)
-          p.Pj_index.Posting.positions
+        let positions = p.Pj_index.Posting.positions in
+        for k = 0 to tf - 1 do
+          Pj_index.Storage.write_varint blocks
+            (positions.(k) - if k = 0 then -1 else positions.(k - 1))
+        done
       done;
       skip.(b) <- (!prev_doc, off, !qmax)
     done;
@@ -155,7 +155,7 @@ let state_positions c =
 let state_current c =
   if c.doc < 0 then None
   else
-    Some (Pj_index.Posting.make ~doc_id:c.doc ~positions:(state_positions c))
+    Some (Pj_index.Posting.of_sorted ~doc_id:c.doc ~positions:(state_positions c))
 
 (* First block in [from, nb) whose last doc id reaches [target]:
    gallop to bracket it, then binary-search the bracket — O(log
@@ -268,12 +268,12 @@ let cursor_in_range r ~lo ~hi =
 
 let decode r =
   let c = state_create r in
-  let out = ref [] in
+  let out = Pj_util.Vec.create () in
   while c.doc >= 0 do
-    (match state_current c with Some p -> out := p :: !out | None -> ());
+    Option.iter (Pj_util.Vec.push out) (state_current c);
     state_next c
   done;
-  Pj_index.Posting_list.of_postings (List.rev !out)
+  Pj_index.Posting_list.of_sorted_array (Pj_util.Vec.to_array out)
 
 let count_in_range r ~lo ~hi =
   if lo >= hi then 0

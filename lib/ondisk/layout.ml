@@ -57,29 +57,14 @@ let sub_string b ~pos ~len =
   check b pos len "string";
   String.init len (fun i -> Bigarray.Array1.unsafe_get b (pos + i))
 
-(* Same polynomial/table as [Pj_index.Storage.crc32]; reimplemented so
-   checksumming a mapped region never copies it onto the heap. *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
-
+(* [Pj_index.Storage.crc32] over a mapped region, so checksumming it
+   never copies it onto the heap. *)
 let crc32 b ~pos ~len =
   check b pos len "crc range";
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
+  let table = Pj_index.Storage.crc_table in
+  let c = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
     let byte = Char.code (Bigarray.Array1.unsafe_get b i) in
-    let idx =
-      Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int byte)) 0xFFl)
-    in
-    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+    c := table.((!c lxor byte) land 0xFF) lxor (!c lsr 8)
   done;
-  Int32.logxor !c 0xFFFFFFFFl
+  Int32.of_int (!c lxor 0xFFFFFFFF)

@@ -235,17 +235,17 @@ let range_provider t ~lo ~hi =
         | None -> Pj_index.Posting_list.empty
         | Some r ->
             let c = Codec.cursor_in_range r ~lo ~hi in
-            let out = ref [] in
+            let out = Pj_util.Vec.create () in
             let rec walk () =
               match Pj_index.Posting_list.current c with
               | None -> ()
               | Some p ->
-                  out := p :: !out;
+                  Pj_util.Vec.push out p;
                   Pj_index.Posting_list.next c;
                   walk ()
             in
             walk ();
-            Pj_index.Posting_list.of_postings (List.rev !out));
+            Pj_index.Posting_list.of_sorted_array (Pj_util.Vec.to_array out));
     pr_cursor =
       (fun tok ->
         match dict_entry t tok with

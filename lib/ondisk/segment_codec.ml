@@ -20,31 +20,6 @@ let dict_entry_size = 12
 
 (* --- writing ------------------------------------------------------------ *)
 
-(* Per local word, the postings over [docs] — absolute doc ids
-   [base+i], positions = token indexes; a dead (or genuinely empty)
-   document is an empty token run and contributes nothing, exactly
-   like [Inverted_index.build_docs ~skip]. *)
-let build_postings ~base ~n_words table (docs : string array array) =
-  let acc = Array.make n_words [] in
-  Array.iteri
-    (fun i doc ->
-      let occ = Hashtbl.create 16 in
-      Array.iteri
-        (fun pos w ->
-          let id = Hashtbl.find table w in
-          match Hashtbl.find_opt occ id with
-          | Some l -> l := pos :: !l
-          | None -> Hashtbl.add occ id (ref [ pos ]))
-        doc;
-      Hashtbl.iter
-        (fun id l ->
-          let positions = Array.of_list (List.rev !l) in
-          acc.(id) <-
-            Pj_index.Posting.make ~doc_id:(base + i) ~positions :: acc.(id))
-        occ)
-    docs;
-  Array.map (fun l -> Array.of_list (List.rev l)) acc
-
 let write ~failpoint path ~base ~(docs : string array array) ~dead =
   let buf = Buffer.create (64 * 1024) in
   Buffer.add_string buf magic;
@@ -63,16 +38,24 @@ let write ~failpoint path ~base ~(docs : string array array) ~dead =
     docs;
   Storage.write_varint buf !n_words;
   List.iter (Storage.write_string buf) (List.rev !words);
-  Storage.write_varint buf (Array.length docs);
+  let runs = Array.map (Array.map (Hashtbl.find table)) docs in
+  Storage.write_varint buf (Array.length runs);
   Array.iter
-    (fun doc ->
-      Storage.write_varint buf (Array.length doc);
-      Array.iter (fun w -> Storage.write_varint buf (Hashtbl.find table w)) doc)
-    docs;
+    (fun run ->
+      Storage.write_varint buf (Array.length run);
+      Array.iter (Storage.write_varint buf) run)
+    runs;
   Storage.write_varint buf (List.length dead);
   List.iter (Storage.write_varint buf) dead;
-  (* Postings: dict then blobs, blob offsets absolute in the file. *)
-  let postings = build_postings ~base ~n_words:!n_words table docs in
+  (* Postings: dict then blobs, blob offsets absolute in the file. Per
+     local word, the postings over absolute doc ids [base+i]; a dead (or
+     genuinely empty) document is an empty token run and contributes
+     nothing, exactly like [Inverted_index.build_docs ~skip]. *)
+  let postings =
+    Pj_index.Inverted_index.count_postings ~n_slots:!n_words
+      (Array.init (Array.length runs) (fun i -> base + i))
+      runs
+  in
   let blobs = Buffer.create (64 * 1024) in
   let dict_off = Buffer.length buf in
   let blobs_off = dict_off + (dict_entry_size * !n_words) in

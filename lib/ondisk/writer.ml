@@ -48,9 +48,7 @@ let write_with ~corpus ~counts ~postings_of path =
   let blobs = Buffer.create (1 lsl 20) in
   let n_postings = ref 0 and n_positions = ref 0 in
   for tok = 0 to n_words - 1 do
-    let posts =
-      Array.of_list (Pj_index.Posting_list.to_list (postings_of tok))
-    in
+    let posts = Pj_index.Posting_list.to_sorted_array (postings_of tok) in
     let df = Array.length posts in
     if df = 0 then begin
       add_u64le buf 0;
@@ -116,15 +114,15 @@ let write_sharded sharded path =
      ranges, so per-term concatenation in shard order is already the
      monolithic sorted list. *)
   let postings_of tok =
-    let lists = ref [] in
-    for i = n - 1 downto 0 do
-      let pl =
-        Pj_index.Inverted_index.postings (Pj_index.Sharded_index.shard sharded i) tok
-      in
-      if Pj_index.Posting_list.document_frequency pl > 0 then
-        lists := Pj_index.Posting_list.to_list pl :: !lists
+    let pl = ref Pj_index.Posting_list.empty in
+    for i = 0 to n - 1 do
+      pl :=
+        Pj_index.Posting_list.append_disjoint !pl
+          (Pj_index.Inverted_index.postings
+             (Pj_index.Sharded_index.shard sharded i)
+             tok)
     done;
-    Pj_index.Posting_list.of_postings (List.concat !lists)
+    !pl
   in
   write_with ~corpus ~counts:(Pj_index.Sharded_index.counts sharded)
     ~postings_of path

@@ -229,13 +229,8 @@ let handle_ingest t request =
       Protocol.err "not serving a live index (start with --live)"
   | Some _, Protocol.Add_doc text ->
       let batcher = Option.get t.batcher in
-      (* Same normalization as the corpus the server was seeded from
-         (see stemmed_corpus_of_file in the CLI): Porter stems over
-         lowercase word tokens. *)
-      let stems =
-        Array.map Pj_text.Porter.stem (Pj_text.Tokenizer.tokenize_array text)
-      in
-      let line = Ingest_batcher.submit batcher stems in
+      (* Same normalization as the corpus the server was seeded from. *)
+      let line = Ingest_batcher.submit batcher (Pj_text.Analyzer.stems text) in
       if line = Protocol.busy then Metrics.record_busy t.metrics
       else if not (Protocol.is_ingest_success line) then
         Metrics.record_ingest_error t.metrics;

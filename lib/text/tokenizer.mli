@@ -11,5 +11,9 @@ val tokenize : string -> string list
 
 val tokenize_array : string -> string array
 
+val iter : (string -> unit) -> string -> unit
+(** [iter f text] calls [f] on each token in document order, without
+    building the sequence. *)
+
 val is_word_char : char -> bool
 (** Characters that may appear inside a token. *)

@@ -15,15 +15,17 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let intern t w =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.ids w with
-      | Some id -> id
-      | None ->
-          let id = Pj_util.Vec.length t.words in
-          Hashtbl.add t.ids w id;
-          Pj_util.Vec.push t.words w;
-          id)
+(* Callers hold [t.lock]. *)
+let intern_locked t w =
+  match Hashtbl.find_opt t.ids w with
+  | Some id -> id
+  | None ->
+      let id = Pj_util.Vec.length t.words in
+      Hashtbl.add t.ids w id;
+      Pj_util.Vec.push t.words w;
+      id
+
+let intern t w = with_lock t (fun () -> intern_locked t w)
 
 let find t w = with_lock t (fun () -> Hashtbl.find_opt t.ids w)
 
@@ -35,4 +37,6 @@ let word t id =
 
 let size t = with_lock t (fun () -> Pj_util.Vec.length t.words)
 
-let intern_all t ws = Array.map (intern t) ws
+(* One lock round trip per array, not per word: interning a whole
+   document is one critical section. *)
+let intern_all t ws = with_lock t (fun () -> Array.map (intern_locked t) ws)

@@ -29,3 +29,5 @@ val size : t -> int
 (** Number of interned tokens. *)
 
 val intern_all : t -> string array -> int array
+(** [intern] over a whole array, in order, under one acquisition of the
+    lock. *)

@@ -5,6 +5,21 @@ let test_make_sorts () =
   Alcotest.(check (array int)) "sorted" [| 1; 4; 9 |] p.Posting.positions;
   Alcotest.(check int) "tf" 3 (Posting.term_frequency p)
 
+let test_of_sorted () =
+  let positions = [| 1; 4; 9 |] in
+  let p = Posting.of_sorted ~doc_id:3 ~positions in
+  Alcotest.(check bool) "adopted, not copied" true (p.Posting.positions == positions);
+  ignore (Posting.of_sorted ~doc_id:0 ~positions:[||]);
+  ignore (Posting.of_sorted ~doc_id:0 ~positions:[| 7 |]);
+  let rejects name positions =
+    Alcotest.check_raises name
+      (Invalid_argument "Posting.of_sorted: positions not strictly increasing")
+      (fun () -> ignore (Posting.of_sorted ~doc_id:3 ~positions))
+  in
+  rejects "unsorted" [| 1; 9; 4 |];
+  rejects "duplicate" [| 1; 4; 4; 9 |];
+  rejects "descending pair" [| 2; 1 |]
+
 let test_of_postings_merges_same_doc () =
   let pl =
     Posting_list.of_postings
@@ -57,6 +72,7 @@ let test_iter_order () =
 let suite =
   [
     ("posting: make sorts", `Quick, test_make_sorts);
+    ("posting: of_sorted checks, never copies", `Quick, test_of_sorted);
     ("posting_list: merges same doc", `Quick, test_of_postings_merges_same_doc);
     ("posting_list: find missing", `Quick, test_find_missing);
     ("posting_list: union", `Quick, test_union);

@@ -4,4 +4,5 @@ let () =
       ("codec", Test_codec.suite);
       ("mapped", Test_mapped.suite);
       ("merge_splice", Test_merge_splice.suite);
+      ("writer_golden", Test_writer_golden.suite);
     ]

@@ -1,5 +1,6 @@
 (** Reference top-k search, the oracle every search test and the top-k
-    bench compare against.
+    bench compare against; and the reference index build, the oracle of
+    the counting builder ({!Pj_index.Inverted_index.build}).
 
     Deliberately naive and independent of {!Pj_engine.Searcher}'s
     traversal: candidates are the set intersection of each term's
@@ -22,3 +23,24 @@ val search :
 (** The [k] best candidates by best valid matchset score, best first,
     ties toward smaller doc ids — {!Pj_engine.Searcher.search}'s
     contract. *)
+
+(** {1 Index build}
+
+    The accumulate-then-sort build: per token, a growable vector of
+    (document, positions vector) pairs, then every positions array
+    copied and sorted ([Pj_index.Posting.make]) and every list sorted
+    and merged ([Pj_index.Posting_list.of_postings]). *)
+
+val index_lists :
+  ?skip:(int -> bool) ->
+  Pj_text.Document.t array ->
+  (int * Pj_index.Posting_list.t) list
+(** Every token that occurs in the documents (those whose id satisfies
+    [skip] left out), with its posting list, in increasing token id.
+    Documents must come in increasing id order. *)
+
+val build_index : Pj_index.Corpus.t -> Pj_index.Inverted_index.t
+(** The reference index over every document of the corpus, served
+    through {!Pj_index.Inverted_index.of_provider}: one slot per
+    vocabulary token, as {!Pj_index.Inverted_index.build}. Block
+    sidecars are built lazily. *)

@@ -59,8 +59,44 @@ let tokenizer_idempotent =
          let toks = Pj_text.Tokenizer.tokenize s in
          Pj_text.Tokenizer.tokenize (String.concat " " toks) = toks))
 
+(* The tokenizer's defining form: split on non-word bytes, lowercase,
+   trim hyphens/apostrophes from the edges, drop what trims to nothing.
+   The production tokenizer trims first and lowercases while copying,
+   and streams tokens through [iter]; all three entry points must agree
+   with this. *)
+let reference_tokens s =
+  let trim w =
+    let n = String.length w and edge c = c = '-' || c = '\'' in
+    let i = ref 0 and j = ref (n - 1) in
+    while !i < n && edge w.[!i] do incr i done;
+    while !j >= !i && edge w.[!j] do decr j done;
+    String.sub w !i (!j - !i + 1)
+  in
+  String.to_seq s
+  |> Seq.map (fun c -> if Pj_text.Tokenizer.is_word_char c then c else ' ')
+  |> String.of_seq |> String.split_on_char ' '
+  |> List.map (fun w -> trim (String.lowercase_ascii w))
+  |> List.filter (fun w -> w <> "")
+
+let tokenizer_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:5000 ~name:"tokenizer: = split/lowercase/trim reference"
+       QCheck.(
+         make ~print:Print.string
+           Gen.(
+             string_size ~gen:(oneofl [ 'a'; 'Z'; '7'; '-'; '\''; ' '; '.'; '\xc3' ])
+               (int_range 0 60)))
+       (fun s ->
+         let expected = reference_tokens s in
+         let streamed = ref [] in
+         Pj_text.Tokenizer.iter (fun t -> streamed := t :: !streamed) s;
+         Pj_text.Tokenizer.tokenize s = expected
+         && Array.to_list (Pj_text.Tokenizer.tokenize_array s) = expected
+         && List.rev !streamed = expected))
+
 let suite =
   [
+    tokenizer_matches_reference;
     porter_never_crashes;
     porter_lowercase_words;
     porter_never_grows_much;

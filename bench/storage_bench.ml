@@ -106,7 +106,7 @@ let run_scale ~n_docs ~searches =
         (fun p -> try Sys.remove p with Sys_error _ -> ())
         [ v3_path; v4_path ])
     (fun () ->
-      Pj_index.Storage.save idx v3_path;
+      Pj_reference.Legacy_storage.save idx v3_path;
       Pj_ondisk.Writer.write idx v4_path;
       let v3_bytes = (Unix.stat v3_path).Unix.st_size in
       let v4_bytes = (Unix.stat v4_path).Unix.st_size in

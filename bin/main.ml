@@ -404,7 +404,8 @@ let run_compact src dst shards =
         in
         ("documents", Pj_index.Inverted_index.build corpus, counts)
   in
-  Pj_ondisk.Writer.write ~counts idx dst;
+  Pj_ondisk.Writer.write ~fp_write:"ondisk.save.write"
+    ~fp_rename:"ondisk.save.rename" ~counts idx dst;
   let elapsed = Pj_util.Timing.monotonic_now () -. t0 in
   let mapped = Pj_ondisk.Mapped_index.open_file dst in
   Pj_ondisk.Mapped_index.verify mapped;

@@ -29,10 +29,12 @@ let () =
      index offline and search online. *)
   let corpus = Pj_index.Corpus.create () in
   List.iter (fun a -> ignore (Pj_index.Corpus.add_text corpus a)) articles;
-  let path = Filename.temp_file "news" ".pjix" in
+  let path = Filename.temp_file "news" ".pjx4" in
   Storage_cleanup.with_file path @@ fun () ->
-  Pj_index.Storage.save_corpus corpus path;
-  let index = Pj_index.Storage.load path in
+  Pj_ondisk.Writer.write (Pj_index.Inverted_index.build corpus) path;
+  let index =
+    Pj_ondisk.Mapped_index.index (Pj_ondisk.Mapped_index.open_file path)
+  in
   Printf.printf "reopened index: %d articles, %d distinct tokens\n\n"
     (Pj_index.Corpus.size (Pj_index.Inverted_index.corpus index))
     (Pj_index.Inverted_index.vocabulary_size index);

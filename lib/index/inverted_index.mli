@@ -24,17 +24,6 @@ val build_docs : ?skip:(int -> bool) -> Corpus.t -> Pj_text.Document.t array -> 
     [vocabulary_size] therefore reports distinct {e indexed} tokens for
     such an index, not the corpus vocabulary size. *)
 
-val count_postings :
-  n_slots:int -> int array -> int array array -> Posting.t array array
-(** The counting core behind [build] and [build_docs], for a caller
-    with its own token numbering (the live segment writer's file-local
-    string table). [count_postings ~n_slots ids runs] indexes document
-    [ids.(i)], strictly increasing in [i], whose token at location [p]
-    is slot [runs.(i).(p)] in [0, n_slots). Returns, per slot, its
-    postings in increasing document id with ascending positions —
-    every array at its exact size, empty for a slot that never
-    occurs. *)
-
 type stats = {
   n_tokens : int;    (** distinct indexed tokens *)
   n_postings : int;  (** (token, document) pairs across all lists *)

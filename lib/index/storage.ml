@@ -1,5 +1,4 @@
 let magic = "PJIX"
-let version = 3
 
 (* Standard CRC-32 (polynomial 0xEDB88320, reflected), as used by zlib
    and PNG — implemented here so the format needs no C bindings. The
@@ -58,8 +57,7 @@ let read_string s ~pos =
    crash at any point leaves either the old complete file or the old
    file plus a stale [.tmp] that the next write overwrites. The
    optional failpoints bracket the vulnerable windows for chaos tests.
-   Shared by corpus saves and the live index's segment/manifest
-   writers. *)
+   Shared by the v4 writer and the live index's manifest. *)
 let write_file_atomic ?fp_write ?fp_rename path buf =
   let hit = function
     | Some site -> Pj_util.Failpoint.hit site
@@ -83,48 +81,6 @@ let write_file_atomic ?fp_write ?fp_rename path buf =
     let dir = Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 in
     Fun.protect ~finally:(fun () -> Unix.close dir) (fun () -> Unix.fsync dir)
   with Unix.Unix_error _ | Sys_error _ -> ()
-
-let save_with_counts corpus counts path =
-  let buf = Buffer.create (64 * 1024) in
-  Buffer.add_string buf magic;
-  write_varint buf version;
-  let payload_start = Buffer.length buf in
-  let vocab = Corpus.vocab corpus in
-  let vocab_size = Pj_text.Vocab.size vocab in
-  write_varint buf vocab_size;
-  for id = 0 to vocab_size - 1 do
-    write_string buf (Pj_text.Vocab.word vocab id)
-  done;
-  write_varint buf (Corpus.size corpus);
-  Corpus.iter
-    (fun d ->
-      write_varint buf (Pj_text.Document.length d);
-      Array.iter (write_varint buf) d.Pj_text.Document.tokens)
-    corpus;
-  (* v3 shard layout: the number of doc-id-range shards followed by the
-     per-shard document counts (contiguous, in shard order). Part of
-     the CRC-protected payload. *)
-  write_varint buf (Array.length counts);
-  Array.iter (write_varint buf) counts;
-  (* Integrity footer (since v2): CRC-32 of the payload (everything
-     between the header and the footer), little-endian. *)
-  let contents = Buffer.contents buf in
-  let crc =
-    crc32 ~pos:payload_start ~len:(String.length contents - payload_start)
-      contents
-  in
-  let footer = Bytes.create 4 in
-  Bytes.set_int32_le footer 0 crc;
-  Buffer.add_bytes buf footer;
-  write_file_atomic ~fp_write:"storage.save.write"
-    ~fp_rename:"storage.save.rename" path buf
-
-let save_corpus corpus path =
-  save_with_counts corpus [| Corpus.size corpus |] path
-
-let save_sharded sharded path =
-  save_with_counts (Sharded_index.corpus sharded) (Sharded_index.counts sharded)
-    path
 
 let read_file path =
   let ic = open_in_bin path in
@@ -209,10 +165,6 @@ let load_with_counts path =
            (Printexc.to_string e))
 
 let load_corpus path = fst (load_with_counts path)
-
-let save idx path = save_corpus (Inverted_index.corpus idx) path
-
-let load path = Inverted_index.build (load_corpus path)
 
 let load_sharded path =
   let corpus, counts = load_with_counts path in

@@ -1,5 +1,6 @@
-(** Corpus persistence: a compact custom binary format, so an indexed
-    collection can be built once and reopened without re-tokenizing.
+(** The legacy corpus format ("PJIX" v1–v3), read-only: [compact]
+    loads these files to migrate them to the v4 format
+    ([Pj_ondisk.Writer]); nothing writes them any more.
 
     Layout: a magic header and version, the vocabulary as
     length-prefixed strings, then each document's token ids — integers
@@ -8,21 +9,11 @@
     fails with a clear error instead of decoding garbage. Version 3
     additionally records the shard layout (shard count, then per-shard
     document counts of the contiguous doc-id ranges) at the end of the
-    CRC-protected payload, so a sharded deployment reopens with the
-    same partitioning it was saved with; v1/v2 files (no layout) load
-    as a single shard. The inverted index is rebuilt on load (it is a
-    deterministic function of the corpus and loads at disk speed
-    anyway). The format is independent of OCaml's [Marshal] so files
-    are stable across compiler versions. *)
+    CRC-protected payload; v1/v2 files (no layout) load as a single
+    shard. The inverted index is rebuilt on load.
 
-val save_corpus : Corpus.t -> string -> unit
-(** Write the corpus (vocabulary + documents) to the path. The write
-    is crash-safe: bytes land in [path.tmp], are fsynced, and replace
-    [path] via an atomic rename — a crash (or a
-    [storage.save.write]/[storage.save.rename] failpoint) at any
-    moment leaves any pre-existing file at [path] intact, at worst
-    alongside a stale [.tmp] the next save overwrites. Raises
-    [Sys_error] on I/O failure. *)
+    The module also holds the encoding and file primitives every
+    proxjoin file shares. *)
 
 val load_corpus : string -> Corpus.t
 (** Read a corpus back. Raises [Failure] with a ["Storage: ..."]
@@ -30,26 +21,16 @@ val load_corpus : string -> Corpus.t
     CRC footer catches silent corruption; no raw decoding exception
     escapes), [Sys_error] on I/O failure. *)
 
-val save : Inverted_index.t -> string -> unit
-(** [save idx path] persists the index's corpus. *)
-
-val load : string -> Inverted_index.t
-(** Load a corpus and rebuild its inverted index as one monolithic
-    index, whatever shard layout the file records. *)
-
-val save_sharded : Sharded_index.t -> string -> unit
-(** Persist the corpus together with its shard layout (format v3). *)
-
 val load_sharded : string -> Sharded_index.t
 (** Reopen with the persisted shard layout; v1/v2 files load as one
     shard covering every document. *)
 
 (** {1 Encoding and file primitives}
 
-    Exposed for tests and for sibling on-disk formats — the live
-    index's segment and manifest files ({!Pj_live}) share these
-    primitives so every proxjoin file gets the same varint encoding,
-    CRC-32 integrity footer, and crash-safe publication discipline. *)
+    Shared by every proxjoin file — the v4 index ({!Pj_ondisk}), the
+    live index's manifest and WAL ({!Pj_live}) — so each gets the same
+    varint encoding, CRC-32 integrity footer, and crash-safe
+    publication discipline. *)
 
 val write_varint : Buffer.t -> int -> unit
 (** LEB128 encoding of a non-negative integer. *)

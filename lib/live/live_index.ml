@@ -117,34 +117,24 @@ let segment_file_id name =
   try Scanf.sscanf name "seg-%d.seg%!" (fun n -> Some n)
   with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
 
-let words_of_doc vocab (d : Pj_text.Document.t) =
-  Array.map (Pj_text.Vocab.word vocab) d.Pj_text.Document.tokens
-
 (* With [mmap_segments], a sealed segment's searcher runs over the
    block-compressed postings of its own file, mapped zero-copy
-   ([Pj_ondisk.Segment_codec]) — byte-identical results to the
-   in-memory [build_docs] fragment, but the postings stay on disk. The
-   mapping outlives any later unlink of the file (a compaction removing
-   a replaced segment), so in-flight snapshots stay valid. *)
-let mmap_searcher ~corpus ~dir name =
-  let ms = Pj_ondisk.Segment_codec.open_file (Filename.concat dir name) in
-  Searcher.create (Pj_ondisk.Segment_codec.index ms corpus)
+   ([Pj_ondisk.Mapped_index.segment_index]) — byte-identical results to
+   the in-memory [build_docs] fragment, but the postings stay on disk.
+   The mapping outlives any later unlink of the file (a compaction
+   removing a replaced segment), so in-flight snapshots stay valid. *)
+let mmap_searcher ~corpus ~base mapped =
+  Searcher.create (Pj_ondisk.Mapped_index.segment_index mapped ~base corpus)
 
-(* Write one segment's documents (dead ones as empty token sequences,
-   so recovery keeps exact live-document accounting). *)
-let write_segment_file t ~failpoint ~dir ~base ~dead docs =
-  let vocab = Corpus.vocab t.corpus in
-  let words =
-    Array.map
-      (fun (d : Pj_text.Document.t) ->
-        if IntSet.mem d.Pj_text.Document.id dead then [||]
-        else words_of_doc vocab d)
-      docs
-  in
+(* Write one sealed segment ([Pj_ondisk.Segment]): dead documents are
+   written empty, and the manifest entry records which they are, so
+   recovery keeps exact live-document accounting. [failpoint] is hit
+   before the write and before the rename. *)
+let write_segment_file t ~failpoint ~dir ~dead docs =
   let name = segment_filename (Atomic.fetch_and_add t.file_seq 1) in
-  Segment_file.write ~failpoint
-    (Filename.concat dir name)
-    { Segment_file.base; docs = words; dead = IntSet.elements dead };
+  Pj_ondisk.Segment.write ~failpoint
+    ~skip:(fun id -> IntSet.mem id dead)
+    t.corpus docs (Filename.concat dir name);
   name
 
 (* Publish a manifest naming [segments] — caller holds the writer lock,
@@ -161,6 +151,7 @@ let write_manifest_locked t ~generation ~segments ~tombstones =
                  Manifest.file = Option.get sg.file;
                  base = sg.seg_base;
                  len = sg.seg_len;
+                 dead = IntSet.elements sg.dead;
                })
       in
       let vocab = Corpus.vocab t.corpus in
@@ -260,7 +251,7 @@ let flush_locked t =
             Corpus.docs_slice t.corpus ~pos:s.mem_base ~len:s.mem_len
           in
           Some
-            (write_segment_file t ~failpoint:"live.flush" ~dir ~base:s.mem_base
+            (write_segment_file t ~failpoint:"live.flush" ~dir
                ~dead:IntSet.empty docs)
     in
     (* The sealed segment can drop the memtable's heap index and serve
@@ -268,7 +259,8 @@ let flush_locked t =
     let searcher =
       match (file, t.config.dir) with
       | Some name, Some dir when t.config.mmap_segments ->
-          mmap_searcher ~corpus:t.corpus ~dir name
+          mmap_searcher ~corpus:t.corpus ~base:s.mem_base
+            (Pj_ondisk.Mapped_index.open_file (Filename.concat dir name))
       | _ -> searcher
     in
     let seg =
@@ -520,12 +512,14 @@ let merge_step t =
               | Some dir ->
                   Some
                     (write_segment_file t ~failpoint:"live.merge" ~dir
-                       ~base:p.mp_base ~dead:p.mp_dead p.mp_docs)
+                       ~dead:p.mp_dead p.mp_docs)
             in
             let searcher =
               match (file, t.config.dir) with
               | Some name, Some dir when t.config.mmap_segments ->
-                  mmap_searcher ~corpus:t.corpus ~dir name
+                  mmap_searcher ~corpus:t.corpus ~base:p.mp_base
+                    (Pj_ondisk.Mapped_index.open_file
+                       (Filename.concat dir name))
               | _ ->
                   (* Adjacent segments tile disjoint ascending doc-id
                      ranges, so merging their indexes is a per-term
@@ -834,35 +828,30 @@ let open_with_manifest config dir (m : Manifest.t) =
       let segments =
         List.map
           (fun (e : Manifest.entry) ->
-            let sf = Segment_file.read (Filename.concat dir e.Manifest.file) in
-            if sf.Segment_file.base <> e.Manifest.base
-               || Array.length sf.Segment_file.docs <> e.Manifest.len
+            let path = Filename.concat dir e.Manifest.file in
+            let mapped = Pj_ondisk.Mapped_index.open_file path in
+            if
+              Corpus.size (Pj_ondisk.Mapped_index.corpus mapped)
+              <> e.Manifest.len
             then
               failwith
                 (Printf.sprintf "Live: segment %s disagrees with the manifest"
                    e.Manifest.file);
-            (* Re-interning words in document order reproduces the very
-               same token ids the index was built with. *)
-            Array.iter
-              (fun words -> ignore (Corpus.add_tokens corpus words))
-              sf.Segment_file.docs;
+            Pj_ondisk.Segment.recover mapped corpus;
             (match segment_file_id e.Manifest.file with
             | Some n -> if n > !max_file then max_file := n
             | None -> ());
-            let dead = IntSet.of_list sf.Segment_file.dead in
+            let dead = IntSet.of_list e.Manifest.dead in
             let searcher =
-              (* The mmap attempt is best-effort: a v1 file carries no
-                 postings section ([Failure]), and a file whose
-                 compressed sections went bad since [read]'s CRC pass —
-                 or an I/O error from the map itself ([Unix_error],
-                 injected faults, ...) — must not abort recovery
-                 either. *Any* exception falls back to the heap
-                 rebuild, which only needs the already-validated
+              (* The mmap attempt is best-effort: an I/O error or an
+                 injected fault ([live.mmap_open]) must not abort
+                 recovery. *Any* exception falls back to the heap
+                 rebuild, which only needs the already-recovered
                  documents. *)
               match
                 if config.mmap_segments then begin
                   Pj_util.Failpoint.hit "live.mmap_open";
-                  Some (mmap_searcher ~corpus ~dir e.Manifest.file)
+                  Some (mmap_searcher ~corpus ~base:e.Manifest.base mapped)
                 end
                 else None
               with

@@ -32,9 +32,11 @@
 
     {2 Durability}
 
-    With a directory configured, a flush writes the sealed segment to
-    a [PJSG] file and publishes a [MANIFEST] naming every segment file,
-    the tombstones, and the generation — each write is
+    With a directory configured, a flush writes the sealed segment as
+    an ordinary PJX4 file ({!Pj_ondisk.Writer}, segment-local
+    vocabulary and doc ids) and publishes a [MANIFEST] naming every
+    segment file with its base and compacted-away ids, the tombstones,
+    and the generation — each write is
     tmp+fsync+rename ({!Pj_index.Storage.write_file_atomic}), so a
     crash (or an armed [live.flush] / [live.merge] / [live.manifest]
     failpoint) at any moment leaves the previous manifest and segments
@@ -70,11 +72,13 @@ type config = {
       (** spawn the merger domain (disable for deterministic tests) *)
   mmap_segments : bool;
       (** serve sealed segments zero-copy off their own files'
-          block-compressed postings ([Pj_ondisk.Segment_codec]) instead
-          of rebuilding heap indexes at flush/merge/recovery —
+          block-compressed postings
+          ([Pj_ondisk.Mapped_index.segment_index]) instead of
+          rebuilding heap indexes at flush/merge/recovery —
           byte-identical results, postings stay on disk. Requires
-          [dir]; ignored (heap indexes) for a memory-only index, and
-          legacy v1 or unreadable segment files fall back to the heap
+          [dir]; ignored (heap indexes) for a memory-only index. A
+          segment whose view cannot be set up at recovery (an injected
+          [live.mmap_open] fault, say) falls back to the heap
           rebuild. *)
   merge_parallelism : int;
       (** how many disjoint adjacent segment pairs one compaction step
@@ -107,15 +111,19 @@ val create : ?config:config -> unit -> t
 val open_dir : ?config:config -> string -> t
 (** Open (or create) a persistent live index rooted at the directory,
     recovering to the last durable state: the manifest is replayed
-    (segment files re-read, their words re-interned in document order,
-    reproducing the original doc and token ids, and their indexes
-    rebuilt), then — with [wal] — the write-ahead log's intact records
+    (segment files mapped and CRC-checked, their words re-interned in
+    document order, reproducing the original doc and token ids, and
+    each served off its map or by a rebuilt heap index), then — with
+    [wal] — the write-ahead log's intact records
     are re-applied into the memtable and its torn tail discarded.
     Orphan segment files and stale [.tmp] files from interrupted
     operations are removed, manifest or not. [config.dir] is
-    overridden by the argument. Raises [Failure "Live: ..."] on a
-    corrupt manifest, segment, or WAL header, [Sys_error] on I/O
-    failure. *)
+    overridden by the argument. Raises [Failure "Live: ..."] or
+    [Failure "Ondisk: ..."] on a corrupt manifest, segment, or WAL
+    header, [Sys_error] on I/O failure. A directory whose manifest is
+    v1 (written before segments were PJX4 files) is refused with a
+    [Failure] naming the manifest, before anything in the directory is
+    touched. *)
 
 val close : t -> unit
 (** Stop and join the background merger (idempotent), then close the

@@ -1,19 +1,20 @@
 (* The manifest ("PJMF") is the root of a live index directory: the
-   durable generation, the segment files in doc-id order, and the
-   tombstone set. It is rewritten — tmp+fsync+rename, so either the old
-   or the new manifest is fully present after a crash — at every flush
-   and merge install; segment files it does not name are orphans from
-   interrupted operations and are ignored (then overwritten or left) by
-   recovery. *)
+   durable generation, the segment files in doc-id order with the ids
+   each has compacted away, and the tombstone set. It is rewritten —
+   tmp+fsync+rename, so either the old or the new manifest is fully
+   present after a crash — at every flush and merge install; segment
+   files it does not name are orphans from interrupted operations and
+   are ignored (then overwritten or left) by recovery. *)
 
 let magic = "PJMF"
-let version = 1
+let version = 2
 let filename = "MANIFEST"
 
 type entry = {
   file : string; (* segment file name, relative to the directory *)
   base : int;
   len : int;
+  dead : int list; (* ids compacted out of the segment, ascending *)
 }
 
 type t = {
@@ -40,7 +41,9 @@ let write ~dir t =
     (fun e ->
       Storage.write_string buf e.file;
       Storage.write_varint buf e.base;
-      Storage.write_varint buf e.len)
+      Storage.write_varint buf e.len;
+      Storage.write_varint buf (List.length e.dead);
+      List.iter (Storage.write_varint buf) e.dead)
     t.segments;
   Storage.write_varint buf (List.length t.tombstones);
   List.iter (Storage.write_varint buf) t.tombstones;
@@ -56,14 +59,22 @@ let write ~dir t =
   Storage.write_file_atomic ~fp_write:"live.manifest"
     ~fp_rename:"live.manifest" (path ~dir) buf
 
-let parse s =
+let parse ~path s =
   let pos = ref 0 in
   if String.length s < 4 || String.sub s 0 4 <> magic then
     failwith "Live: not a proxjoin manifest";
   pos := 4;
   let v = Storage.read_varint s ~pos in
+  if v = 1 then
+    failwith
+      (Printf.sprintf
+         "Live: %s is a manifest v1, whose segment files predate the PJX4 \
+          segment format; this version opens only manifest v2 — rebuild the \
+          directory from its documents"
+         path);
   if v <> version then
-    failwith (Printf.sprintf "Live: unsupported manifest version %d" v);
+    failwith
+      (Printf.sprintf "Live: %s: unsupported manifest version %d" path v);
   let payload_start = !pos in
   if String.length s < payload_start + 4 then
     failwith "Live: truncated manifest (missing CRC footer)";
@@ -86,7 +97,18 @@ let parse s =
         let file = Storage.read_string s ~pos in
         let base = Storage.read_varint s ~pos in
         let len = Storage.read_varint s ~pos in
-        { file; base; len })
+        let n_dead = Storage.read_varint s ~pos in
+        let dead = List.init n_dead (fun _ -> Storage.read_varint s ~pos) in
+        ignore
+          (List.fold_left
+             (fun prev id ->
+               if id < base || id >= base + len then
+                 failwith "Live: manifest dead id outside its segment";
+               if id <= prev then
+                 failwith "Live: manifest dead ids not ascending";
+               id)
+             (-1) dead);
+        { file; base; len; dead })
   in
   let n_tombstones = Storage.read_varint s ~pos in
   let tombstones = List.init n_tombstones (fun _ -> Storage.read_varint s ~pos) in
@@ -113,7 +135,7 @@ let read ~dir =
   else
     let s = Storage.read_file p in
     Some
-      (try parse s with
+      (try parse ~path:p s with
       | Failure _ as e -> raise e
       | e ->
           failwith

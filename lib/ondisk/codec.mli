@@ -56,9 +56,15 @@ type reader = {
   buf : Layout.buf;
   blob : int;  (** file offset of the term blob (its skip table) *)
   df : int;
+  base : int;
+      (** doc-id offset added to every stored id: 0 for a whole v4
+          file, the segment's first id for a live segment written with
+          local ids [0 .. len-1] *)
 }
 (** A term blob in a mapped file. All decoding is lazy: constructing a
-    reader or cursor touches only skip entries, never whole blocks. *)
+    reader or cursor touches only skip entries, never whole blocks.
+    Every id a reader reports — postings, skip entries, ranges — is
+    [base] plus the stored id. *)
 
 val cursor : reader -> Pj_index.Posting_list.cursor
 (** A fresh streaming cursor over the blob, positioned on the first
@@ -81,6 +87,10 @@ val count_in_range : reader -> lo:int -> hi:int -> int
 val blob_length : reader -> int
 (** Total byte length of the blob (skip table + blocks), recomputed
     from the last skip entry — for inspection and stats. *)
+
+val last_doc : reader -> int
+(** The list's last document id, read from its final skip entry — O(1).
+    The list must be non-empty. *)
 
 val iter_blocks :
   reader -> (block:int -> last_doc:int -> doc_count:int -> qmax:int -> unit) -> unit

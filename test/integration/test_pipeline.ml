@@ -101,18 +101,21 @@ let test_persistence_preserves_search () =
       ]
   in
   let scoring = Pj_core.Scoring.Win Pj_core.Scoring.win_linear in
-  let search corpus =
-    let s = Pj_engine.Searcher.create (Pj_index.Inverted_index.build corpus) in
+  let search index =
+    let s = Pj_engine.Searcher.create index in
     Pj_engine.Searcher.search s scoring q
     |> List.map (fun h -> (h.Pj_engine.Searcher.doc_id, h.Pj_engine.Searcher.score))
   in
-  let before = search corpus in
-  let path = Filename.temp_file "pj_integration" ".pjix" in
+  let index = Pj_index.Inverted_index.build corpus in
+  let before = search index in
+  let path = Filename.temp_file "pj_integration" ".pjx4" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Pj_index.Storage.save_corpus corpus path;
-      let after = search (Pj_index.Storage.load_corpus path) in
+      Pj_ondisk.Writer.write index path;
+      let after =
+        search (Pj_ondisk.Mapped_index.index (Pj_ondisk.Mapped_index.open_file path))
+      in
       Alcotest.(check (list (pair int (float 1e-9)))) "hits stable" before after)
 
 let test_streams_match_batch_on_real_matchlists () =

@@ -117,15 +117,14 @@ let run_seed ?(mmap = false) ?(heavy = false) seed =
     (if mmap then " [mmap segments]" else "")
     (if heavy then " [tombstone-heavy]" else "");
   let rng = Pj_util.Prng.create seed in
+  let dir = if mmap then Some (fresh_dir ()) else None in
+  let mmap_config =
+    { config with Live_index.dir = dir; mmap_segments = true }
+  in
   let live =
-    if mmap then begin
-      let dir = fresh_dir () in
-      let config =
-        { config with Live_index.dir = Some dir; mmap_segments = true }
-      in
-      Live_index.open_dir ~config dir
-    end
-    else Live_index.create ~config ()
+    match dir with
+    | Some dir -> Live_index.open_dir ~config:mmap_config dir
+    | None -> Live_index.create ~config ()
   in
   let docs = ref [] (* reverse id order *) and total = ref 0 in
   let deleted = ref IntSet.empty in
@@ -182,7 +181,17 @@ let run_seed ?(mmap = false) ?(heavy = false) seed =
     s.Live_index.docs;
   Alcotest.(check int) "stats.total_docs" !total s.Live_index.total_docs;
   Alcotest.(check int) "memtable flushed" 0 s.Live_index.memtable_docs;
-  Live_index.close live
+  Live_index.close live;
+  (* The mmap arm's sealed segments are PJX4 files placed by the
+     manifest: a reopen recovers every document from them and serves
+     the same hits. *)
+  Option.iter
+    (fun dir ->
+      let reopened = Live_index.open_dir ~config:mmap_config dir in
+      check_equal ~ctx:(Printf.sprintf "seed %d (recovered)" seed) reopened
+        !docs !deleted;
+      Live_index.close reopened)
+    dir
 
 let seeds () =
   match Sys.getenv_opt "LIVE_SEED" with

@@ -142,36 +142,99 @@ let test_mmap_recovery_identical () =
     (hits plain = want_more);
   Live_index.close plain
 
-(* Legacy v1 segment files (no postings section) still recover — and
-   under [mmap_segments] fall back to the heap rebuild per segment. *)
-let test_v1_segments_still_load () =
+(* A directory written before live segments became PJX4 files — a
+   manifest v1 naming PJSG segments, plus a WAL — is refused with one
+   [Failure] naming the manifest and its format, and nothing in it is
+   touched: no orphan cleanup, no WAL replay or rewrite. The fixture
+   was written by proxjoin at commit 629c705 (memtable 4, WAL on: six
+   adds, delete 1, flush, one more add, then exit without close). *)
+let fixture_dir = Filename.concat "fixtures" "parent_live_dir"
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path s =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
+
+let dir_contents dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let test_parent_dir_refused () =
   let dir = fresh_dir () in
-  let live = Live_index.open_dir ~config:(config dir) dir in
-  for i = 0 to 9 do
-    ignore (Live_index.add live [| "aa"; Printf.sprintf "w%d" i; "bb" |])
-  done;
-  ignore (Live_index.flush live);
-  Live_index.quiesce live;
-  let want = hits live in
-  Live_index.close live;
-  (* Downgrade every segment file in place to the v1 layout. *)
+  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   Array.iter
     (fun f ->
-      if Filename.check_suffix f ".seg" then begin
-        let path = Filename.concat dir f in
-        let sf = Segment_file.read path in
-        Segment_file.write_v1 ~failpoint:"test.downgrade" path sf
-      end)
-    (Sys.readdir dir);
+      write_file (Filename.concat dir f)
+        (read_file (Filename.concat fixture_dir f)))
+    (Sys.readdir fixture_dir);
+  (* Crash droppings [cleanup_orphans] would delete if it ran. *)
+  write_file (Filename.concat dir "seg-000099.seg") "orphan";
+  write_file (Filename.concat dir "seg-000098.seg.tmp") "stale";
+  let before = dir_contents dir in
   List.iter
-    (fun mmap ->
-      let reopened = Live_index.open_dir ~config:(config ~mmap dir) dir in
-      Alcotest.(check bool)
-        (Printf.sprintf "v1 recovery identical (mmap=%b)" mmap)
-        true
-        (hits reopened = want);
-      Live_index.close reopened)
-    [ false; true ]
+    (fun (mmap, wal) ->
+      match Live_index.open_dir ~config:(config ~mmap ~wal dir) dir with
+      | live ->
+          Live_index.close live;
+          Alcotest.fail "a manifest v1 directory was opened"
+      | exception Failure msg ->
+          let manifest = Filename.concat dir Manifest.filename in
+          if not (contains msg manifest && contains msg "manifest v1") then
+            Alcotest.failf "error %S does not name %s and its format" msg
+              manifest;
+          Alcotest.(check (list (pair string string)))
+            (Printf.sprintf "directory byte-identical (mmap=%b wal=%b)" mmap wal)
+            before (dir_contents dir))
+    [ (false, true); (true, true); (false, false) ]
+
+(* The manifest entry is the only record of which of a segment's empty
+   documents are dead, so a dead id outside the segment or out of order
+   is a corrupt manifest. *)
+let test_manifest_dead_ids_checked () =
+  let dir = fresh_dir () in
+  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+  let manifest dead =
+    {
+      Manifest.generation = 1;
+      vocab = [ "aa" ];
+      segments =
+        [
+          { Manifest.file = "seg-000000.seg"; base = 0; len = 4; dead = [] };
+          { Manifest.file = "seg-000001.seg"; base = 4; len = 4; dead };
+        ];
+      tombstones = [];
+    }
+  in
+  Manifest.write ~dir (manifest [ 5; 7 ]);
+  (match Manifest.read ~dir with
+  | Some m ->
+      Alcotest.(check (list int)) "dead ids round trip" [ 5; 7 ]
+        (List.nth m.Manifest.segments 1).Manifest.dead
+  | None -> Alcotest.fail "manifest not found");
+  List.iter
+    (fun (dead, why) ->
+      Manifest.write ~dir (manifest dead);
+      match Manifest.read ~dir with
+      | _ -> Alcotest.failf "manifest with %s accepted" why
+      | exception Failure _ -> ())
+    [
+      ([ 3 ], "a dead id before its segment");
+      ([ 8 ], "a dead id past its segment");
+      ([ 6; 5 ], "descending dead ids");
+      ([ 5; 5 ], "a repeated dead id");
+    ]
 
 (* Satellite regression: recovery used to catch only [Failure _] around
    the mmap attempt, so any other exception (a [Unix.Unix_error] from a
@@ -603,8 +666,10 @@ let suite =
       test_orphan_cleanup;
     Alcotest.test_case "mmap-served segments recover identically" `Quick
       test_mmap_recovery_identical;
-    Alcotest.test_case "v1 segment files still load" `Quick
-      test_v1_segments_still_load;
+    Alcotest.test_case "parent live dir refused untouched" `Quick
+      test_parent_dir_refused;
+    Alcotest.test_case "manifest dead ids checked" `Quick
+      test_manifest_dead_ids_checked;
     Alcotest.test_case "mmap open failure falls back to heap rebuild" `Quick
       test_mmap_open_failure_falls_back;
     Alcotest.test_case "wal recovers unflushed writes" `Quick

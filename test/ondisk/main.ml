@@ -4,5 +4,6 @@ let () =
       ("codec", Test_codec.suite);
       ("mapped", Test_mapped.suite);
       ("merge_splice", Test_merge_splice.suite);
+      ("segment", Test_segment.suite);
       ("writer_golden", Test_writer_golden.suite);
     ]

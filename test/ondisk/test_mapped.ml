@@ -298,36 +298,78 @@ let test_bit_flip_fuzz_v4 () =
             Alcotest.failf "flip %d: raw exception %s" i (Printexc.to_string e)
       done)
 
+let rejects ~what ~defect f =
+  match f () with
+  | () -> Alcotest.failf "%s passed" what
+  | exception Failure msg ->
+      let n = String.length defect in
+      let rec go i =
+        i + n <= String.length msg
+        && (String.sub msg i n = defect || go (i + 1))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s names the defect: %s" what msg)
+        true (go 0)
+
+(* A posting past the file's documents, with a valid CRC: [verify] and
+   every per-blob check pass (ids still increase), so only comparing
+   ids with [n_docs] catches it. Served as a live segment at [base],
+   such a posting would be a hit inside the next segment's range, so
+   segment recovery refuses it too. The file is written by the
+   ordinary writer from an index whose corpus lacks the last document
+   its postings still name. *)
+let test_check_rejects_out_of_range_posting () =
+  let docs = [ [ "aa"; "bb" ]; [ "bb" ]; [ "aa"; "cc" ] ] in
+  let full = Pj_index.Inverted_index.build (corpus_of docs) in
+  let short = corpus_of [ [ "aa"; "bb" ]; [ "bb" ] ] in
+  ignore (Pj_text.Vocab.intern (Pj_index.Corpus.vocab short) "cc");
+  let open Pj_index.Inverted_index in
+  let idx =
+    of_provider short
+      {
+        pr_postings = postings full;
+        pr_cursor = cursor full;
+        pr_positions = positions_in full;
+        pr_document_frequency = document_frequency full;
+        pr_n_tokens = vocabulary_size full;
+        pr_stats = (fun () -> stats full);
+        pr_iter = None;
+      }
+  in
+  with_temp (fun path ->
+      Writer.write idx path;
+      let m = Mapped_index.open_file path in
+      Mapped_index.verify m;
+      rejects ~what:"check" ~defect:"out of range" (fun () ->
+          Mapped_index.check m);
+      rejects ~what:"segment recovery" ~defect:"out of range" (fun () ->
+          Segment.recover m (Pj_index.Corpus.create ())))
+
+(* A dictionary entry with a blob but df 0, CRC recomputed: the writer
+   never makes one, and it has no last skip entry to read. *)
+let test_check_rejects_blob_with_df_zero () =
+  let idx = Pj_index.Inverted_index.build (corpus_of sample_docs) in
+  with_temp (fun path ->
+      Writer.write idx path;
+      let b = Bytes.of_string (read_bytes path) in
+      let size = Bytes.length b in
+      let trailer_off = size - File_format.trailer_size in
+      let dict_off = Int64.to_int (Bytes.get_int64_le b (trailer_off + 32)) in
+      (* Token 0 occurs in the sample, so its entry has a blob. *)
+      Bytes.set_int32_le b (dict_off + 8) 0l;
+      let payload_len = trailer_off + (8 * File_format.trailer_words) in
+      Bytes.set_int32_le b payload_len
+        (Pj_index.Storage.crc32 ~pos:File_format.header_size
+           ~len:(payload_len - File_format.header_size)
+           (Bytes.to_string b));
+      write_bytes path (Bytes.to_string b);
+      let m = Mapped_index.open_file path in
+      Mapped_index.verify m;
+      rejects ~what:"check" ~defect:"df 0" (fun () -> Mapped_index.check m);
+      rejects ~what:"segment recovery" ~defect:"df 0" (fun () ->
+          Segment.recover m (Pj_index.Corpus.create ())))
+
 (* --- migration matrix --------------------------------------------------- *)
-
-(* Rebuild historic formats from a fresh v3 save (same derivation as
-   test/index/test_storage.ml), then check that each loads and that
-   compacting the loaded index to v4 preserves search behavior exactly. *)
-let shard_section_bytes c =
-  let buf = Buffer.create 8 in
-  Pj_index.Storage.write_varint buf 1;
-  Pj_index.Storage.write_varint buf (Pj_index.Corpus.size c);
-  Buffer.length buf
-
-let downgrade_file c path ~to_version =
-  Pj_index.Storage.save_corpus c path;
-  let s = read_bytes path in
-  let payload =
-    String.sub s 5 (String.length s - 5 - 4 - shard_section_bytes c)
-  in
-  let old =
-    match to_version with
-    | 1 -> String.sub s 0 4 ^ "\001" ^ payload
-    | 2 ->
-        let body = String.sub s 0 4 ^ "\002" ^ payload in
-        let crc = Pj_index.Storage.crc32 ~pos:5 body in
-        let footer = Bytes.create 4 in
-        Bytes.set_int32_le footer 0 crc;
-        body ^ Bytes.to_string footer
-    | 3 -> s
-    | v -> Alcotest.failf "no downgrade to version %d" v
-  in
-  write_bytes path old
 
 let migration_matrix =
   QCheck_alcotest.to_alcotest
@@ -340,9 +382,12 @@ let migration_matrix =
          List.iter
            (fun v ->
              with_temp (fun legacy_path ->
-                 downgrade_file corpus legacy_path ~to_version:v;
+                 Pj_reference.Legacy_storage.save_corpus ~version:v corpus legacy_path;
                  (* Legacy file still loads... *)
-                 let legacy_idx = Pj_index.Storage.load legacy_path in
+                 let legacy_idx =
+                   Pj_index.Inverted_index.build
+                     (Pj_index.Storage.load_corpus legacy_path)
+                 in
                  with_temp (fun v4_path ->
                      (* ...compacts to v4... *)
                      Writer.write legacy_idx v4_path;
@@ -365,7 +410,7 @@ let test_v4_rejected_by_legacy_loader () =
   let idx = Pj_index.Inverted_index.build corpus in
   with_temp (fun path ->
       Writer.write idx path;
-      match Pj_index.Storage.load path with
+      match Pj_index.Storage.load_corpus path with
       | _ -> Alcotest.fail "legacy loader accepted a v4 file"
       | exception Failure msg ->
           Alcotest.(check bool) "clear error" true
@@ -374,14 +419,14 @@ let test_v4_rejected_by_legacy_loader () =
 let test_legacy_rejected_by_v4_reader () =
   let corpus = corpus_of sample_docs in
   with_temp (fun path ->
-      Pj_index.Storage.save_corpus corpus path;
+      Pj_reference.Legacy_storage.save_corpus corpus path;
       match Mapped_index.open_file path with
       | _ -> Alcotest.fail "v4 reader accepted a v3 file"
       | exception Failure msg ->
           Alcotest.(check bool) "clear error" true
             (String.length msg >= 7 && String.sub msg 0 7 = "Ondisk:"))
 
-(* Crash-safety: the v4 writer publishes atomically, like Storage. *)
+(* Crash-safety: the v4 writer publishes atomically. *)
 let test_crashed_write_leaves_old_file () =
   let corpus = corpus_of sample_docs in
   let idx = Pj_index.Inverted_index.build corpus in
@@ -395,7 +440,10 @@ let test_crashed_write_leaves_old_file () =
             (fun site ->
               Pj_util.Failpoint.clear ();
               Pj_util.Failpoint.arm site Pj_util.Failpoint.Panic;
-              (match Writer.write idx2 path with
+              (match
+                 Writer.write ~fp_write:"ondisk.save.write"
+                   ~fp_rename:"ondisk.save.rename" idx2 path
+               with
               | () -> Alcotest.failf "write survived %s panic" site
               | exception Pj_util.Failpoint.Panicked _ -> ());
               Alcotest.(check string)
@@ -411,6 +459,10 @@ let suite =
     ("mapped: shards = sub builds", `Quick, test_shard_index_matches_sub_build);
     search_matrix_equal;
     ("mapped: truncation fuzz", `Quick, test_truncation_fuzz_v4);
+    ("mapped: check rejects out-of-range posting", `Quick,
+      test_check_rejects_out_of_range_posting);
+    ("mapped: check rejects a blob with df 0", `Quick,
+      test_check_rejects_blob_with_df_zero);
     ("mapped: bit-flip fuzz", `Slow, test_bit_flip_fuzz_v4);
     migration_matrix;
     ("mapped: v4 rejected by legacy loader", `Quick, test_v4_rejected_by_legacy_loader);

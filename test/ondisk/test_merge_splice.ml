@@ -16,28 +16,12 @@ let random_docs rng n =
         (1 + Pj_util.Prng.int rng 10)
         (fun _ -> Pj_util.Prng.choose rng alphabet))
 
-let with_seg_file f =
-  let path = Filename.temp_file "proxjoin_splice" ".pjsg" in
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists path then Sys.remove path;
-      if Sys.file_exists (path ^ ".tmp") then Sys.remove (path ^ ".tmp"))
-    (fun () -> f path)
-
 (* An mmap-backed index over documents [pos, pos+len) of [corpus]: a
-   PJSG v2 segment written to a temp file and served off its map —
-   exactly a live index's sealed-segment searcher. *)
+   PJX4 segment written by [Segment.write] to a temp file and served
+   off its map at [pos] — exactly a live index's sealed-segment
+   searcher. *)
 let mmap_range corpus ~pos ~len path =
-  let vocab = Pj_index.Corpus.vocab corpus in
-  let words =
-    Array.map
-      (fun (d : Pj_text.Document.t) ->
-        Array.map (Pj_text.Vocab.word vocab) d.Pj_text.Document.tokens)
-      (Pj_index.Corpus.docs_slice corpus ~pos ~len)
-  in
-  Segment_codec.write ~failpoint:"test.splice" path ~base:pos ~docs:words
-    ~dead:[];
-  Segment_codec.index (Segment_codec.open_file path) corpus
+  Test_segment.segment_view corpus ~pos ~len ~dead:(fun _ -> false) path
 
 let heap_range corpus ~pos ~len =
   Pj_index.Inverted_index.build_docs corpus
@@ -82,8 +66,8 @@ let test_heap_mmap_pairs () =
     let skip =
       if trial mod 3 = 0 then Some (fun id -> id mod 2 = 0) else None
     in
-    with_seg_file (fun left_path ->
-        with_seg_file (fun right_path ->
+    Test_segment.with_seg_file (fun left_path ->
+        Test_segment.with_seg_file (fun right_path ->
             let heap_l = heap_range corpus ~pos:0 ~len:cut
             and heap_r = heap_range corpus ~pos:cut ~len:(n - cut)
             and mmap_l = mmap_range corpus ~pos:0 ~len:cut left_path

@@ -131,3 +131,5 @@ let build_index corpus =
                 if Pj_index.Posting_list.document_frequency pl > 0 then f tok pl)
               lists);
     }
+
+module Legacy_storage = Legacy_storage

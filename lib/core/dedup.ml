@@ -96,10 +96,14 @@ let disambiguate (p : Match_list.problem) =
            (Array.to_list l)))
     p
 
-let best_valid solve (p : Match_list.problem) =
-  let invocations = ref 0 in
+(* Branch-and-bound below a root whose duplicate-unaware result [root]
+   reuses a location: exactly the loop's state after it popped and
+   solved the root node, so the search is the one it always was. *)
+let search solve (p : Match_list.problem) (root : Naive.result) =
+  let invocations = ref 1 in
   let best : Naive.result option ref = ref None in
   let visited = Hashtbl.create 64 in
+  Hashtbl.add visited [] ();
   let improves s =
     match !best with
     | None -> true
@@ -108,7 +112,6 @@ let best_valid solve (p : Match_list.problem) =
   let queue =
     Pj_util.Heap.create ~leq:(fun a b -> a.bound <= b.bound)
   in
-  Pj_util.Heap.push queue { bound = infinity; problem = p; removals = [] };
   (* Lazy incumbent seeding: on the first invalid result, solve a
      disambiguated copy whose matchsets are all valid; its optimum is a
      strong incumbent that lets the bound prune most of the tree. *)
@@ -128,6 +131,34 @@ let best_valid solve (p : Match_list.problem) =
       end
     end
   in
+  (* [node] solved to the invalid [r]: seed the incumbent, then branch
+     on a single duplicated token per level (the cross product over all
+     groups is reached across levels): fewer children per node, so the
+     best-first bound prunes earlier. *)
+  let branch node (r : Naive.result) =
+    seed_incumbent ();
+    let plans =
+      match duplicate_groups r.Naive.matchset with
+      | [] -> []
+      | group :: _ -> removal_plans [ group ]
+    in
+    List.iter
+      (fun plan ->
+        let p' =
+          List.fold_left
+            (fun acc (term, m) -> Match_list.remove_match acc ~term m)
+            node.problem plan
+        in
+        if not (Match_list.has_empty_list p') then
+          Pj_util.Heap.push queue
+            {
+              bound = r.Naive.score;
+              problem = p';
+              removals = List.sort compare (plan @ node.removals);
+            })
+      plans
+  in
+  branch { bound = infinity; problem = p; removals = [] } root;
   let continue = ref true in
   while !continue do
     match Pj_util.Heap.pop queue with
@@ -143,34 +174,17 @@ let best_valid solve (p : Match_list.problem) =
           | Some r ->
               if not (improves r.Naive.score) then ()
               else if Matchset.is_valid r.Naive.matchset then best := Some r
-              else begin
-                seed_incumbent ();
-                (* Branch on a single duplicated token per level (the
-                   cross product over all groups is reached across
-                   levels): fewer children per node, so the best-first
-                   bound prunes earlier. *)
-                let plans =
-                  match duplicate_groups r.Naive.matchset with
-                  | [] -> []
-                  | group :: _ -> removal_plans [ group ]
-                in
-                List.iter
-                  (fun plan ->
-                    let p' =
-                      List.fold_left
-                        (fun acc (term, m) ->
-                          Match_list.remove_match acc ~term m)
-                        node.problem plan
-                    in
-                    if not (Match_list.has_empty_list p') then
-                      Pj_util.Heap.push queue
-                        {
-                          bound = r.Naive.score;
-                          problem = p';
-                          removals = List.sort compare (plan @ node.removals);
-                        })
-                  plans
-              end
+              else branch node r
         end
   done;
   (!best, { invocations = !invocations })
+
+(* The root solve comes first: when its matchset reuses no location it
+   is the answer (nothing valid can beat the unconstrained optimum), and
+   no frontier or memo table is built. *)
+let best_valid solve (p : Match_list.problem) =
+  match solve p with
+  | None -> (None, { invocations = 1 })
+  | Some r when Matchset.is_valid r.Naive.matchset ->
+      (Some r, { invocations = 1 })
+  | Some r -> search solve p r

@@ -4,34 +4,37 @@ type contribution = Match0.t -> int -> float
    that the later of two tying matches wins (footnote 4). *)
 let dominates c m m' l = c m l >= c m' l
 
+(* The stack lives in one array of the list's length (it never holds
+   more), [top] being its size. *)
 let dominating_list c (lst : Match_list.t) =
-  let stack = Pj_util.Vec.create () in
-  Array.iter
-    (fun m ->
-      let loc = m.Match0.loc in
-      if
-        Pj_util.Vec.is_empty stack
-        || dominates c m (Pj_util.Vec.last stack) loc
-      then begin
-        let continue = ref true in
-        while !continue && not (Pj_util.Vec.is_empty stack) do
-          let top = Pj_util.Vec.last stack in
-          if dominates c m top top.Match0.loc then
-            ignore (Pj_util.Vec.pop stack)
-          else continue := false
+  let n = Array.length lst in
+  if n = 0 then [||]
+  else begin
+    let stack = Array.make n lst.(0) and top = ref 0 in
+    for i = 0 to n - 1 do
+      let m = lst.(i) in
+      if !top = 0 || dominates c m stack.(!top - 1) m.Match0.loc then begin
+        while
+          !top > 0
+          && dominates c m stack.(!top - 1) stack.(!top - 1).Match0.loc
+        do
+          decr top
         done;
-        Pj_util.Vec.push stack m
-      end)
-    lst;
-  Pj_util.Vec.to_array stack
+        stack.(!top) <- m;
+        incr top
+      end
+    done;
+    if !top = n then stack else Array.sub stack 0 !top
+  end
 
 type cursor = {
   contribution : contribution;
   doms : Match0.t array;
   mutable next : int;  (* index of the first dominating match with loc > last query *)
+  mutable chosen_idx : int;  (* the last query's dominating match *)
 }
 
-let cursor c doms = { contribution = c; doms; next = 0 }
+let cursor c doms = { contribution = c; doms; next = 0; chosen_idx = 0 }
 
 type pick = {
   chosen : Match0.t;
@@ -39,26 +42,41 @@ type pick = {
   value : float;
 }
 
-let query cur l =
+(* The two dominating matches around [l] are compared directly; the
+   winner is remembered by index and its value returned as the
+   contribution produced it, so a query allocates nothing of its own. *)
+let value_at cur l =
   let n = Array.length cur.doms in
-  if n = 0 then None
+  if n = 0 then invalid_arg "Envelope.value_at: empty dominating list";
+  while cur.next < n && cur.doms.(cur.next).Match0.loc <= l do
+    cur.next <- cur.next + 1
+  done;
+  if cur.next = 0 || cur.next = n then begin
+    let i = if cur.next = 0 then 0 else n - 1 in
+    cur.chosen_idx <- i;
+    cur.contribution cur.doms.(i) l
+  end
   else begin
-    while cur.next < n && cur.doms.(cur.next).Match0.loc <= l do
-      cur.next <- cur.next + 1
-    done;
-    let before = if cur.next > 0 then Some cur.doms.(cur.next - 1) else None in
-    let after = if cur.next < n then Some cur.doms.(cur.next) else None in
-    match (before, after) with
-    | None, None -> None
-    | Some m, None ->
-        Some { chosen = m; succeeds = false; value = cur.contribution m l }
-    | None, Some m ->
-        Some { chosen = m; succeeds = true; value = cur.contribution m l }
-    | Some m1, Some m2 ->
-        (* Prefer the succeeding match on ties (footnote 3). *)
-        let v1 = cur.contribution m1 l and v2 = cur.contribution m2 l in
-        if v2 >= v1 then Some { chosen = m2; succeeds = true; value = v2 }
-        else Some { chosen = m1; succeeds = false; value = v1 }
+    let v1 = cur.contribution cur.doms.(cur.next - 1) l
+    and v2 = cur.contribution cur.doms.(cur.next) l in
+    (* Prefer the succeeding match on ties (footnote 3). *)
+    if v2 >= v1 then begin
+      cur.chosen_idx <- cur.next;
+      v2
+    end
+    else begin
+      cur.chosen_idx <- cur.next - 1;
+      v1
+    end
+  end
+
+let chosen cur = cur.doms.(cur.chosen_idx)
+
+let query cur l =
+  if Array.length cur.doms = 0 then None
+  else begin
+    let value = value_at cur l in
+    Some { chosen = chosen cur; succeeds = cur.chosen_idx = cur.next; value }
   end
 
 let pointwise_max c (lst : Match_list.t) l =

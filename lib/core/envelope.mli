@@ -45,6 +45,16 @@ val query : cursor -> int -> pick option
     after [l] ties with the one at-or-before [l], the later one is
     chosen, as the correctness of Algorithm 2 requires. *)
 
+val value_at : cursor -> int -> float
+(** [value_at cur l]: the envelope value [S_j (l)] — the [value] of
+    [query cur l] — with the dominating match left on the cursor for
+    {!chosen}, so the solvers' inner loop allocates no option or
+    [pick]. Same order constraint and tie rule as {!query}. Raises
+    [Invalid_argument] on an empty dominating list. *)
+
+val chosen : cursor -> Match0.t
+(** The dominating match of the cursor's last query. *)
+
 val pointwise_max : contribution -> Match_list.t -> int -> float
 (** Brute-force [S_j (l)] by scanning the whole list — the definitional
     oracle used in tests. [neg_infinity] on an empty list. *)

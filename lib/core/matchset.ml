@@ -13,9 +13,19 @@ let window m = max_loc m - min_loc m
 let median_loc (m : t) =
   let n = Array.length m in
   assert (n > 0);
-  let locs = Array.map (fun x -> x.Match0.loc) m in
-  (* Rank by value, greatest first; pick the floor((n+1)/2)-th. *)
-  Array.sort (fun a b -> compare b a) locs;
+  (* Rank by value, greatest first; pick the floor((n+1)/2)-th. An
+     insertion sort: matchsets have a handful of members, and MED
+     scores one per distinct match location. *)
+  let locs = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let v = m.(i).Match0.loc in
+    let j = ref i in
+    while !j > 0 && locs.(!j - 1) < v do
+      locs.(!j) <- locs.(!j - 1);
+      decr j
+    done;
+    locs.(!j) <- v
+  done;
   locs.(((n + 1) / 2) - 1)
 
 let is_valid (m : t) =

@@ -22,20 +22,16 @@ let best (x : Scoring.max) (p : Match_list.problem) =
     let consider ~term:_ m =
       let l = m.Match0.loc in
       let total = ref 0. in
-      let feasible = ref true in
       for j = 0 to n - 1 do
-        match Envelope.query cursors.(j) l with
-        | None -> feasible := false
-        | Some pick ->
-            candidate.(j) <- pick.Envelope.chosen;
-            total := !total +. pick.Envelope.value
+        (* lists are non-empty, so every dominating list is too *)
+        let v = Envelope.value_at cursors.(j) l in
+        candidate.(j) <- Envelope.chosen cursors.(j);
+        total := !total +. v
       done;
-      if !feasible then begin
-        let s = x.Scoring.max_f !total in
-        match !best with
-        | Some r when r.Naive.score >= s -> ()
-        | _ -> best := Some { Naive.matchset = Array.copy candidate; score = s }
-      end
+      let s = x.Scoring.max_f !total in
+      match !best with
+      | Some r when r.Naive.score >= s -> ()
+      | _ -> best := Some { Naive.matchset = Array.copy candidate; score = s }
     in
     Match_list.iter_in_location_order p consider;
     !best

@@ -44,9 +44,8 @@ let best (d : Scoring.med) (p : Match_list.problem) =
       if l <> !last_location then begin
         last_location := l;
         for j = 0 to n - 1 do
-          match Envelope.query cursors.(j) l with
-          | None -> assert false (* lists are non-empty *)
-          | Some pick -> candidate.(j) <- pick.Envelope.chosen
+          ignore (Envelope.value_at cursors.(j) l : float);
+          candidate.(j) <- Envelope.chosen cursors.(j)
         done;
         let s = Scoring.score_med d candidate in
         match !best with

@@ -39,9 +39,9 @@ let med_contribution d ~term m ~at =
 let score_med d (m : Matchset.t) =
   let median = Matchset.median_loc m in
   let sum = ref 0. in
-  Array.iteri
-    (fun j x -> sum := !sum +. med_contribution d ~term:j x ~at:median)
-    m;
+  for j = 0 to Array.length m - 1 do
+    sum := !sum +. med_contribution d ~term:j m.(j) ~at:median
+  done;
   d.med_f !sum
 
 let med_exponential ~alpha =
@@ -132,13 +132,24 @@ let score t m =
   | Med d -> score_med d m
   | Max x -> score_max x m
 
+(* Plain loops, no closure or captured accumulator: the searcher takes
+   this bound for every candidate. *)
 let upper_bound t best_scores =
-  let sum g =
-    let acc = ref 0. in
-    Array.iteri (fun j s -> acc := !acc +. g j s) best_scores;
-    !acc
-  in
+  let n = Array.length best_scores in
+  let acc = ref 0. in
   match t with
-  | Win w -> w.win_f (sum w.win_g) 0
-  | Med d -> d.med_f (sum d.med_g)
-  | Max x -> x.max_f (sum (fun j s -> x.max_g j s 0))
+  | Win w ->
+      for j = 0 to n - 1 do
+        acc := !acc +. w.win_g j best_scores.(j)
+      done;
+      w.win_f !acc 0
+  | Med d ->
+      for j = 0 to n - 1 do
+        acc := !acc +. d.med_g j best_scores.(j)
+      done;
+      d.med_f !acc
+  | Max x ->
+      for j = 0 to n - 1 do
+        acc := !acc +. x.max_g j best_scores.(j) 0
+      done;
+      x.max_f !acc

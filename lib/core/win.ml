@@ -14,34 +14,53 @@ type state = {
   mutable members : chain;
 }
 
+(* The matchset a full-set chain describes: one member per term. *)
 let rebuild n chain =
-  let a = Array.make n None in
-  let rec walk = function
-    | Nil -> ()
-    | Cons (j, m, rest) ->
-        a.(j) <- Some m;
-        walk rest
-  in
-  walk chain;
-  Array.map
-    (function
-      | Some m -> m
-      | None -> assert false)
-    a
+  match chain with
+  | Nil -> invalid_arg "Win.rebuild: empty chain"
+  | Cons (_, m0, _) ->
+      let a = Array.make n m0 in
+      let rec walk = function
+        | Nil -> ()
+        | Cons (j, m, rest) ->
+            a.(j) <- m;
+            walk rest
+      in
+      walk chain;
+      a
 
+(* Per term, the subsets containing it, larger before smaller — the
+   order [Subset.iter_by_decreasing_size] visits them in, enumerated
+   once per solve instead of once per match. *)
+let visiting_orders n =
+  let orders = Array.init n (fun _ -> Array.make (1 lsl (n - 1)) 0)
+  and filled = Array.make n 0 in
+  Pj_util.Subset.iter_by_decreasing_size n (fun s ->
+      for term = 0 to n - 1 do
+        if Pj_util.Subset.mem term s then begin
+          orders.(term).(filled.(term)) <- s;
+          filled.(term) <- filled.(term) + 1
+        end
+      done);
+  orders
+
+(* Algorithm 1 with the state table held column-wise — [live], [g_sum]
+   (a flat float array), [l_min], [members] indexed by subset — so a
+   state update stores its float unboxed instead of allocating a box. *)
 let best (w : Scoring.win) (p : Match_list.problem) =
   Match_list.validate p;
   if Match_list.has_empty_list p then None
   else begin
     let n = Array.length p in
     let full = Pj_util.Subset.full n in
-    let states =
-      Array.init (full + 1) (fun _ ->
-          { live = false; g_sum = 0.; l_min = 0; members = Nil })
-    in
+    let live = Array.make (full + 1) false
+    and g_sum = Array.make (full + 1) 0.
+    and l_min = Array.make (full + 1) 0
+    and members = Array.make (full + 1) Nil in
+    let orders = visiting_orders n in
     let key = w.Scoring.win_key in
-    let best_key = ref neg_infinity in
-    let best_g = ref 0. in
+    (* best key and its g sum, unboxed *)
+    let best_kg = [| neg_infinity; 0. |] in
     let best_window = ref 0 in
     let best_chain = ref Nil in
     let have_best = ref false in
@@ -50,45 +69,45 @@ let best (w : Scoring.win) (p : Match_list.problem) =
       let l = m.Match0.loc in
       (* Visit subsets containing [term] from larger to smaller so that
          P \ {term} still holds its value at the previous location. *)
-      Pj_util.Subset.iter_by_decreasing_size n (fun s ->
-          if Pj_util.Subset.mem term s then begin
-            let st = states.(s) in
-            if Pj_util.Subset.equal s (Pj_util.Subset.singleton term) then begin
-              (* Best single-term matchset at l: either keep the previous
-                 best (aged to l) or restart at m with window 0. *)
-              if (not st.live) || key st.g_sum (l - st.l_min) < key g 0 then begin
-                st.live <- true;
-                st.g_sum <- g;
-                st.l_min <- l;
-                st.members <- Cons (term, m, Nil)
-              end
+      let order = orders.(term) in
+      for k = 0 to Array.length order - 1 do
+        let s = order.(k) in
+        if Pj_util.Subset.equal s (Pj_util.Subset.singleton term) then begin
+          (* Best single-term matchset at l: either keep the previous
+             best (aged to l) or restart at m with window 0. *)
+          if (not live.(s)) || key g_sum.(s) (l - l_min.(s)) < key g 0
+          then begin
+            live.(s) <- true;
+            g_sum.(s) <- g;
+            l_min.(s) <- l;
+            members.(s) <- Cons (term, m, Nil)
+          end
+        end
+        else begin
+          let sub = Pj_util.Subset.remove term s in
+          if live.(sub) then begin
+            let cand_g = g_sum.(sub) +. g in
+            let cand_lmin = l_min.(sub) in
+            if
+              (not live.(s))
+              || key g_sum.(s) (l - l_min.(s)) < key cand_g (l - cand_lmin)
+            then begin
+              live.(s) <- true;
+              g_sum.(s) <- cand_g;
+              l_min.(s) <- cand_lmin;
+              members.(s) <- Cons (term, m, members.(sub))
             end
-            else begin
-              let sub = states.(Pj_util.Subset.remove term s) in
-              if sub.live then begin
-                let cand_g = sub.g_sum +. g in
-                let cand_lmin = sub.l_min in
-                if
-                  (not st.live)
-                  || key st.g_sum (l - st.l_min) < key cand_g (l - cand_lmin)
-                then begin
-                  st.live <- true;
-                  st.g_sum <- cand_g;
-                  st.l_min <- cand_lmin;
-                  st.members <- Cons (term, m, sub.members)
-                end
-              end
-            end
-          end);
-      let q = states.(full) in
-      if q.live then begin
-        let k = key q.g_sum (l - q.l_min) in
-        if (not !have_best) || k > !best_key then begin
+          end
+        end
+      done;
+      if live.(full) then begin
+        let k = key g_sum.(full) (l - l_min.(full)) in
+        if (not !have_best) || k > best_kg.(0) then begin
           have_best := true;
-          best_key := k;
-          best_g := q.g_sum;
-          best_window := l - q.l_min;
-          best_chain := q.members
+          best_kg.(0) <- k;
+          best_kg.(1) <- g_sum.(full);
+          best_window := l - l_min.(full);
+          best_chain := members.(full)
         end
       end
     in
@@ -97,7 +116,7 @@ let best (w : Scoring.win) (p : Match_list.problem) =
       Some
         {
           Naive.matchset = rebuild n !best_chain;
-          score = w.Scoring.win_f !best_g !best_window;
+          score = w.Scoring.win_f best_kg.(1) !best_window;
         }
     else None
   end

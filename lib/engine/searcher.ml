@@ -62,49 +62,48 @@ let term_cursor t (m : Pj_matching.Matcher.t) =
         max_score = Array.fold_left Float.max 0. scores;
       }
 
+(* The per-posting and per-round helpers below are index loops over the
+   form banks: no closure, option or escaping [ref] per call (see
+   DESIGN §7, hot-path rules). *)
+
 (* Smallest document id under any essential form cursor; -1 once all
    are exhausted. *)
 let term_current tc =
   let d = ref (-1) in
-  Array.iteri
-    (fun i c ->
-      if tc.essential.(i) then begin
-        let cd = Pj_index.Posting_list.current_doc c in
-        if cd >= 0 && (!d < 0 || cd < !d) then d := cd
-      end)
-    tc.forms;
+  for i = 0 to Array.length tc.forms - 1 do
+    if tc.essential.(i) then begin
+      let cd = Pj_index.Posting_list.current_doc tc.forms.(i) in
+      if cd >= 0 && (!d < 0 || cd < !d) then d := cd
+    end
+  done;
   !d
 
 let term_seek tc target =
-  Array.iteri
-    (fun i c -> if tc.essential.(i) then Pj_index.Posting_list.seek c target)
-    tc.forms
+  for i = 0 to Array.length tc.forms - 1 do
+    if tc.essential.(i) then Pj_index.Posting_list.seek tc.forms.(i) target
+  done
 
-(* Best expansion score among forms present in [doc] — equals the
-   maximum individual match score of the term's match list for [doc],
-   without building it. *)
-let term_best_at tc doc =
-  let best = ref 0. in
-  Array.iteri
-    (fun i c ->
-      if Pj_index.Posting_list.current_doc c = doc then
-        best := Float.max !best tc.scores.(i))
-    tc.forms;
-  !best
+(* Rounds between two clock reads in [align]. *)
+let check_interval = 64
 
 (* Leapfrog the essential banks from [start] (where term 0 sits) until
    n consecutive terms agree on one document; -1 when some bank runs
-   dry. [check] runs once per round, so deadlines hold even through
-   long barren stretches of the intersection. With every form
-   essential this is the plain conjunction of the terms. *)
+   dry. [check] runs on the first round and then once every
+   [check_interval] rounds: a round is one galloping seek per
+   essential form, so deadlines still hold through long barren
+   stretches of the intersection, overshooting by at most that many
+   rounds. With every form essential this is the plain conjunction of
+   the terms. *)
 let align ~check terms start =
   let n = Array.length terms in
   let target = ref start
   and idx = ref (1 mod n)
   and agreed = ref 1
+  and round = ref 0
   and result = ref (if start < 0 then -1 else -2) in
   while !result = -2 do
-    check ();
+    if !round mod check_interval = 0 then check ();
+    incr round;
     if !agreed = n then result := !target
     else begin
       let tc = terms.(!idx) in
@@ -251,52 +250,50 @@ let threshold_moved r =
    the traversal may continue, each term's top live form is essential
    — its per-form bound *is* the global live bound. *)
 let refresh r =
-  Array.iteri
-    (fun j tc ->
-      let m = ref 0. in
-      Array.iteri
-        (fun i c ->
-          if Pj_index.Posting_list.current_doc c >= 0 && tc.scores.(i) > !m
-          then m := tc.scores.(i))
-        tc.forms;
-      r.live_max.(j) <- !m)
-    r.terms;
+  for j = 0 to Array.length r.terms - 1 do
+    let tc = r.terms.(j) in
+    r.live_max.(j) <- 0.;
+    for i = 0 to Array.length tc.forms - 1 do
+      if
+        Pj_index.Posting_list.current_doc tc.forms.(i) >= 0
+        && tc.scores.(i) > r.live_max.(j)
+      then r.live_max.(j) <- tc.scores.(i)
+    done
+  done;
   if not (could_win r (Pj_core.Scoring.upper_bound r.scoring r.live_max)) then
     raise Early_stop;
-  Array.iteri
-    (fun j tc ->
-      let saved = r.live_max.(j) in
-      Array.iteri
-        (fun i c ->
-          if tc.essential.(i) then
-            if Pj_index.Posting_list.current_doc c < 0 then
-              tc.essential.(i) <- false
-            else begin
-              r.live_max.(j) <- tc.scores.(i);
-              if
-                not
-                  (could_win r
-                     (Pj_core.Scoring.upper_bound r.scoring r.live_max))
-              then tc.essential.(i) <- false
-            end)
-        tc.forms;
-      r.live_max.(j) <- saved)
-    r.terms
+  for j = 0 to Array.length r.terms - 1 do
+    let tc = r.terms.(j) in
+    let saved = r.live_max.(j) in
+    for i = 0 to Array.length tc.forms - 1 do
+      if tc.essential.(i) then
+        if Pj_index.Posting_list.current_doc tc.forms.(i) < 0 then
+          tc.essential.(i) <- false
+        else begin
+          r.live_max.(j) <- tc.scores.(i);
+          if
+            not
+              (could_win r (Pj_core.Scoring.upper_bound r.scoring r.live_max))
+          then tc.essential.(i) <- false
+        end
+    done;
+    r.live_max.(j) <- saved
+  done
 
 (* Shallowest block boundary among the driving cursors; [max_int] when
    none reports one. *)
 let shallowest_block_end terms =
   let h = ref max_int in
-  Array.iter
-    (fun tc ->
-      Array.iteri
-        (fun i c ->
-          if tc.essential.(i) && Pj_index.Posting_list.current_doc c >= 0 then begin
-            let bl = Pj_index.Posting_list.block_last_doc c in
-            if bl >= 0 && bl < !h then h := bl
-          end)
-        tc.forms)
-    terms;
+  for j = 0 to Array.length terms - 1 do
+    let tc = terms.(j) in
+    for i = 0 to Array.length tc.forms - 1 do
+      let c = tc.forms.(i) in
+      if tc.essential.(i) && Pj_index.Posting_list.current_doc c >= 0 then begin
+        let bl = Pj_index.Posting_list.block_last_doc c in
+        if bl >= 0 && bl < !h then h := bl
+      end
+    done
+  done;
   !h
 
 (* The next-shallow move at aligned candidate [d]. Only meaningful once
@@ -308,22 +305,22 @@ let region_skip r d =
     let h = shallowest_block_end r.terms in
     if h = max_int || h < d then false
     else begin
-      Array.iteri
-        (fun j tc ->
-          let m = ref 0. in
-          Array.iteri
-            (fun i c ->
-              if tc.essential.(i) then begin
-                let cd = Pj_index.Posting_list.current_doc c in
-                if cd >= 0 && cd <= h && tc.scores.(i) > !m then
-                  m := tc.scores.(i)
-              end)
-            tc.forms;
-          r.bounds.(j) <- !m)
-        r.terms;
+      for j = 0 to Array.length r.terms - 1 do
+        let tc = r.terms.(j) in
+        r.bounds.(j) <- 0.;
+        for i = 0 to Array.length tc.forms - 1 do
+          if tc.essential.(i) then begin
+            let cd = Pj_index.Posting_list.current_doc tc.forms.(i) in
+            if cd >= 0 && cd <= h && tc.scores.(i) > r.bounds.(j) then
+              r.bounds.(j) <- tc.scores.(i)
+          end
+        done
+      done;
       if could_win r (Pj_core.Scoring.upper_bound r.scoring r.bounds) then false
       else begin
-        Array.iter (fun tc -> term_seek tc (h + 1)) r.terms;
+        for j = 0 to Array.length r.terms - 1 do
+          term_seek r.terms.(j) (h + 1)
+        done;
         true
       end
     end
@@ -352,6 +349,22 @@ let next_candidate r start =
   done;
   !result
 
+(* Per term, the best expansion score among forms present in [doc_id]
+   (the maximum individual match score of the term's match list there,
+   without building it), into [r.bounds]; then their upper bound. *)
+let doc_bound r doc_id =
+  for j = 0 to Array.length r.terms - 1 do
+    let tc = r.terms.(j) in
+    r.bounds.(j) <- 0.;
+    for i = 0 to Array.length tc.forms - 1 do
+      if
+        Pj_index.Posting_list.current_doc tc.forms.(i) = doc_id
+        && tc.scores.(i) > r.bounds.(j)
+      then r.bounds.(j) <- tc.scores.(i)
+    done
+  done;
+  Pj_core.Scoring.upper_bound r.scoring r.bounds
+
 (* Could solving [doc_id] change the heap? The proximity-free
    [Scoring.upper_bound] over the forms present in the document, checked
    before any match list is built. Raises [Early_stop] once even the
@@ -360,14 +373,10 @@ let next_candidate r start =
    hits whose doc ids may be smaller than this fragment's candidates, so
    a tied bound could still win the global tiebreak. *)
 let worth_solving r doc_id =
-  let doc_bound () =
-    Array.iteri (fun j tc -> r.bounds.(j) <- term_best_at tc doc_id) r.terms;
-    Pj_core.Scoring.upper_bound r.scoring r.bounds
-  in
   let tau = shared r in
   if r.global_bound < tau then raise Early_stop;
   if Pj_util.Heap.length r.heap < r.k then
-    tau = Float.neg_infinity || doc_bound () >= tau
+    tau = Float.neg_infinity || doc_bound r doc_id >= tau
   else
     match Pj_util.Heap.peek r.heap with
     | None -> true
@@ -375,12 +384,17 @@ let worth_solving r doc_id =
         (* Candidates arrive in increasing doc id, so a tied bound can
            never win the tiebreak either. *)
         if r.global_bound <= weakest.score then raise Early_stop;
-        let bound = doc_bound () in
+        let bound = doc_bound r doc_id in
         bound >= tau
         && (bound > weakest.score
            || (bound = weakest.score && doc_id < weakest.doc_id))
 
 (* --- solving ------------------------------------------------------------ *)
+
+(* One form's matches at a document: its positions under the form's
+   score and token id (one boxed score shared by every match). *)
+let form_matches ~score ~payload positions =
+  Array.map (fun loc -> { Pj_core.Match0.loc; score; payload }) positions
 
 (* The candidate's match lists, straight off the term cursors: at
    candidate time every essential cursor sits at or past [doc_id], and
@@ -390,26 +404,25 @@ let worth_solving r doc_id =
    for every solved candidate). Non-essential cursors are not driven by
    the alignment; they are dragged up to the candidate first (a no-op
    for a cursor already at or past it). *)
-let problem_at r doc_id =
-  Array.map
-    (fun tc ->
-      Array.iter (fun c -> Pj_index.Posting_list.seek c doc_id) tc.forms;
-      let matches = Pj_util.Vec.create () in
-      Array.iteri
-        (fun i c ->
-          if Pj_index.Posting_list.current_doc c = doc_id then
-            match Pj_index.Posting_list.current c with
-            | None -> ()
-            | Some p ->
-                let score = tc.scores.(i) and payload = tc.payloads.(i) in
-                Array.iter
-                  (fun loc ->
-                    Pj_util.Vec.push matches
-                      (Pj_core.Match0.make ~payload ~loc ~score ()))
-                  p.Pj_index.Posting.positions)
-        tc.forms;
-      Pj_matching.Match_builder.of_form_matches (Pj_util.Vec.to_array matches))
-    r.terms
+let term_matches tc doc_id =
+  let parts = ref [] in
+  for i = Array.length tc.forms - 1 downto 0 do
+    let c = tc.forms.(i) in
+    Pj_index.Posting_list.seek c doc_id;
+    if Pj_index.Posting_list.current_doc c = doc_id then
+      match Pj_index.Posting_list.current c with
+      | None -> ()
+      | Some p ->
+          parts :=
+            form_matches ~score:tc.scores.(i) ~payload:tc.payloads.(i)
+              p.Pj_index.Posting.positions
+            :: !parts
+  done;
+  (* A lone form's positions are already the sorted list. *)
+  Pj_matching.Match_builder.of_form_matches
+    (match !parts with [ one ] -> one | parts -> Array.concat parts)
+
+let problem_at r doc_id = Array.map (fun tc -> term_matches tc doc_id) r.terms
 
 (* Once this fragment holds k hits, its weakest score is a lower bound
    on the *global* k-th score (a subset's k-th best never exceeds the

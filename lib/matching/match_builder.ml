@@ -28,25 +28,44 @@ let scan vocab (doc : Pj_text.Document.t) (q : Query.t) =
   Array.map Pj_util.Vec.to_array lists
 
 let of_form_matches arr =
-  (* Several expansion forms can share a location only if two distinct
-     lexicon forms intern to the same token, which the vocabulary
-     forbids; still, sort defensively and keep one match per location
-     (the best-scoring). *)
-  Array.sort
-    (fun a b ->
-      let c = compare a.Pj_core.Match0.loc b.Pj_core.Match0.loc in
-      if c <> 0 then c
-      else compare b.Pj_core.Match0.score a.Pj_core.Match0.score)
-    arr;
-  let out = Pj_util.Vec.create () in
-  Array.iter
-    (fun m ->
-      if
-        Pj_util.Vec.is_empty out
-        || (Pj_util.Vec.last out).Pj_core.Match0.loc <> m.Pj_core.Match0.loc
-      then Pj_util.Vec.push out m)
-    arr;
-  Pj_core.Match_list.of_unsorted (Pj_util.Vec.to_array out)
+  let n = Array.length arr in
+  let in_order = ref true in
+  for i = 1 to n - 1 do
+    if arr.(i - 1).Pj_core.Match0.loc >= arr.(i).Pj_core.Match0.loc then
+      in_order := false
+  done;
+  (* One form's positions arrive strictly increasing: nothing to sort
+     or drop, so the array is the list. *)
+  if !in_order then arr
+  else begin
+    (* Several expansion forms can share a location only if two
+       distinct lexicon forms intern to the same token, which the
+       vocabulary forbids; still, keep one match per location (the
+       best-scoring). *)
+    Array.sort
+      (fun a b ->
+        let c = compare a.Pj_core.Match0.loc b.Pj_core.Match0.loc in
+        if c <> 0 then c
+        else compare b.Pj_core.Match0.score a.Pj_core.Match0.score)
+      arr;
+    let kept = ref 1 in
+    for i = 1 to n - 1 do
+      if arr.(i).Pj_core.Match0.loc <> arr.(i - 1).Pj_core.Match0.loc then
+        incr kept
+    done;
+    if !kept = n then arr
+    else begin
+      let out = Array.make !kept arr.(0) and k = ref 1 in
+      for i = 1 to n - 1 do
+        if arr.(i).Pj_core.Match0.loc <> arr.(i - 1).Pj_core.Match0.loc
+        then begin
+          out.(!k) <- arr.(i);
+          incr k
+        end
+      done;
+      out
+    end
+  end
 
 let from_index idx ~doc_id (q : Query.t) =
   let vocab = Pj_index.Corpus.vocab (Pj_index.Inverted_index.corpus idx) in

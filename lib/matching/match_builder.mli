@@ -23,7 +23,10 @@ val scan :
 val of_form_matches : Pj_core.Match0.t array -> Pj_core.Match_list.t
 (** Finalize one term's match list from per-expansion-form matches
     collected in arbitrary order: sort by location (best score first
-    within a location), keep one match per location, build the list.
+    within a location) and keep one match per location. The array is
+    adopted, and sorted in place when needed: input already in strictly
+    increasing location order — always the case for a single form's
+    positions — is returned as it is, with no sort or copy.
     Shared by [from_index] and by consumers that harvest positions
     straight off posting-list cursors (the DAAT searcher, which at
     candidate time already holds every form cursor positioned on the

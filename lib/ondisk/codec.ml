@@ -83,7 +83,10 @@ type state = {
   nb : int;
   mutable block : int;  (* current block; [nb] once exhausted *)
   mutable remaining : int;  (* postings after the current one in this block *)
-  mutable off : int;  (* absolute offset of the next unread posting *)
+  off : int ref;
+      (* absolute offset of the next unread posting: the scan offset
+         [Layout.read_varint] advances, one cell per cursor rather than
+         one per posting read *)
   mutable doc : int;  (* current doc id; -1 exhausted *)
   mutable qscore : int;
   mutable tf : int;
@@ -91,20 +94,17 @@ type state = {
 }
 
 (* Decode the posting at [c.off] into the cursor fields; positions are
-   only located (their offset recorded), not decoded. *)
+   only located (their offset recorded) and skipped, not decoded. *)
 let read_posting c =
-  let pos = ref c.off in
-  let delta = Layout.read_varint c.r.buf ~pos in
+  let buf = c.r.buf and pos = c.off in
+  let delta = Layout.read_varint buf ~pos in
   if delta <= 0 then failwith "Ondisk: corrupt posting block (zero doc delta)";
   c.doc <- c.doc + delta;
-  c.qscore <- Layout.u8 c.r.buf !pos;
+  c.qscore <- Layout.u8 buf !pos;
   incr pos;
-  c.tf <- Layout.read_varint c.r.buf ~pos;
+  c.tf <- Layout.read_varint buf ~pos;
   c.pos_off <- !pos;
-  for _ = 1 to c.tf do
-    ignore (Layout.read_varint c.r.buf ~pos)
-  done;
-  c.off <- !pos;
+  Layout.skip_varints buf ~pos c.tf;
   c.remaining <- c.remaining - 1
 
 let exhaust c =
@@ -117,7 +117,7 @@ let enter_block c b =
   if b >= c.nb then exhaust c
   else begin
     c.block <- b;
-    c.off <- blocks_start c.r + skip_off c.r b;
+    c.off := blocks_start c.r + skip_off c.r b;
     c.remaining <- block_doc_count c.r b;
     c.doc <- (if b = 0 then c.r.base - 1 else skip_last c.r (b - 1));
     read_posting c
@@ -130,7 +130,7 @@ let state_create r =
       nb = n_blocks ~df:r.df;
       block = 0;
       remaining = 0;
-      off = 0;
+      off = ref 0;
       doc = -1;
       qscore = 0;
       tf = 0;
@@ -146,11 +146,12 @@ let state_next c =
 
 let state_positions c =
   let pos = ref c.pos_off in
-  let prev = ref (-1) in
-  Array.init c.tf (fun _ ->
-      let p = !prev + Layout.read_varint c.r.buf ~pos in
-      prev := p;
-      p)
+  let a = Array.make c.tf 0 and prev = ref (-1) in
+  for i = 0 to c.tf - 1 do
+    prev := !prev + Layout.read_varint c.r.buf ~pos;
+    a.(i) <- !prev
+  done;
+  a
 
 let state_current c =
   if c.doc < 0 then None
@@ -317,7 +318,7 @@ let blob_length r =
     while c.remaining > 0 do
       read_posting c
     done;
-    c.off - r.blob
+    !(c.off) - r.blob
   end
 
 let last_doc r = skip_last r (n_blocks ~df:r.df - 1)
@@ -362,5 +363,5 @@ let check_blob r =
       failwith
         (Printf.sprintf "Ondisk: block %d max impact %d above skip ceiling %d"
            b !seen_max qmax);
-    expected_off := c.off - blocks_start r
+    expected_off := !(c.off) - blocks_start r
   done

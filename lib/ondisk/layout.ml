@@ -28,10 +28,16 @@ let u8 b pos =
   check b pos 1 "byte";
   Char.code (Bigarray.Array1.unsafe_get b pos)
 
+(* Byte [pos] of an already bounds-checked range. *)
+let byte b pos = Char.code (Bigarray.Array1.unsafe_get b pos)
+
+(* No local closure: skip-table probes call this on every seek. *)
 let u32le b pos =
   check b pos 4 "u32";
-  let g i = Char.code (Bigarray.Array1.unsafe_get b (pos + i)) in
-  g 0 lor (g 1 lsl 8) lor (g 2 lsl 16) lor (g 3 lsl 24)
+  byte b pos
+  lor (byte b (pos + 1) lsl 8)
+  lor (byte b (pos + 2) lsl 16)
+  lor (byte b (pos + 3) lsl 24)
 
 let u64le b pos =
   check b pos 8 "u64";
@@ -52,6 +58,25 @@ let read_varint b ~pos =
     if byte land 0x80 = 0 then continue := false
   done;
   !value
+
+(* The same limits as [read_varint] (a truncated varint, one longer
+   than 9 bytes), found by counting terminator bytes instead of
+   decoding the values. *)
+let skip_varints b ~pos count =
+  let len = length b in
+  let p = ref !pos and left = ref count and run = ref 0 in
+  while !left > 0 do
+    if !p >= len then failwith "Ondisk: truncated varint";
+    if !run > 8 then failwith "Ondisk: varint overflow";
+    let v = byte b !p in
+    incr p;
+    if v land 0x80 = 0 then begin
+      decr left;
+      run := 0
+    end
+    else incr run
+  done;
+  pos := !p
 
 let sub_string b ~pos ~len =
   check b pos len "string";

@@ -38,6 +38,12 @@ val read_varint : buf -> pos:int ref -> int
     [Pj_index.Storage.read_varint]. Raises [Failure] on truncation or
     overflow. *)
 
+val skip_varints : buf -> pos:int ref -> int -> unit
+(** [skip_varints b ~pos n] advances [!pos] past [n] LEB128 varints
+    without decoding them — by counting terminator bytes. Raises the
+    same [Failure]s as {!read_varint}: on truncation, and on a varint
+    longer than 9 bytes. *)
+
 val sub_string : buf -> pos:int -> len:int -> string
 (** Copy a range onto the heap (for vocabulary words). *)
 

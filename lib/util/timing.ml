@@ -1,6 +1,6 @@
-let now () = Unix.gettimeofday ()
-
-external monotonic_now : unit -> float = "pj_monotonic_now"
+external monotonic_now : unit -> (float[@unboxed])
+  = "pj_monotonic_now_byte" "pj_monotonic_now"
+[@@noalloc]
 
 let time f =
   let t0 = monotonic_now () in

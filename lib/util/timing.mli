@@ -5,18 +5,16 @@
     variation over repetitions; this module provides exactly that
     protocol. *)
 
-val now : unit -> float
-(** Wall clock in seconds since the epoch ([Unix.gettimeofday]).
-    Subject to NTP steps; use only for timestamps, never for deadlines
-    or elapsed-time measurement. *)
-
-val monotonic_now : unit -> float
+external monotonic_now : unit -> (float[@unboxed])
+  = "pj_monotonic_now_byte" "pj_monotonic_now"
+[@@noalloc]
 (** Monotonic clock in seconds from an arbitrary origin
     ([CLOCK_MONOTONIC]). Immune to wall-clock adjustments — the time
     source for per-query deadlines ([Pj_engine.Searcher.search_within],
     the server's deadline bookkeeping) and for all elapsed-time
     measurement in this module. Values are only comparable within one
-    process. *)
+    process. Allocates nothing in native code (an unboxed, [noalloc]
+    external), so a deadline check costs one clock read. *)
 
 val time : (unit -> 'a) -> 'a * float
 (** Run a thunk and return its result together with the elapsed seconds

@@ -36,6 +36,37 @@ let test_no_duplicates_single_invocation () =
   let _, stats = Dedup.best_valid (Win.best w) p in
   Alcotest.(check int) "single run" 1 stats.Dedup.invocations
 
+(* The same property over random problems: once no location is shared
+   between lists, every matchset is valid, so [best_valid] must be the
+   raw solver's answer — same matchset, same score bits — from a single
+   solve. Locations are spread apart per list ([loc * n + j]) so the
+   generated lists never collide. *)
+let disjoint_lists (p : Match_list.problem) =
+  let n = Array.length p in
+  Array.mapi
+    (fun j l ->
+      Array.map (fun x -> { x with Match0.loc = (x.Match0.loc * n) + j }) l)
+    p
+
+let single_invocation_on_disjoint solver name =
+  Gen.qtest ~count:300
+    ~name:(Printf.sprintf "dedup(%s) solves once on disjoint locations" name)
+    (Gen.problem_arb ~min_terms:1 ~max_terms:4 ())
+    (fun p ->
+      let p = disjoint_lists p in
+      let raw = solver p in
+      let got, stats = Dedup.best_valid solver p in
+      stats.Dedup.invocations = 1
+      &&
+      match (raw, got) with
+      | None, None -> true
+      | Some a, Some b ->
+          a.Naive.matchset = b.Naive.matchset
+          && Int64.equal
+               (Int64.bits_of_float a.Naive.score)
+               (Int64.bits_of_float b.Naive.score)
+      | Some _, None | None, Some _ -> false)
+
 let test_no_valid_matchset () =
   (* Both lists contain only the same single token. *)
   let w = Scoring.win_linear in
@@ -63,6 +94,9 @@ let suite =
   [
     ("dedup: china example (Sec VI)", `Quick, test_china_example);
     ("dedup: clean input needs one run", `Quick, test_no_duplicates_single_invocation);
+    single_invocation_on_disjoint (Win.best win) "WIN";
+    single_invocation_on_disjoint (Med.best med) "MED";
+    single_invocation_on_disjoint (Max_join.best max) "MAX";
     ("dedup: no valid matchset", `Quick, test_no_valid_matchset);
     dedup_exact (Scoring.Win win) (Win.best win) "WIN";
     dedup_exact (Scoring.Med med) (Med.best med) "MED";

@@ -10,4 +10,5 @@ let () =
       ("daat_oracle", Test_daat_oracle.suite);
       ("blockmax_oracle", Test_blockmax_oracle.suite);
       ("snippet", Test_snippet.suite);
+      ("answers_golden", Test_answers_golden.suite);
     ]

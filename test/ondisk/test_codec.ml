@@ -391,6 +391,94 @@ let check_blob_accepts =
          Codec.check_blob (reader_of posts);
          true))
 
+(* --- hot-path allocation and corrupt position runs ------------------ *)
+
+(* Walking a cursor reads postings and skip entries in place: no heap
+   cell per posting or per skip probe. Only the cursor itself (its state
+   and closures) may allocate, so the budget is a constant however many
+   postings and blocks are crossed. *)
+let test_cursor_walk_noalloc () =
+  let n = 2_000 in
+  let posts =
+    Array.init n (fun i ->
+        Pj_index.Posting.of_sorted ~doc_id:(i * 300)
+          ~positions:(Array.init (1 + (i mod 4)) (fun k -> (k * 200) + i)))
+  in
+  let r = reader_of posts in
+  let budget = 100. in
+  let w0 = Gc.minor_words () in
+  let c = Codec.cursor r in
+  let walked = ref 0 in
+  while Pj_index.Posting_list.current_doc c >= 0 do
+    incr walked;
+    Pj_index.Posting_list.next c
+  done;
+  let walk_words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "walked every posting" n !walked;
+  let w0 = Gc.minor_words () in
+  let c = Codec.cursor r in
+  let target = ref 0 and landed = ref 0 in
+  while Pj_index.Posting_list.current_doc c >= 0 do
+    (* within-block steps and multi-block leaps through the skip table *)
+    target := !target + if !landed mod 8 = 7 then 60_000 else 700;
+    Pj_index.Posting_list.seek c !target;
+    incr landed
+  done;
+  let seek_words = Gc.minor_words () -. w0 in
+  if walk_words > budget || seek_words > budget then
+    Alcotest.failf "allocated %.0f words walking, %.0f seeking (budget %.0f)"
+      walk_words seek_words budget
+
+(* A one-block blob by hand: the skip entry (last doc, offset 0, qmax)
+   followed by the raw block bytes. *)
+let blob ~last bytes =
+  let b = Buffer.create 32 in
+  Buffer.add_int32_le b (Int32.of_int last);
+  Buffer.add_int32_le b 0l;
+  Buffer.add_char b '\xff';
+  List.iter (fun byte -> Buffer.add_char b (Char.chr byte)) bytes;
+  Buffer.contents b
+
+let corrupt_blobs =
+  [
+    (* doc 0, tf 2: the last position varint is cut off by the end of
+       the blob *)
+    ("unterminated last position", 1,
+     blob ~last:0 [ 0x01; 0x80; 0x02; 0x05; 0x83 ]);
+    (* doc 0, tf 1: one position varint of 10 bytes *)
+    ("10-byte position varint", 1,
+     blob ~last:0
+       ([ 0x01; 0x80; 0x01 ] @ List.init 9 (fun _ -> 0x80) @ [ 0x01 ]));
+    (* three docs; the second one's last position never terminates and
+       runs through the third posting to the end of the blob *)
+    ("unterminated mid-block position", 3,
+     blob ~last:2
+       [ 0x01; 0x80; 0x01; 0x04; 0x01; 0x80; 0x02; 0x03; 0x85; 0x81; 0x80;
+         0x81; 0x82 ]);
+  ]
+
+let ondisk_failure f =
+  match f () with
+  | () -> None
+  | exception Failure msg when String.starts_with ~prefix:"Ondisk: " msg ->
+      Some msg
+
+let test_corrupt_position_runs () =
+  List.iter
+    (fun (name, df, bytes) ->
+      let r = { Codec.buf = Layout.of_string bytes; blob = 0; df; base = 0 } in
+      let walk () =
+        let c = Codec.cursor r in
+        while Pj_index.Posting_list.current_doc c >= 0 do
+          Pj_index.Posting_list.next c
+        done
+      in
+      if ondisk_failure walk = None then
+        Alcotest.failf "%s: cursor walk did not fail" name;
+      if ondisk_failure (fun () -> ignore (Codec.decode r)) = None then
+        Alcotest.failf "%s: decode did not fail" name)
+    corrupt_blobs
+
 let suite =
   [
     roundtrip;
@@ -411,4 +499,7 @@ let suite =
     range_cursor_agrees;
     range_block_max_admissible;
     check_blob_accepts;
+    ("codec: cursor walk allocates nothing per posting", `Quick,
+     test_cursor_walk_noalloc);
+    ("codec: corrupt position run fails", `Quick, test_corrupt_position_runs);
   ]

@@ -16,9 +16,26 @@ let test_pp () =
   let s = Format.asprintf "%a" Timing.pp_measurement m in
   Alcotest.(check bool) "renders" true (String.length s > 0)
 
+(* The deadline clock sits on the search hot path: reading it must not
+   allocate (an unboxed [noalloc] external, not a boxed float per call),
+   and it must never run backwards. *)
+let test_monotonic_now_noalloc () =
+  let prev = ref (Timing.monotonic_now ()) and ok = ref true in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    let t = Timing.monotonic_now () in
+    if t < !prev then ok := false;
+    prev := t
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.)) "minor words over 10k calls" 0. words;
+  Alcotest.(check bool) "never decreases" true !ok
+
 let suite =
   [
     ("timing: time", `Quick, test_time_returns_result);
     ("timing: measure", `Quick, test_measure);
     ("timing: pp", `Quick, test_pp);
+    ("timing: monotonic_now allocates nothing", `Quick,
+     test_monotonic_now_noalloc);
   ]

@@ -3,8 +3,8 @@
    --quick shrinks both):
 
    - on-disk footprint: the v4 file and its postings section vs the
-     legacy v3 index file and vs the postings' in-memory array
-     footprint — the compression ratios the format exists for.
+     postings' in-memory array footprint — the compression ratio the
+     format exists for.
    - open time: [Mapped_index.open_file] reads one fixed trailer plus
      the vocabulary, so opening is O(1) in documents and postings —
      averaged over repeated opens, reported in milliseconds.
@@ -76,7 +76,6 @@ let observe sr =
 
 type scale_result = {
   sc_docs : int;
-  sc_v3_bytes : int;
   sc_v4_bytes : int;
   sc_postings_bytes : int;
   sc_mem_postings_bytes : int;
@@ -98,17 +97,11 @@ let run_scale ~n_docs ~searches =
   let t0 = Pj_util.Timing.monotonic_now () in
   let idx = Pj_index.Inverted_index.build corpus in
   let build_s = Pj_util.Timing.monotonic_now () -. t0 in
-  let v3_path = Filename.temp_file "pj_storage_bench" ".pjix" in
   let v4_path = Filename.temp_file "pj_storage_bench" ".pjx4" in
   Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ v3_path; v4_path ])
+    ~finally:(fun () -> try Sys.remove v4_path with Sys_error _ -> ())
     (fun () ->
-      Pj_reference.Legacy_storage.save idx v3_path;
       Pj_ondisk.Writer.write idx v4_path;
-      let v3_bytes = (Unix.stat v3_path).Unix.st_size in
       let v4_bytes = (Unix.stat v4_path).Unix.st_size in
       (* --- open time: repeated full opens, averaged ------------------ *)
       let opens = 100 in
@@ -140,11 +133,10 @@ let run_scale ~n_docs ~searches =
       Runs.print_header
         (Printf.sprintf "bench-storage: %d docs (index build %.2f s)" n_docs
            build_s)
-        [ "v3 file"; "v4 file"; "postings"; "in-mem"; "open" ]
+        [ "v4 file"; "postings"; "in-mem"; "open" ]
       ;
       Runs.print_row "footprint"
         [
-          Printf.sprintf "%d B" v3_bytes;
           Printf.sprintf "%d B" v4_bytes;
           Printf.sprintf "%d B" info.Pj_ondisk.Mapped_index.postings_bytes;
           Printf.sprintf "%d B" info.Pj_ondisk.Mapped_index.mem_postings_bytes;
@@ -166,7 +158,6 @@ let run_scale ~n_docs ~searches =
         ];
       {
         sc_docs = n_docs;
-        sc_v3_bytes = v3_bytes;
         sc_v4_bytes = v4_bytes;
         sc_postings_bytes = info.Pj_ondisk.Mapped_index.postings_bytes;
         sc_mem_postings_bytes =
@@ -184,11 +175,9 @@ let json_of_scale r =
   Printf.sprintf
     "    {\n\
     \      \"docs\": %d,\n\
-    \      \"v3_file_bytes\": %d,\n\
     \      \"v4_file_bytes\": %d,\n\
     \      \"v4_postings_bytes\": %d,\n\
     \      \"mem_postings_bytes\": %d,\n\
-    \      \"file_bytes_v3_over_v4\": %.3f,\n\
     \      \"postings_mem_over_disk\": %.3f,\n\
     \      \"open_ms\": %.6f,\n\
     \      \"rss_delta_mmap_kb\": %d,\n\
@@ -199,9 +188,7 @@ let json_of_scale r =
     \      \"mmap_p99_ms\": %.6f,\n\
     \      \"mmap_p99_over_mem_p99\": %.3f\n\
     \    }"
-    r.sc_docs r.sc_v3_bytes r.sc_v4_bytes r.sc_postings_bytes
-    r.sc_mem_postings_bytes
-    (float_of_int r.sc_v3_bytes /. float_of_int r.sc_v4_bytes)
+    r.sc_docs r.sc_v4_bytes r.sc_postings_bytes r.sc_mem_postings_bytes
     (float_of_int r.sc_mem_postings_bytes /. float_of_int r.sc_postings_bytes)
     r.sc_open_ms r.sc_rss_mmap_kb r.sc_rss_mem_kb r.sc_mem_p50 r.sc_mem_p99
     r.sc_mmap_p50 r.sc_mmap_p99

@@ -10,7 +10,42 @@
    grammar of Pj_matching.Query_parser (wordnet:X, stem:X, exact:X,
    date, place, city, country, year, and |-disjunctions). *)
 
+(* The first four bytes of a file; "" for a pipe, which has no length
+   and whose bytes a peek would consume. *)
+let sniff_magic path =
+  In_channel.with_open_bin path (fun ic ->
+      match in_channel_length ic with
+      | len -> really_input_string ic (Stdlib.min 4 len)
+      | exception Sys_error _ -> "")
+
+(* The magics of proxjoin's own binary files, with what each is and
+   what to do with it instead: read as text, any of them would index
+   its bytes as garbage documents. *)
+let binary_formats =
+  [
+    ("PJX4", "v4 index", "serve it with serve --index");
+    ( "PJIX",
+      "legacy v1-v3 corpus",
+      "v1-v3 files are no longer read: rebuild the index from its \
+       documents, or compact it to v4 with an earlier release that still \
+       reads v1-v3" );
+    ( "PJSG",
+      "legacy live segment",
+      "pre-v4 segments are no longer read: rebuild the live directory \
+       from its documents" );
+    ("PJMF", "live index manifest", "serve its directory with --live-dir");
+    ("PJWL", "live index write-ahead log", "serve its directory with --live-dir");
+  ]
+
 let read_documents path =
+  let magic = sniff_magic path in
+  List.iter
+    (fun (m, what, advice) ->
+      if m = magic then
+        failwith
+          (Printf.sprintf "%s is a proxjoin %s file (%s), not documents; %s"
+             path what m advice))
+    binary_formats;
   let ic = open_in path in
   let docs = ref [] and current = Buffer.create 256 in
   let flush () =
@@ -269,14 +304,6 @@ let run_ask file question k =
 
 (* --- compact / inspect: the v4 mmap-servable on-disk format ------------ *)
 
-let sniff_magic path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = Stdlib.min 4 (in_channel_length ic) in
-      really_input_string ic n)
-
 let balanced_counts ~shards n =
   let shards = Stdlib.max 1 shards in
   let base = n / shards and extra = n mod shards in
@@ -369,23 +396,15 @@ let run_inspect path deep =
 
 (* --- serve: hold the index hot behind a TCP protocol ------------------- *)
 
-(* Compact any corpus source — raw blank-line-separated documents, a
-   legacy v1..v3 index file, or an existing v4 file — into a fresh v4
-   file. Raw text is stemmed exactly as [serve]/[isearch] stem their
-   corpora, so a compacted file answers the same queries. *)
+(* Compact a corpus source — raw blank-line-separated documents or an
+   existing v4 file — into a fresh v4 file. Raw text is stemmed exactly
+   as [serve]/[isearch] stem their corpora, so a compacted file answers
+   the same queries. Any other proxjoin file is refused by
+   [read_documents] before DST is touched. *)
 let run_compact src dst shards =
   let t0 = Pj_util.Timing.monotonic_now () in
   let source, idx, counts =
     match sniff_magic src with
-    | "PJIX" ->
-        let sharded = Pj_index.Storage.load_sharded src in
-        let corpus = Pj_index.Sharded_index.corpus sharded in
-        let counts =
-          match shards with
-          | Some s -> balanced_counts ~shards:s (Pj_index.Corpus.size corpus)
-          | None -> Pj_index.Sharded_index.counts sharded
-        in
-        ("legacy index", Pj_index.Inverted_index.build corpus, counts)
     | "PJX4" ->
         let mapped = Pj_ondisk.Mapped_index.open_file src in
         let corpus = Pj_ondisk.Mapped_index.corpus mapped in
@@ -1156,8 +1175,9 @@ let compact_cmd =
       required & pos 0 (some file) None
       & info [] ~docv:"SRC"
           ~doc:
-            "Source: raw documents separated by blank lines, a legacy \
-             v1..v3 index file, or an existing v4 file.")
+            "Source: raw documents separated by blank lines, or an \
+             existing v4 file. Legacy v1..v3 corpus files are no longer \
+             read; rebuild them from their documents.")
   in
   let dst =
     Arg.(

@@ -23,9 +23,9 @@ let encode buf t =
   if String.length t.payload > max_body_bytes then
     invalid_arg "Frame.encode: payload exceeds max_body_bytes";
   let body = Buffer.create (String.length t.payload + 8) in
-  Pj_index.Storage.write_varint body t.id;
-  Pj_index.Storage.write_varint body (tag_of_kind t.kind);
-  Pj_index.Storage.write_string body t.payload;
+  Pj_util.Bytecodec.write_varint body t.id;
+  Pj_util.Bytecodec.write_varint body (tag_of_kind t.kind);
+  Pj_util.Bytecodec.write_string body t.payload;
   let body = Buffer.contents body in
   Buffer.add_char buf magic_byte;
   Buffer.add_string buf "PJ";
@@ -35,7 +35,7 @@ let encode buf t =
   Buffer.add_bytes buf len;
   Buffer.add_string buf body;
   let crc = Bytes.create 4 in
-  Bytes.set_int32_be crc 0 (Pj_index.Storage.crc32 body);
+  Bytes.set_int32_be crc 0 (Pj_util.Bytecodec.crc32 body);
   Buffer.add_bytes buf crc
 
 let to_string t =
@@ -72,15 +72,15 @@ let decode ?(max_body = max_body_bytes) s ~pos =
       else begin
         let body_start = p + header_bytes in
         let stored = String.get_int32_be s (body_start + len) in
-        let computed = Pj_index.Storage.crc32 ~pos:body_start ~len s in
+        let computed = Pj_util.Bytecodec.crc32 ~pos:body_start ~len s in
         if stored <> computed then Error (Corrupt "CRC mismatch")
         else begin
           match
             let body = String.sub s body_start len in
             let bpos = ref 0 in
-            let id = Pj_index.Storage.read_varint body ~pos:bpos in
-            let tag = Pj_index.Storage.read_varint body ~pos:bpos in
-            let payload = Pj_index.Storage.read_string body ~pos:bpos in
+            let id = Pj_util.Bytecodec.read_varint body ~pos:bpos in
+            let tag = Pj_util.Bytecodec.read_varint body ~pos:bpos in
+            let payload = Pj_util.Bytecodec.read_string body ~pos:bpos in
             (id, tag, payload, !bpos)
           with
           | exception Failure _ -> Error (Corrupt "bad frame body")

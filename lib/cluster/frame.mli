@@ -10,13 +10,13 @@
     3       1     version (currently 1)
     4       4     body length, signed 32-bit big-endian
     8       n     body: varint request id, varint kind,
-                  length-prefixed payload (Storage string codec)
+                  length-prefixed payload (Bytecodec string)
     8+n     4     CRC-32 of the body, big-endian
     v}
 
-    The body reuses {!Pj_index.Storage}'s LEB128 varint and
+    The body reuses {!Pj_util.Bytecodec}'s LEB128 varint and
     length-prefixed string primitives, so every proxjoin binary
-    format — on-disk corpus, WAL records, wire frames — shares one
+    format — on-disk index, WAL records, wire frames — shares one
     integer encoding. The payload of a [Request] is exactly one text
     protocol request line (without the newline), and the payload of a
     [Response] is the corresponding response line: the binary protocol

@@ -21,7 +21,7 @@ val build : shards:int -> Corpus.t -> t
 val build_with_counts : Corpus.t -> int array -> t
 (** Explicit layout: shard [i] holds the next [counts.(i)] documents.
     Raises [Invalid_argument] when [counts] is empty or does not sum to
-    the corpus size. This is how [Storage] reopens a persisted layout. *)
+    the corpus size. *)
 
 val of_prebuilt :
   Corpus.t ->

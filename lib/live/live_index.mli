@@ -37,7 +37,7 @@
     vocabulary and doc ids) and publishes a [MANIFEST] naming every
     segment file with its base and compacted-away ids, the tombstones,
     and the generation — each write is
-    tmp+fsync+rename ({!Pj_index.Storage.write_file_atomic}), so a
+    tmp+fsync+rename ({!Pj_util.Bytecodec.write_file_atomic}), so a
     crash (or an armed [live.flush] / [live.merge] / [live.manifest]
     failpoint) at any moment leaves the previous manifest and segments
     intact. Recovery ({!open_dir}) replays the manifest. Without a

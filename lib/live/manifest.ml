@@ -24,39 +24,39 @@ type t = {
   tombstones : int list; (* deleted-but-not-yet-compacted ids, ascending *)
 }
 
-module Storage = Pj_index.Storage
+module Bytecodec = Pj_util.Bytecodec
 
 let path ~dir = Filename.concat dir filename
 
 let write ~dir t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf magic;
-  Storage.write_varint buf version;
+  Bytecodec.write_varint buf version;
   let payload_start = Buffer.length buf in
-  Storage.write_varint buf t.generation;
-  Storage.write_varint buf (List.length t.vocab);
-  List.iter (Storage.write_string buf) t.vocab;
-  Storage.write_varint buf (List.length t.segments);
+  Bytecodec.write_varint buf t.generation;
+  Bytecodec.write_varint buf (List.length t.vocab);
+  List.iter (Bytecodec.write_string buf) t.vocab;
+  Bytecodec.write_varint buf (List.length t.segments);
   List.iter
     (fun e ->
-      Storage.write_string buf e.file;
-      Storage.write_varint buf e.base;
-      Storage.write_varint buf e.len;
-      Storage.write_varint buf (List.length e.dead);
-      List.iter (Storage.write_varint buf) e.dead)
+      Bytecodec.write_string buf e.file;
+      Bytecodec.write_varint buf e.base;
+      Bytecodec.write_varint buf e.len;
+      Bytecodec.write_varint buf (List.length e.dead);
+      List.iter (Bytecodec.write_varint buf) e.dead)
     t.segments;
-  Storage.write_varint buf (List.length t.tombstones);
-  List.iter (Storage.write_varint buf) t.tombstones;
+  Bytecodec.write_varint buf (List.length t.tombstones);
+  List.iter (Bytecodec.write_varint buf) t.tombstones;
   let contents = Buffer.contents buf in
   let crc =
-    Storage.crc32 ~pos:payload_start
+    Bytecodec.crc32 ~pos:payload_start
       ~len:(String.length contents - payload_start)
       contents
   in
   let footer = Bytes.create 4 in
   Bytes.set_int32_le footer 0 crc;
   Buffer.add_bytes buf footer;
-  Storage.write_file_atomic ~fp_write:"live.manifest"
+  Bytecodec.write_file_atomic ~fp_write:"live.manifest"
     ~fp_rename:"live.manifest" (path ~dir) buf
 
 let parse ~path s =
@@ -64,7 +64,7 @@ let parse ~path s =
   if String.length s < 4 || String.sub s 0 4 <> magic then
     failwith "Live: not a proxjoin manifest";
   pos := 4;
-  let v = Storage.read_varint s ~pos in
+  let v = Bytecodec.read_varint s ~pos in
   if v = 1 then
     failwith
       (Printf.sprintf
@@ -80,7 +80,7 @@ let parse ~path s =
     failwith "Live: truncated manifest (missing CRC footer)";
   let payload_len = String.length s - payload_start - 4 in
   let stored = String.get_int32_le s (payload_start + payload_len) in
-  let computed = Storage.crc32 ~pos:payload_start ~len:payload_len s in
+  let computed = Bytecodec.crc32 ~pos:payload_start ~len:payload_len s in
   if stored <> computed then
     failwith
       (Printf.sprintf
@@ -88,17 +88,17 @@ let parse ~path s =
           truncated or corrupted"
          stored computed);
   let s = String.sub s 0 (payload_start + payload_len) in
-  let generation = Storage.read_varint s ~pos in
-  let n_vocab = Storage.read_varint s ~pos in
-  let vocab = List.init n_vocab (fun _ -> Storage.read_string s ~pos) in
-  let n_segments = Storage.read_varint s ~pos in
+  let generation = Bytecodec.read_varint s ~pos in
+  let n_vocab = Bytecodec.read_varint s ~pos in
+  let vocab = List.init n_vocab (fun _ -> Bytecodec.read_string s ~pos) in
+  let n_segments = Bytecodec.read_varint s ~pos in
   let segments =
     List.init n_segments (fun _ ->
-        let file = Storage.read_string s ~pos in
-        let base = Storage.read_varint s ~pos in
-        let len = Storage.read_varint s ~pos in
-        let n_dead = Storage.read_varint s ~pos in
-        let dead = List.init n_dead (fun _ -> Storage.read_varint s ~pos) in
+        let file = Bytecodec.read_string s ~pos in
+        let base = Bytecodec.read_varint s ~pos in
+        let len = Bytecodec.read_varint s ~pos in
+        let n_dead = Bytecodec.read_varint s ~pos in
+        let dead = List.init n_dead (fun _ -> Bytecodec.read_varint s ~pos) in
         ignore
           (List.fold_left
              (fun prev id ->
@@ -110,8 +110,8 @@ let parse ~path s =
              (-1) dead);
         { file; base; len; dead })
   in
-  let n_tombstones = Storage.read_varint s ~pos in
-  let tombstones = List.init n_tombstones (fun _ -> Storage.read_varint s ~pos) in
+  let n_tombstones = Bytecodec.read_varint s ~pos in
+  let tombstones = List.init n_tombstones (fun _ -> Bytecodec.read_varint s ~pos) in
   if !pos <> String.length s then failwith "Live: trailing bytes in manifest";
   (* Segments must tile [0, total) in order — recovery re-interns
      documents sequentially and depends on it. *)
@@ -133,7 +133,7 @@ let read ~dir =
   let p = path ~dir in
   if not (Sys.file_exists p) then None
   else
-    let s = Storage.read_file p in
+    let s = Bytecodec.read_file p in
     Some
       (try parse ~path:p s with
       | Failure _ as e -> raise e

@@ -2,7 +2,7 @@
    with group-commit fsync and rotation at flush. See wal.mli for the
    format and the recovery argument. *)
 
-module Storage = Pj_index.Storage
+module Bytecodec = Pj_util.Bytecodec
 module Failpoint = Pj_util.Failpoint
 
 let filename = "WAL"
@@ -59,7 +59,7 @@ let fsync_policy_to_string = function
 let header =
   let b = Buffer.create 8 in
   Buffer.add_string b magic;
-  Storage.write_varint b version;
+  Bytecodec.write_varint b version;
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
@@ -74,30 +74,30 @@ let encode_record buf r =
   let payload = Buffer.create 64 in
   (match r with
   | Add { id; tokens } ->
-      Storage.write_varint payload 1;
-      Storage.write_varint payload id;
-      Storage.write_varint payload (Array.length tokens);
-      Array.iter (Storage.write_string payload) tokens
+      Bytecodec.write_varint payload 1;
+      Bytecodec.write_varint payload id;
+      Bytecodec.write_varint payload (Array.length tokens);
+      Array.iter (Bytecodec.write_string payload) tokens
   | Delete id ->
-      Storage.write_varint payload 2;
-      Storage.write_varint payload id);
+      Bytecodec.write_varint payload 2;
+      Bytecodec.write_varint payload id);
   let p = Buffer.contents payload in
   add_u32_le buf (Int32.of_int (String.length p));
   Buffer.add_string buf p;
-  add_u32_le buf (Storage.crc32 p)
+  add_u32_le buf (Bytecodec.crc32 p)
 
 let decode_payload p =
   let pos = ref 0 in
-  let tag = Storage.read_varint p ~pos in
+  let tag = Bytecodec.read_varint p ~pos in
   let r =
     match tag with
     | 1 ->
-        let id = Storage.read_varint p ~pos in
-        let n = Storage.read_varint p ~pos in
+        let id = Bytecodec.read_varint p ~pos in
+        let n = Bytecodec.read_varint p ~pos in
         if n < 0 || n > String.length p then failwith "Wal: token count";
-        let tokens = Array.init n (fun _ -> Storage.read_string p ~pos) in
+        let tokens = Array.init n (fun _ -> Bytecodec.read_string p ~pos) in
         Add { id; tokens }
-    | 2 -> Delete (Storage.read_varint p ~pos)
+    | 2 -> Delete (Bytecodec.read_varint p ~pos)
     | _ -> failwith "Wal: unknown record type"
   in
   if !pos <> String.length p then failwith "Wal: trailing payload bytes";
@@ -123,7 +123,7 @@ let scan s =
       else
         let payload = String.sub s (p + 4) plen in
         let stored = String.get_int32_le s (p + 4 + plen) in
-        if not (Int32.equal stored (Storage.crc32 payload)) then stop := true
+        if not (Int32.equal stored (Bytecodec.crc32 payload)) then stop := true
         else
           match decode_payload payload with
           | r ->
@@ -149,7 +149,7 @@ let fsync t =
 let open_dir ~dir ~fsync_policy =
   let path = Filename.concat dir filename in
   let records, valid_len =
-    match Storage.read_file path with
+    match Bytecodec.read_file path with
     | s ->
         if String.length s < String.length header then ([], -1)
         else if String.sub s 0 (String.length header) <> header then

@@ -40,7 +40,7 @@ let encode out (posts : Pj_index.Posting.t array) =
           invalid_arg "Ondisk.Codec.encode: doc ids not strictly increasing";
         if p.Pj_index.Posting.doc_id > u32_max then
           invalid_arg "Ondisk.Codec.encode: doc id exceeds u32";
-        Pj_index.Storage.write_varint blocks
+        Pj_util.Bytecodec.write_varint blocks
           (p.Pj_index.Posting.doc_id - !prev_doc);
         prev_doc := p.Pj_index.Posting.doc_id;
         let tf = Array.length p.Pj_index.Posting.positions in
@@ -48,10 +48,10 @@ let encode out (posts : Pj_index.Posting.t array) =
         Buffer.add_char blocks (Char.chr (quantize impact));
         let q = quantize_up impact in
         if q > !qmax then qmax := q;
-        Pj_index.Storage.write_varint blocks tf;
+        Pj_util.Bytecodec.write_varint blocks tf;
         let positions = p.Pj_index.Posting.positions in
         for k = 0 to tf - 1 do
-          Pj_index.Storage.write_varint blocks
+          Pj_util.Bytecodec.write_varint blocks
             (positions.(k) - if k = 0 then -1 else positions.(k - 1))
         done
       done;

@@ -82,11 +82,11 @@ let sub_string b ~pos ~len =
   check b pos len "string";
   String.init len (fun i -> Bigarray.Array1.unsafe_get b (pos + i))
 
-(* [Pj_index.Storage.crc32] over a mapped region, so checksumming it
+(* [Pj_util.Bytecodec.crc32] over a mapped region, so checksumming it
    never copies it onto the heap. *)
 let crc32 b ~pos ~len =
   check b pos len "crc range";
-  let table = Pj_index.Storage.crc_table in
+  let table = Pj_util.Bytecodec.crc_table in
   let c = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
     let byte = Char.code (Bigarray.Array1.unsafe_get b i) in

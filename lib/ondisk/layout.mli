@@ -35,7 +35,7 @@ val u64le : buf -> int -> int
 
 val read_varint : buf -> pos:int ref -> int
 (** LEB128 at [!pos], advancing it — same encoding as
-    [Pj_index.Storage.read_varint]. Raises [Failure] on truncation or
+    [Pj_util.Bytecodec.read_varint]. Raises [Failure] on truncation or
     overflow. *)
 
 val skip_varints : buf -> pos:int ref -> int -> unit
@@ -49,5 +49,5 @@ val sub_string : buf -> pos:int -> len:int -> string
 
 val crc32 : buf -> pos:int -> len:int -> int32
 (** Standard CRC-32 (zlib polynomial) of a range — bit-identical to
-    [Pj_index.Storage.crc32] on the same bytes, computed without
+    [Pj_util.Bytecodec.crc32] on the same bytes, computed without
     copying the range to a string. *)

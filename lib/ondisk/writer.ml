@@ -21,14 +21,14 @@ let write_with ?fp_write ?fp_rename ~corpus ~counts ~postings_of path =
   (* Vocabulary: words in id order, so the reader re-interns to the
      same ids. *)
   let vocab_off = Buffer.length buf in
-  Pj_index.Storage.write_varint buf n_words;
+  Pj_util.Bytecodec.write_varint buf n_words;
   for id = 0 to n_words - 1 do
-    Pj_index.Storage.write_string buf (Pj_text.Vocab.word vocab id)
+    Pj_util.Bytecodec.write_string buf (Pj_text.Vocab.word vocab id)
   done;
-  (* Shard layout: contiguous doc-id range sizes, as in format v3. *)
+  (* Shard layout: contiguous doc-id range sizes. *)
   let layout_off = Buffer.length buf in
-  Pj_index.Storage.write_varint buf (Array.length counts);
-  Array.iter (Pj_index.Storage.write_varint buf) counts;
+  Pj_util.Bytecodec.write_varint buf (Array.length counts);
+  Array.iter (Pj_util.Bytecodec.write_varint buf) counts;
   (* Documents: a fixed-width offset index (random access by doc id in
      one u64 read), then the varint token runs. *)
   let doc_index_off = Buffer.length buf in
@@ -40,8 +40,8 @@ let write_with ?fp_write ?fp_rename ~corpus ~counts ~postings_of path =
     let d = Pj_index.Corpus.document corpus i in
     let len = Pj_text.Document.length d in
     total_tokens := !total_tokens + len;
-    Pj_index.Storage.write_varint docs len;
-    Array.iter (Pj_index.Storage.write_varint docs) d.Pj_text.Document.tokens
+    Pj_util.Bytecodec.write_varint docs len;
+    Array.iter (Pj_util.Bytecodec.write_varint docs) d.Pj_text.Document.tokens
   done;
   Buffer.add_buffer buf docs;
   (* Term dictionary (fixed-width: u64 blob offset + u32 df per token
@@ -88,7 +88,7 @@ let write_with ?fp_write ?fp_rename ~corpus ~counts ~postings_of path =
     ];
   let contents = Buffer.contents buf in
   let crc =
-    Pj_index.Storage.crc32 ~pos:File_format.header_size
+    Pj_util.Bytecodec.crc32 ~pos:File_format.header_size
       ~len:(String.length contents - File_format.header_size)
       contents
   in
@@ -96,7 +96,7 @@ let write_with ?fp_write ?fp_rename ~corpus ~counts ~postings_of path =
   Bytes.set_int32_le footer 0 crc;
   Buffer.add_bytes buf footer;
   Buffer.add_string buf File_format.end_magic;
-  Pj_index.Storage.write_file_atomic ?fp_write ?fp_rename path buf
+  Pj_util.Bytecodec.write_file_atomic ?fp_write ?fp_rename path buf
 
 let write ?fp_write ?fp_rename ?counts idx path =
   let corpus = Pj_index.Inverted_index.corpus idx in

@@ -4,7 +4,7 @@
     block-compressed postings in the mmap-servable v4 format (see
     [Format] / DESIGN.md §11). The write is crash-safe — bytes land in
     [path.tmp], are fsynced and atomically renamed over [path]
-    ([Pj_index.Storage.write_file_atomic]). The caller names the
+    ([Pj_util.Bytecodec.write_file_atomic]). The caller names the
     failpoint sites hit before the write ([fp_write]) and the rename
     ([fp_rename]): [compact] passes ["ondisk.save.write"] /
     ["ondisk.save.rename"], a live flush or merge [live.flush] /

@@ -1,7 +1,7 @@
 (** Deterministic fault injection for robustness testing.
 
     A {e failpoint} is a named site compiled into production code —
-    [Failpoint.hit "storage.save"] — that does nothing until a rule is
+    [Failpoint.hit "live.flush"] — that does nothing until a rule is
     armed for it, and then injects one of three faults:
 
     - [Fail]: raise {!Injected} (an "expected" error a layer should
@@ -21,13 +21,13 @@
        site    ::= exact name, or a prefix ending in "*" ]}
 
     e.g. [PROXJOIN_FAILPOINTS='shard.0=error,worker.job=panic@0.05,
-    storage.save=delay:250'].
+    live.flush=delay:250'].
 
-    Sites wired into serving code: [storage.load],
-    [ondisk.save.write], [ondisk.save.rename], [shard.N] (per
-    scatter-gather leg), [worker.job], [server.conn], [live.flush],
-    [live.merge], [live.manifest], [live.wal.append],
-    [live.wal.fsync], [live.wal.rotate], and the router tier's
+    Sites wired into serving code: [ondisk.save.write],
+    [ondisk.save.rename], [shard.N] (per scatter-gather leg),
+    [worker.job], [server.conn], [live.flush], [live.merge],
+    [live.manifest], [live.wal.append], [live.wal.fsync],
+    [live.wal.rotate], and the router tier's
     [router.connect] (before every backend (re)connect),
     [router.leg.N] (before leg [N]'s scatter submit) and
     [router.retry] (before each failover attempt to a replica).

@@ -389,6 +389,20 @@ let test_hostile_binary_input () =
           Bytes.set s last (Char.chr (Char.code (Bytes.get s last) lxor 0xff));
           output_bytes conn.oc s;
           flush conn.oc);
+      let parse_errors () =
+        let conn = connect (Server.port server) in
+        Fun.protect
+          ~finally:(fun () -> close conn)
+          (fun () -> int_field (request conn "STATS") "parse_errors")
+      in
+      let before = parse_errors () in
+      expect_fatal "overflowing payload length" (fun conn ->
+          let overflow = String.make 8 '\xff' ^ "\x7f" in
+          output_string conn.oc
+            (Test_frame.with_body ("\x05\x01" ^ overflow ^ "PING"));
+          flush conn.oc);
+      Alcotest.(check int) "overflowing payload length: one parse error"
+        (before + 1) (parse_errors ());
       (* All that abuse was per-connection. *)
       let conn = connect (Server.port server) in
       Fun.protect

@@ -68,6 +68,21 @@ let test_stream_roundtrip () =
 
 let is_error = function Error _ -> true | Ok _ -> false
 
+(* A well-framed, CRC-valid frame around an arbitrary body. *)
+let with_body body =
+  let b =
+    Bytes.create (Frame.header_bytes + String.length body + Frame.trailer_bytes)
+  in
+  Bytes.set b 0 Frame.magic_byte;
+  Bytes.blit_string "PJ" 0 b 1 2;
+  Bytes.set b 3 (Char.chr Frame.version);
+  Bytes.set_int32_be b 4 (Int32.of_int (String.length body));
+  Bytes.blit_string body 0 b Frame.header_bytes (String.length body);
+  Bytes.set_int32_be b
+    (Frame.header_bytes + String.length body)
+    (Pj_util.Bytecodec.crc32 body);
+  Bytes.to_string b
+
 let test_hostile_headers () =
   let f = frame Frame.Request 42 "SEARCH win 0.2 5 exact:a" in
   let s = Bytes.of_string (Frame.to_string f) in
@@ -96,7 +111,24 @@ let test_hostile_headers () =
   Bytes.set_int32_be bad 4 0x7FFF_FFFFl;
   (match decode_one (Bytes.to_string bad) with
   | Error (Frame.Oversized _) -> ()
-  | _ -> Alcotest.fail "huge length not rejected as Oversized")
+  | _ -> Alcotest.fail "huge length not rejected as Oversized");
+  (* A CRC-valid body whose id, kind or payload length is a 9-byte
+     varint that overflows into the sign bit. *)
+  let overflow = String.make 8 '\xff' ^ "\x7f" in
+  List.iter
+    (fun (what, body) ->
+      match decode_one (with_body body) with
+      | Error (Frame.Corrupt _) -> ()
+      | Error _ | Ok _ ->
+          Alcotest.failf "overflowing varint as %s not rejected as Corrupt" what
+      | exception e ->
+          Alcotest.failf "overflowing varint as %s raised %s" what
+            (Printexc.to_string e))
+    [
+      ("id", overflow ^ "\x01\x04PING");
+      ("kind", "\x2a" ^ overflow ^ "\x04PING");
+      ("payload length", "\x2a\x01" ^ overflow ^ "PING");
+    ]
 
 let test_truncation_everywhere () =
   (* Torn tail: cut a 3-frame stream at every byte boundary. Whatever

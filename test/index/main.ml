@@ -7,5 +7,4 @@ let () =
       ("inverted_index", Test_inverted_index.suite);
       ("build_oracle", Test_build_oracle.suite);
       ("sharded_index", Test_sharded_index.suite);
-      ("storage", Test_storage.suite);
     ]

@@ -236,6 +236,58 @@ let test_manifest_dead_ids_checked () =
       ([ 5; 5 ], "a repeated dead id");
     ]
 
+(* A CRC-valid manifest whose count or string length is a 9-byte
+   varint that does not fit a non-negative int (read as -1 before the
+   overflow check) is rejected for that reason — not for whatever
+   [List.init] or [String.sub] made of a negative count. *)
+let test_manifest_overflowing_counts_rejected () =
+  let dir = fresh_dir () in
+  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+  let overflow = String.make 8 '\xff' ^ "\x7f" in
+  let varints ns =
+    let buf = Buffer.create 16 in
+    List.iter (Pj_util.Bytecodec.write_varint buf) ns;
+    Buffer.contents buf
+  in
+  let write_manifest payload =
+    let buf = Buffer.create 64 in
+    Buffer.add_string buf "PJMF";
+    Pj_util.Bytecodec.write_varint buf 2;
+    let payload_start = Buffer.length buf in
+    Buffer.add_string buf payload;
+    let contents = Buffer.contents buf in
+    let footer = Bytes.create 4 in
+    Bytes.set_int32_le footer 0
+      (Pj_util.Bytecodec.crc32 ~pos:payload_start
+         ~len:(String.length contents - payload_start)
+         contents);
+    Buffer.add_bytes buf footer;
+    Pj_util.Bytecodec.write_file_atomic
+      (Filename.concat dir Manifest.filename)
+      buf
+  in
+  (* generation, vocab count, segment count, tombstone count *)
+  write_manifest (varints [ 1; 0; 0; 0 ]);
+  (match Manifest.read ~dir with
+  | Some m -> Alcotest.(check int) "well-formed control" 1 m.Manifest.generation
+  | None -> Alcotest.fail "manifest not found");
+  List.iter
+    (fun (payload, what) ->
+      write_manifest payload;
+      match Manifest.read ~dir with
+      | _ -> Alcotest.failf "manifest with %s accepted" what
+      | exception Failure msg ->
+          if not (contains msg "varint overflow") then
+            Alcotest.failf "%s: rejected as %S" what msg)
+    [
+      (varints [ 1 ] ^ overflow, "an overflowing vocab count");
+      (varints [ 1; 1 ] ^ overflow ^ "aa", "an overflowing word length");
+      (varints [ 1; 0 ] ^ overflow, "an overflowing segment count");
+      ( varints [ 1; 0; 1 ] ^ overflow ^ "seg-000000.seg",
+        "an overflowing file name length" );
+      (varints [ 1; 0; 0 ] ^ overflow, "an overflowing tombstone count");
+    ]
+
 (* Satellite regression: recovery used to catch only [Failure _] around
    the mmap attempt, so any other exception (a [Unix.Unix_error] from a
    truncated map, a fault-injected [Failpoint.Injected], ...) crashed
@@ -410,6 +462,26 @@ let test_wal_corrupt_record_stops_replay () =
   Alcotest.(check int) "corrupt record and tail discarded" 1
     (Live_index.stats reopened).Live_index.total_docs;
   Alcotest.(check string) "surviving doc intact" "first" (doc_word reopened 0);
+  (* A CRC-valid add record whose token length is a 9-byte varint that
+     overflows into the sign bit is corrupt too: replay stops before it
+     instead of raising. *)
+  let payload = "\x01\x07\x01" ^ String.make 8 '\xff' ^ "\x7faa" in
+  let frame = Buffer.create 32 in
+  let u32 v =
+    let b = Bytes.create 4 in
+    Bytes.set_int32_le b 0 v;
+    Buffer.add_bytes frame b
+  in
+  u32 (Int32.of_int (String.length payload));
+  Buffer.add_string frame payload;
+  u32 (Pj_util.Bytecodec.crc32 payload);
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+  Buffer.output_buffer oc frame;
+  close_out oc;
+  let again = Live_index.open_dir ~config:(config ~wal:true dir) dir in
+  Alcotest.(check int) "overflowing length stops replay" 1
+    (Live_index.stats again).Live_index.total_docs;
+  Live_index.close again;
   Live_index.close reopened;
   Live_index.close live
 
@@ -670,6 +742,8 @@ let suite =
       test_parent_dir_refused;
     Alcotest.test_case "manifest dead ids checked" `Quick
       test_manifest_dead_ids_checked;
+    Alcotest.test_case "manifest with overflowing counts rejected" `Quick
+      test_manifest_overflowing_counts_rejected;
     Alcotest.test_case "mmap open failure falls back to heap rebuild" `Quick
       test_mmap_open_failure_falls_back;
     Alcotest.test_case "wal recovers unflushed writes" `Quick

@@ -1,6 +1,6 @@
 (* The mmap-backed v4 reader against the in-memory index: identical
    structure, identical search results (hits and matchsets), plus
-   corruption handling and the v1..v4 migration matrix. *)
+   corruption handling and crash-safe publication. *)
 
 open Pj_ondisk
 
@@ -359,7 +359,7 @@ let test_check_rejects_blob_with_df_zero () =
       Bytes.set_int32_le b (dict_off + 8) 0l;
       let payload_len = trailer_off + (8 * File_format.trailer_words) in
       Bytes.set_int32_le b payload_len
-        (Pj_index.Storage.crc32 ~pos:File_format.header_size
+        (Pj_util.Bytecodec.crc32 ~pos:File_format.header_size
            ~len:(payload_len - File_format.header_size)
            (Bytes.to_string b));
       write_bytes path (Bytes.to_string b);
@@ -369,62 +369,29 @@ let test_check_rejects_blob_with_df_zero () =
       rejects ~what:"segment recovery" ~defect:"df 0" (fun () ->
           Segment.recover m (Pj_index.Corpus.create ())))
 
-(* --- migration matrix --------------------------------------------------- *)
+(* --- other proxjoin files ------------------------------------------------ *)
 
-let migration_matrix =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:25
-       ~name:"migration: v1/v2/v3 load, compact to v4, search unchanged"
-       corpus_arb
-       (fun docs ->
-         let corpus = corpus_of docs in
-         let ok = ref true in
-         List.iter
-           (fun v ->
-             with_temp (fun legacy_path ->
-                 Pj_reference.Legacy_storage.save_corpus ~version:v corpus legacy_path;
-                 (* Legacy file still loads... *)
-                 let legacy_idx =
-                   Pj_index.Inverted_index.build
-                     (Pj_index.Storage.load_corpus legacy_path)
-                 in
-                 with_temp (fun v4_path ->
-                     (* ...compacts to v4... *)
-                     Writer.write legacy_idx v4_path;
-                     let mapped = Mapped_index.open_file v4_path in
-                     Mapped_index.check mapped;
-                     (* ...and serves identically to the legacy
-                        in-memory index. *)
-                     match
-                       compare_all_searches ~mem_index:legacy_idx ~mapped
-                     with
-                     | None -> ()
-                     | Some msg ->
-                         ok := false;
-                         Printf.eprintf "v%d: %s\n" v msg)))
-           [ 1; 2; 3 ];
-         !ok))
+let expect_ondisk_rejection ~what path =
+  match Mapped_index.open_file path with
+  | _ -> Alcotest.failf "v4 reader accepted %s" what
+  | exception Failure msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: clear error %S" what msg)
+        true
+        (String.length msg >= 7 && String.sub msg 0 7 = "Ondisk:")
 
-let test_v4_rejected_by_legacy_loader () =
-  let corpus = corpus_of sample_docs in
-  let idx = Pj_index.Inverted_index.build corpus in
-  with_temp (fun path ->
-      Writer.write idx path;
-      match Pj_index.Storage.load_corpus path with
-      | _ -> Alcotest.fail "legacy loader accepted a v4 file"
-      | exception Failure msg ->
-          Alcotest.(check bool) "clear error" true
-            (String.length msg >= 8 && String.sub msg 0 8 = "Storage:"))
-
+(* fixtures/legacy_v3.pjix: three documents in the retired v3 corpus
+   format. *)
 let test_legacy_rejected_by_v4_reader () =
-  let corpus = corpus_of sample_docs in
-  with_temp (fun path ->
-      Pj_reference.Legacy_storage.save_corpus corpus path;
-      match Mapped_index.open_file path with
-      | _ -> Alcotest.fail "v4 reader accepted a v3 file"
-      | exception Failure msg ->
-          Alcotest.(check bool) "clear error" true
-            (String.length msg >= 7 && String.sub msg 0 7 = "Ondisk:"))
+  expect_ondisk_rejection ~what:"a v3 file" "fixtures/legacy_v3.pjix"
+
+(* The live index's own files (a pre-v4 segment, the manifest, the
+   WAL) are no v4 index either. *)
+let test_live_files_rejected_by_v4_reader () =
+  let dir = "../live/fixtures/parent_live_dir" in
+  List.iter
+    (fun name -> expect_ondisk_rejection ~what:name (Filename.concat dir name))
+    [ "seg-000000.seg"; "MANIFEST"; "WAL" ]
 
 (* Crash-safety: the v4 writer publishes atomically. *)
 let test_crashed_write_leaves_old_file () =
@@ -464,8 +431,8 @@ let suite =
     ("mapped: check rejects a blob with df 0", `Quick,
       test_check_rejects_blob_with_df_zero);
     ("mapped: bit-flip fuzz", `Slow, test_bit_flip_fuzz_v4);
-    migration_matrix;
-    ("mapped: v4 rejected by legacy loader", `Quick, test_v4_rejected_by_legacy_loader);
     ("mapped: legacy rejected by v4 reader", `Quick, test_legacy_rejected_by_v4_reader);
+    ("mapped: live files rejected by v4 reader", `Quick,
+      test_live_files_rejected_by_v4_reader);
     ("mapped: crashed write leaves old file", `Quick, test_crashed_write_leaves_old_file);
   ]

@@ -131,5 +131,3 @@ let build_index corpus =
                 if Pj_index.Posting_list.document_frequency pl > 0 then f tok pl)
               lists);
     }
-
-module Legacy_storage = Legacy_storage

@@ -44,7 +44,3 @@ val build_index : Pj_index.Corpus.t -> Pj_index.Inverted_index.t
     through {!Pj_index.Inverted_index.of_provider}: one slot per
     vocabulary token, as {!Pj_index.Inverted_index.build}. Block
     sidecars are built lazily. *)
-
-(** {1 Legacy corpus files} *)
-
-module Legacy_storage = Legacy_storage

@@ -12,4 +12,5 @@ let () =
       ("timing", Test_timing.suite);
       ("parallel", Test_parallel.suite);
       ("failpoint", Test_failpoint.suite);
+      ("bytecodec", Test_bytecodec.suite);
     ]

@@ -304,21 +304,15 @@ let run ~quick ~repetitions =
     | Ok r -> r
     | Error e -> failwith ("bench-cluster: " ^ e)
   in
-  let start_front () =
-    Server.start ~config:server_config ~forward:(Router.search router)
+  let front =
+    Server.start ~config:server_config ~forward:(Router.forward router)
       ~extra_stats:(fun () -> Router.stats_extra router)
       ~graph:(Pj_ontology.Mini_wordnet.create ())
       never_searches
   in
-  let front = start_front () in
-  (* A separate front (and so a separate result cache) for the
-     dead-backend arm: complete answers cached while both legs were
-     healthy would otherwise leak into it as stale HITS. *)
-  let front_degraded = start_front () in
   Fun.protect
     ~finally:(fun () ->
       Server.stop front;
-      Server.stop front_degraded;
       Router.close router;
       Server.stop back_a;
       Server.stop back_b;
@@ -351,10 +345,21 @@ let run ~quick ~repetitions =
       in
       row "routed 2-shard" routed_arm;
       (* Kill one backend: every answer must degrade to the survivors'
-         exact top-k, through the (futile, replica-less) retry path. *)
+         exact top-k, through the (futile, replica-less) retry path.
+         Once the router has seen the leg drop, the front's cache epoch
+         has moved on, so no HITS cached by the healthy arm is
+         replayed. *)
+      let epoch = Pj_server.Result_cache.generation (Server.cache front) in
       Server.kill back_b;
+      let give_up = Unix.gettimeofday () +. 5. in
+      while
+        Pj_server.Result_cache.generation (Server.cache front) = epoch
+        && Unix.gettimeofday () < give_up
+      do
+        Thread.delay 0.01
+      done;
       let degraded_arm =
-        run_arm ~port:(Server.port front_degraded) ~conns ~rate ~duration lines
+        run_arm ~port:(Server.port front) ~conns ~rate ~duration lines
       in
       row "routed, 1 dead" degraded_arm;
       (* Topology-deterministic invariants (independent of load): a

@@ -651,6 +651,8 @@ let run_serve_router host port backends replicas cache deadline_ms drain_ms
   in
   if backends = [] then
     failwith "serve-router needs at least one --backend HOST:PORT[@BASE]";
+  if binary_inflight < 1 then
+    failwith "serve-router: --binary-inflight must be >= 1";
   let primaries = List.map parse_spec backends in
   let n = List.length primaries in
   let replicas_per_leg = Array.make n [] in
@@ -686,8 +688,8 @@ let run_serve_router host port backends replicas cache deadline_ms drain_ms
     {
       Pj_server.Server.host;
       port;
-      (* The router does no local scoring: its worker pool exists only
-         because a server has one. Keep it minimal. *)
+      (* The router does no local scoring: a server with a forward hook
+         and no live index starts no worker pool, so these go unused. *)
       domains = 1;
       queue_capacity = 1;
       cache_capacity = cache;
@@ -699,13 +701,13 @@ let run_serve_router host port backends replicas cache deadline_ms drain_ms
   in
   let graph = Pj_ontology.Mini_wordnet.create () in
   let never_searches ~scoring:_ ~k:_ ~deadline:_ _query =
-    (* Unreachable: the forward hook intercepts every SEARCH before
-       the pool, and ingest verbs answer ERR (no --live). *)
+    (* Unused: the forward hook answers every SEARCH, and ingest verbs
+       answer ERR (no --live). *)
     Ok ([], [])
   in
   let server =
     Pj_server.Server.start ~config
-      ~forward:(Pj_cluster.Router.search router)
+      ~forward:(Pj_cluster.Router.forward router)
       ~extra_stats:(fun () -> Pj_cluster.Router.stats_extra router)
       ~graph never_searches
   in

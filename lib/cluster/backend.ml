@@ -1,9 +1,10 @@
 type outcome = Line of string | Down of string | Timed_out
 
+(* A request in flight. It is resolved exactly once: by whoever
+   removes it from [pending] (reader, timer, connection failure), or
+   directly by [submit] when it never got that far. *)
 type waiter = {
-  mutable result : outcome option;
-  wm : Mutex.t;
-  wc : Condition.t;
+  reply : outcome -> unit;
   deadline : float;
   t0 : float;  (* submit time, for the latency histogram *)
 }
@@ -41,6 +42,7 @@ type t = {
          success path, not dearer. *)
   mutable closed : bool;
   latency : Pj_util.Histogram.t;
+  mutable on_health : bool -> unit;
 }
 
 let breaker_failures = 3
@@ -63,33 +65,29 @@ let create ~host ~port =
     last_connect_attempt = neg_infinity;
     closed = false;
     latency = Pj_util.Histogram.create ();
+    on_health = ignore;
   }
 
 let name t = t.name
+let on_health t f = t.on_health <- f
 
 let with_lock t f =
   Mutex.lock t.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
-let resolve w outcome =
-  Mutex.lock w.wm;
-  (match w.result with
-  | Some _ -> () (* first resolution wins; late responses are dropped *)
-  | None ->
-      w.result <- Some outcome;
-      Condition.broadcast w.wc);
-  Mutex.unlock w.wm
+(* Run [f] under [t.m], then the follow-ups it returned with the lock
+   released: completions (which may submit to another backend, or
+   render and hand a frame to a client's writer) and health
+   notifications never run under the lock. What a follow-up raises is
+   its own failure: it must not kill the reader or timer thread that
+   ran it. *)
+let locked t f =
+  let v, after = with_lock t f in
+  List.iter (fun k -> try k () with _ -> ()) after;
+  v
 
-let await w =
-  Mutex.lock w.wm;
-  while w.result = None do
-    Condition.wait w.wc w.wm
-  done;
-  let r = Option.get w.result in
-  Mutex.unlock w.wm;
-  r
-
-(* Record one request's fate. Caller holds [t.m]. *)
+(* Record one request's fate; returns its completion. Caller holds
+   [t.m]. *)
 let observe_locked t w outcome =
   (match outcome with
   | Line _ ->
@@ -99,21 +97,28 @@ let observe_locked t w outcome =
   | Down _ | Timed_out ->
       t.failures <- t.failures + 1;
       t.consecutive_failures <- t.consecutive_failures + 1);
-  resolve w outcome
+  fun () -> w.reply outcome
 
 (* Drop [c] (if it is still the current connection) and fail every
    in-flight request: once a frame boundary or the transport is gone,
-   no pending response can be trusted to arrive. Caller holds [t.m]. *)
+   no pending response can be trusted to arrive. Caller holds [t.m];
+   returns the follow-ups (failed completions, the health drop). *)
 let fail_conn_locked t c reason =
   let is_current = match t.conn with Some c' -> c' == c | None -> false in
-  if is_current then begin
+  if not is_current then []
+  else begin
     t.conn <- None;
     (try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
     close_out_noerr c.oc;
     close_in_noerr c.ic;
-    let pending = Hashtbl.fold (fun id w acc -> (id, w) :: acc) t.pending [] in
+    let failed =
+      Hashtbl.fold
+        (fun _ w acc -> observe_locked t w (Down reason) :: acc)
+        t.pending []
+    in
     Hashtbl.reset t.pending;
-    List.iter (fun (_, w) -> observe_locked t w (Down reason)) pending
+    let on_health = t.on_health in
+    (fun () -> on_health false) :: failed
   end
 
 let reader t c =
@@ -126,44 +131,43 @@ let reader t c =
       | Pj_frame.Wire.Frame f -> `Frame f
     in
     match event with
-    | `Fail reason -> with_lock t (fun () -> fail_conn_locked t c reason)
+    | `Fail reason -> locked t (fun () -> ((), fail_conn_locked t c reason))
     | `Frame { Pj_frame.Frame.kind; id; payload } ->
         let continue =
-          with_lock t (fun () ->
+          locked t (fun () ->
               match t.conn with
               | Some c' when c' == c -> begin
                   match kind with
-                  | Pj_frame.Frame.Response ->
-                      (match Hashtbl.find_opt t.pending id with
+                  | Pj_frame.Frame.Response -> (
+                      match Hashtbl.find_opt t.pending id with
                       | Some w ->
                           Hashtbl.remove t.pending id;
-                          observe_locked t w (Line payload)
-                      | None -> () (* the deadline won the race; drop it *));
-                      true
+                          (true, [ observe_locked t w (Line payload) ])
+                      | None -> (true, []) (* the deadline won the race *))
                   | Pj_frame.Frame.Error_frame ->
                       (* The server is failing the whole connection
                          (its text analogue closes after one ERR). *)
-                      fail_conn_locked t c
-                        (Printf.sprintf "backend failed connection: %s" payload);
-                      false
+                      ( false,
+                        fail_conn_locked t c
+                          (Printf.sprintf "backend failed connection: %s"
+                             payload) )
                   | Pj_frame.Frame.Request ->
-                      fail_conn_locked t c "protocol violation from backend";
-                      false
+                      (false, fail_conn_locked t c "protocol violation from backend")
                 end
-              | _ -> false (* a newer connection took over; exit *))
+              | _ -> (false, []) (* a newer connection took over; exit *))
         in
         if continue then loop ()
   in
   loop ()
 
 (* Expire pending requests whose deadline has passed. 5 ms granularity
-   bounds only how late a TIMEOUT fires — successful responses wake
-   their waiter from the reader immediately. *)
+   bounds only how late a TIMEOUT fires — successful responses run
+   their completion from the reader immediately. *)
 let timer t =
   let rec loop () =
     let live =
-      with_lock t (fun () ->
-          if t.closed then false
+      locked t (fun () ->
+          if t.closed then (false, [])
           else begin
             let now = Pj_util.Timing.monotonic_now () in
             let expired =
@@ -172,12 +176,12 @@ let timer t =
                   if w.deadline <= now then (id, w) :: acc else acc)
                 t.pending []
             in
-            List.iter
-              (fun (id, w) ->
-                Hashtbl.remove t.pending id;
-                observe_locked t w Timed_out)
-              expired;
-            true
+            ( true,
+              List.map
+                (fun (id, w) ->
+                  Hashtbl.remove t.pending id;
+                  observe_locked t w Timed_out)
+                expired )
           end)
     in
     if live then begin
@@ -221,32 +225,26 @@ let connect_locked t =
         t.timer <- Some (Thread.create (fun () -> timer t) ());
       c
 
-let submit t ~line ~deadline =
-  let w =
-    {
-      result = None;
-      wm = Mutex.create ();
-      wc = Condition.create ();
-      deadline;
-      t0 = Pj_util.Timing.monotonic_now ();
-    }
-  in
-  with_lock t (fun () ->
+let submit t ~line ~deadline reply =
+  let w = { reply; deadline; t0 = Pj_util.Timing.monotonic_now () } in
+  locked t (fun () ->
       t.requests <- t.requests + 1;
-      if t.closed then observe_locked t w (Down "backend handle closed")
+      let down reason = ((), [ observe_locked t w (Down reason) ]) in
+      if t.closed then down "backend handle closed"
       else
+        (* A first connection is not a health change; a connection
+           re-established after one was lost is. *)
+        let reconnect = Option.is_none t.conn && t.readers <> [] in
         match (match t.conn with Some c -> c | None -> connect_locked t) with
         | exception Pj_util.Failpoint.Injected site ->
-            observe_locked t w (Down (Printf.sprintf "failpoint %s" site))
+            down (Printf.sprintf "failpoint %s" site)
         | exception Breaker_open ->
-            observe_locked t w
-              (Down (Printf.sprintf "%s down (breaker open)" t.name))
+            down (Printf.sprintf "%s down (breaker open)" t.name)
         | exception Unix.Unix_error (e, _, _) ->
-            observe_locked t w
-              (Down
-                 (Printf.sprintf "connect %s: %s" t.name
-                    (Unix.error_message e)))
+            down
+              (Printf.sprintf "connect %s: %s" t.name (Unix.error_message e))
         | c -> (
+            let up = if reconnect then [ (fun () -> t.on_health true) ] else [] in
             let id = t.next_id in
             t.next_id <- t.next_id + 1;
             Hashtbl.replace t.pending id w;
@@ -258,13 +256,18 @@ let submit t ~line ~deadline =
                   payload = line;
                 }
             with
-            | () -> ()
+            | () -> ((), up)
             | exception Sys_error msg ->
                 (* [fail_conn_locked] resolves [w] too — it is pending. *)
-                fail_conn_locked t c (Printf.sprintf "write failed: %s" msg)));
-  w
+                ( (),
+                  up
+                  @ fail_conn_locked t c (Printf.sprintf "write failed: %s" msg)
+                )))
 
-let request t ~line ~deadline = await (submit t ~line ~deadline)
+let request t ~line ~deadline =
+  let result = Pj_util.Ivar.create () in
+  submit t ~line ~deadline (Pj_util.Ivar.fill result);
+  Pj_util.Ivar.read result
 
 (* Extract [key=<int>] from a STATS line ([key] preceded by a space,
    so [docs=] never matches [segment_docs=]). *)
@@ -321,17 +324,19 @@ let health t =
 
 let close t =
   let to_join =
-    with_lock t (fun () ->
-        if t.closed then []
+    locked t (fun () ->
+        if t.closed then ([], [])
         else begin
           t.closed <- true;
-          (match t.conn with
-          | Some c -> fail_conn_locked t c "backend handle closed"
-          | None -> ());
+          let failed =
+            match t.conn with
+            | Some c -> fail_conn_locked t c "backend handle closed"
+            | None -> []
+          in
           let ths = t.readers @ Option.to_list t.timer in
           t.readers <- [];
           t.timer <- None;
-          ths
+          (ths, failed)
         end)
   in
   List.iter Thread.join to_join

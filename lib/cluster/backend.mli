@@ -3,9 +3,13 @@
 
     Many router threads submit concurrently; requests are written to
     one connection tagged with fresh request ids, and a reader thread
-    demultiplexes response frames to the waiting threads — so a
-    backend connection carries as many in-flight requests as the
-    router has concurrent queries, with no per-request connect.
+    demultiplexes response frames to their completions — so a backend
+    connection carries as many in-flight requests as the router has
+    concurrent queries, with no per-request connect and no thread
+    waiting per request. Every completion runs exactly once, with no
+    lock held: on the reader thread (a response, or a connection
+    failure), on the timer thread (a deadline), or inside {!submit}
+    (a request that could not be sent).
 
     Failure model: any connection-level failure (connect refused,
     write error, torn/corrupt frame, EOF) fails {e every} in-flight
@@ -29,29 +33,29 @@ type outcome =
   | Down of string  (** connection-level failure; the reason *)
   | Timed_out  (** deadline passed with no response *)
 
-type waiter
-(** A pending request: submitted, not yet resolved. *)
-
 val create : host:string -> port:int -> t
 (** No connection is attempted until the first {!submit}. *)
 
 val name : t -> string
 (** ["host:port"]. *)
 
-val submit : t -> line:string -> deadline:float -> waiter
-(** Write one request frame (connecting first if needed) and return
-    its waiter. A waiter is always returned: connect/write failures
-    resolve it [Down] immediately. [deadline] is absolute monotonic
-    time; a timer resolves the waiter [Timed_out] shortly after it
-    passes. Never blocks past the write itself — scatter over many
-    backends by submitting to all, then awaiting each. *)
-
-val await : waiter -> outcome
-(** Block until the waiter resolves (response, failure, or deadline —
-    the deadline guarantees this terminates). Idempotent. *)
+val submit : t -> line:string -> deadline:float -> (outcome -> unit) -> unit
+(** Write one request frame (connecting first if needed); its outcome
+    goes to the completion. Connect/write failures complete [Down]
+    before [submit] returns. [deadline] is absolute monotonic time; a
+    timer completes the request [Timed_out] shortly after it passes,
+    so every submit completes. Never blocks past the write itself —
+    scatter over many backends by submitting to all. *)
 
 val request : t -> line:string -> deadline:float -> outcome
-(** [await (submit ...)]. *)
+(** {!submit} and block until the outcome. *)
+
+val on_health : t -> (bool -> unit) -> unit
+(** Install the health-transition hook: called with [false] when the
+    connection is lost and with [true] when it is re-established (the
+    [up] of {!health} flipping; the very first connection is not a
+    transition), with no lock held. One hook per backend; a later call
+    replaces it. *)
 
 val fetch_docs : t -> deadline:float -> (int, string) result
 (** Ask the backend for its STATS line and extract [docs=] — the
@@ -70,4 +74,4 @@ val health : t -> health
 
 val close : t -> unit
 (** Fail in-flight requests, drop the connection, join the reader and
-    timer threads. Subsequent submits resolve [Down]. *)
+    timer threads. Subsequent submits complete [Down]. *)

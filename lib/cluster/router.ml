@@ -37,6 +37,10 @@ type t = {
   legs : leg array;
   retries : int Atomic.t;
   failovers : int Atomic.t;
+  epoch : int Atomic.t;
+      (* The cluster epoch: bumped on every backend up/down
+         transition. *)
+  mutable on_epoch : int -> unit;
 }
 
 let n_legs t = Array.length t.legs
@@ -111,12 +115,20 @@ let create ?(connect_deadline_s = 5.) ~legs () =
         close_all ();
         Error e
     | Ok legs ->
-        Ok
+        let t =
           {
             legs = Array.of_list legs;
             retries = Atomic.make 0;
             failovers = Atomic.make 0;
+            epoch = Atomic.make 0;
+            on_epoch = ignore;
           }
+        in
+        let bump _up = t.on_epoch (1 + Atomic.fetch_and_add t.epoch 1) in
+        Array.iter
+          (fun leg -> Array.iter (fun b -> Backend.on_health b bump) leg.backends)
+          t.legs;
+        Ok t
   end
 
 (* Re-render the client's (already validated) request for the legs.
@@ -149,57 +161,11 @@ let classify = function
                (and let the replica chain try for a complete answer). *)
             Leg_failed ("backend answered: " ^ line))
 
-let search t (sr : Protocol.search_request) ~deadline =
-  let line = leg_line sr in
-  let n = Array.length t.legs in
-  (* Scatter: one pipelined submit per leg; no thread is spawned —
-     concurrency comes from all frames being in flight before the
-     first await. [router.leg.N] can fail the attempt pre-submit. *)
-  let scattered =
-    Array.mapi
-      (fun i leg ->
-        match Pj_util.Failpoint.hit (Printf.sprintf "router.leg.%d" i) with
-        | () -> `Waiter (Backend.submit leg.backends.(0) ~line ~deadline)
-        | exception Pj_util.Failpoint.Injected site ->
-            `Failed (Printf.sprintf "failpoint %s" site))
-      t.legs
-  in
-  (* Gather, with failover: a failed attempt walks the replica chain
-     with whatever deadline budget remains. Sequential within a leg,
-     but other legs' responses are already in flight. *)
-  let gather i =
-    let leg = t.legs.(i) in
-    let first =
-      match scattered.(i) with
-      | `Waiter w -> classify (Backend.await w)
-      | `Failed reason -> Leg_failed reason
-    in
-    let rec failover attempt ri =
-      match attempt with
-      | Hits pairs -> Hits pairs
-      | Leg_timeout | Leg_failed _ ->
-          if ri >= Array.length leg.backends then attempt
-          else if Pj_util.Timing.monotonic_now () >= deadline then attempt
-          else begin
-            Atomic.incr t.retries;
-            match Pj_util.Failpoint.hit "router.retry" with
-            | exception Pj_util.Failpoint.Injected site ->
-                failover (Leg_failed (Printf.sprintf "failpoint %s" site))
-                  (ri + 1)
-            | () ->
-                let next =
-                  classify
-                    (Backend.request leg.backends.(ri) ~line ~deadline)
-                in
-                (match next with
-                | Hits _ -> Atomic.incr t.failovers
-                | _ -> ());
-                failover next (ri + 1)
-          end
-    in
-    failover first 1
-  in
-  let outcomes = Array.init n gather in
+(* Exact top-k of the survivor set: every leg returned its local top-k
+   for the same k, so one sort of the rebased union suffices — the
+   searcher's order, score desc then doc id asc. *)
+let merge t (sr : Protocol.search_request) outcomes =
+  let n = Array.length outcomes in
   let survivors = ref [] and failed = ref [] and timeouts = ref 0 in
   Array.iteri
     (fun i -> function
@@ -217,9 +183,6 @@ let search t (sr : Protocol.search_request) ~deadline =
   let failed = List.rev !failed in
   if List.length failed = n && !timeouts = n then Server.Forwarded_timeout
   else begin
-    (* Exact top-k of the survivor set: every leg returned its local
-       top-k for the same k, so one sort of the union suffices — the
-       searcher's order, score desc then doc id asc. *)
     let merged =
       List.sort
         (fun (i1, s1) (i2, s2) ->
@@ -235,6 +198,63 @@ let search t (sr : Protocol.search_request) ~deadline =
     if failed = [] then Server.Forwarded_hits top
     else Server.Forwarded_degraded (top, failed)
   end
+
+let scatter t (sr : Protocol.search_request) ~deadline reply =
+  let line = leg_line sr in
+  let n = Array.length t.legs in
+  let outcomes = Array.make n (Leg_failed "unanswered") in
+  let remaining = Atomic.make n in
+  (* Each leg records its verdict, then counts itself done; the last
+     leg to finish merges and answers. The atomic decrement orders every
+     leg's write before the merge's reads. *)
+  let leg_done i verdict =
+    outcomes.(i) <- verdict;
+    if Atomic.fetch_and_add remaining (-1) = 1 then reply (merge t sr outcomes)
+  in
+  (* Failover: a failed attempt walks the replica chain with whatever
+     deadline budget remains, from the failed attempt's completion. *)
+  let rec attempt i ri =
+    Backend.submit t.legs.(i).backends.(ri) ~line ~deadline (fun o ->
+        match classify o with
+        | Hits _ as hits ->
+            if ri > 0 then Atomic.incr t.failovers;
+            leg_done i hits
+        | failed -> next i (ri + 1) failed)
+  and next i ri failed =
+    if
+      ri >= Array.length t.legs.(i).backends
+      || Pj_util.Timing.monotonic_now () >= deadline
+    then leg_done i failed
+    else begin
+      Atomic.incr t.retries;
+      match Pj_util.Failpoint.hit "router.retry" with
+      | exception Pj_util.Failpoint.Injected site ->
+          next i (ri + 1) (Leg_failed (Printf.sprintf "failpoint %s" site))
+      | () -> attempt i ri
+    end
+  in
+  (* Scatter: one pipelined submit per leg, no thread spawned and none
+     parked. [router.leg.N] can fail the primary attempt pre-submit. *)
+  for i = 0 to n - 1 do
+    match Pj_util.Failpoint.hit (Printf.sprintf "router.leg.%d" i) with
+    | () -> attempt i 0
+    | exception Pj_util.Failpoint.Injected site ->
+        next i 1 (Leg_failed (Printf.sprintf "failpoint %s" site))
+  done
+
+let search t sr ~deadline =
+  let result = Pj_util.Ivar.create () in
+  scatter t sr ~deadline (Pj_util.Ivar.fill result);
+  Pj_util.Ivar.read result
+
+let forward t =
+  {
+    Server.search = scatter t;
+    on_epoch =
+      (fun f ->
+        t.on_epoch <- f;
+        f (Atomic.get t.epoch));
+  }
 
 let stats_extra t =
   let buf = Buffer.create 256 in

@@ -29,18 +29,28 @@
 
     {2 Failover state machine}
 
-    Per leg, per query: scatter submits to the primary (site
+    Per leg, per query: {!scatter} submits to the primary (site
     [router.leg.N] fires first — an injected error fails the attempt
     before it is sent). A leg attempt fails on connection failure
     ([Down]), deadline ([Timed_out] or a backend [TIMEOUT] line),
     backpressure ([BUSY]), a backend [ERR], or a backend that is
     itself degraded (its slice would be silently incomplete — treated
     as leg failure, keeping the top-k-of-survivors contract honest).
-    Each failure fires [router.retry] and moves to the next replica
-    with whatever deadline budget remains; when the chain is
-    exhausted the leg is failed and reported in [OK-DEGRADED]. A leg
-    answered by a replica counts one {e failover}; every extra
-    attempt counts one {e backend retry}. *)
+    Each failure fires [router.retry] and, from the failed attempt's
+    completion, moves to the next replica with whatever deadline
+    budget remains; when the chain is exhausted the leg is failed and
+    reported in [OK-DEGRADED]. A leg answered by a replica counts one
+    {e failover}; every extra attempt counts one {e backend retry}.
+    No thread waits on a leg: the last leg to finish merges and
+    answers.
+
+    {2 Cluster epoch}
+
+    Every backend up/down transition bumps the router's {e epoch}.
+    Through {!forward} it becomes the front's result-cache generation,
+    so a HITS cached while every leg was healthy is not served once a
+    backend dies (and a leg that returns does not resurrect entries
+    cached around its absence). *)
 
 type spec = { host : string; port : int; base : int option }
 
@@ -65,15 +75,30 @@ val create :
 
 val n_legs : t -> int
 
+val scatter :
+  t ->
+  Pj_server.Protocol.search_request ->
+  deadline:float ->
+  (Pj_server.Server.forward_outcome -> unit) ->
+  unit
+(** Submit the search to every leg and return; the merged outcome
+    goes to the completion exactly once, on whichever thread finished
+    the last leg (a backend reader, a backend's deadline timer, or the
+    caller when every leg fails before it is sent).
+    [Forwarded_timeout] only when {e every} leg timed out; legs that
+    failed for mixed reasons yield [Forwarded_degraded] (possibly with
+    zero hits). Thread-safe. *)
+
 val search :
   t ->
   Pj_server.Protocol.search_request ->
   deadline:float ->
   Pj_server.Server.forward_outcome
-(** The {!Pj_server.Server.forward} hook. Thread-safe; called
-    concurrently by every router connection thread. [Forwarded_timeout]
-    only when {e every} leg timed out; legs that failed for mixed
-    reasons yield [Forwarded_degraded] (possibly with zero hits). *)
+(** {!scatter} and block until the outcome. *)
+
+val forward : t -> Pj_server.Server.forward
+(** The router as a {!Pj_server.Server.forward} hook: {!scatter} for
+    SEARCH, and the cluster epoch for the front's result cache. *)
 
 val stats_extra : t -> string
 (** Router-tier STATS tokens: [router_legs=], [backend_retries=],

@@ -28,23 +28,31 @@ let versioned t key =
   if t.generation = 0 then key
   else Printf.sprintf "g%d|%s" t.generation key
 
-let find t key =
+let lookup t key =
   with_lock t (fun () ->
       match Pj_util.Lru.find t.lru (versioned t key) with
-      | Some _ as v ->
+      | Some response ->
           t.hits <- t.hits + 1;
-          v
+          `Hit response
       | None ->
           t.misses <- t.misses + 1;
-          None)
+          `Miss t.generation)
+
+let find t key =
+  match lookup t key with `Hit response -> Some response | `Miss _ -> None
 
 (* Last line of defense, independent of the server's own filtering: a
    response that is not a complete answer (TIMEOUT, OK-DEGRADED, BUSY,
    ERR) describes one request's luck — replaying it to healthy
-   clients would be wrong, so such lines are never stored. *)
-let add t key response =
+   clients would be wrong, so such lines are never stored. Nor is a
+   response whose lookup ran under an older generation: it may have
+   been computed against the superseded index or cluster. *)
+let add ?generation t key response =
   if Protocol.cacheable response then
-    with_lock t (fun () -> Pj_util.Lru.add t.lru (versioned t key) response)
+    with_lock t (fun () ->
+        match generation with
+        | Some g when g <> t.generation -> ()
+        | _ -> Pj_util.Lru.add t.lru (versioned t key) response)
 
 let set_generation t gen =
   (* Monotone: concurrent swap notifications may arrive out of order;

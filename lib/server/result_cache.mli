@@ -16,14 +16,22 @@ type t
 
 val create : capacity:int -> t
 
-val find : t -> string -> string option
-(** Counts a hit or a miss, and refreshes recency on hits. *)
+val lookup : t -> string -> [ `Hit of string | `Miss of int ]
+(** Counts a hit or a miss, and refreshes recency on hits. A miss
+    carries the generation it was looked up under, for {!add}. *)
 
-val add : t -> string -> string -> unit
+val find : t -> string -> string option
+(** {!lookup} without the generation. *)
+
+val add : ?generation:int -> t -> string -> string -> unit
 (** Store a response line — but only when {!Protocol.cacheable} says
     it is a complete answer. [TIMEOUT], [OK-DEGRADED], [BUSY] and
     [ERR] lines are silently refused: a degraded or timed-out request
-    must never be replayed to healthy clients. *)
+    must never be replayed to healthy clients. With [~generation] (the
+    one its {!lookup} missed under), the line is also refused once the
+    generation has moved on: a search that started before an ingest
+    or a backend death and finished after it must not be stored as
+    the answer for the new generation. *)
 
 val set_generation : t -> int -> unit
 (** Invalidate every entry cached against an older index generation

@@ -30,7 +30,11 @@ type forward_outcome =
   | Forwarded_busy
   | Forwarded_error of string
 
-type forward = Protocol.search_request -> deadline:float -> forward_outcome
+type forward = {
+  search :
+    Protocol.search_request -> deadline:float -> (forward_outcome -> unit) -> unit;
+  on_epoch : (int -> unit) -> unit;
+}
 
 (* One live connection. The handler thread is stored next to the fd so
    [stop] can join exactly the threads still running: entries are
@@ -50,7 +54,11 @@ type t = {
   listen_fd : Unix.file_descr;
   port : int;
   graph : Pj_ontology.Graph.t;
-  pool : Worker_pool.t;
+  pool : Worker_pool.t option;
+      (* [None] on a router front (a [forward] and no live index):
+         nothing would ever run on a pool there, so no worker domain or
+         supervisor thread is started. Work submitted without a pool is
+         refused. *)
   live : Pj_live.Live_index.t option;
   batcher : Ingest_batcher.t option; (* Some iff [live] is Some *)
   cache : Result_cache.t;
@@ -84,12 +92,13 @@ let inflight t = Atomic.get t.inflight
 
 let stats_line t =
   let cache_hits, cache_misses, cache_len = Result_cache.stats t.cache in
+  let pool_stat f = Option.fold ~none:0 ~some:f t.pool in
   let base =
     Metrics.render t.metrics ~cache_hits ~cache_misses ~cache_len
-      ~queue_len:(Worker_pool.queue_length t.pool)
-      ~domains:(Worker_pool.domains t.pool)
-      ~worker_panics:(Worker_pool.panics t.pool)
-      ~worker_respawns:(Worker_pool.respawns t.pool)
+      ~queue_len:(pool_stat Worker_pool.queue_length)
+      ~domains:(pool_stat Worker_pool.domains)
+      ~worker_panics:(pool_stat Worker_pool.panics)
+      ~worker_respawns:(pool_stat Worker_pool.respawns)
   in
   let base =
     match (t.live, t.n_docs) with
@@ -118,45 +127,87 @@ let stats_line t =
   in
   match t.extra_stats with None -> line | Some f -> line ^ " " ^ f ()
 
-(* Run one validated SEARCH to a response line, either remotely (a
-   router's scatter-gather [forward]) or on the local worker pool.
-   [precision] is the score rendering of the client's wire (text or
-   binary); either way the metrics taxonomy is identical. *)
-let execute_search t (sr : Protocol.search_request) ~precision ~key =
+(* Every request is answered through a [reply] completion, called
+   exactly once: inline on the connection's reader thread for cache
+   hits, PING, STATS, errors and refusals; later, from a worker domain
+   or a router leg's completion, for work that went to the pool or the
+   backends. A request handler hands [reply] off as its very last
+   action, so one that raises has neither called it nor given it away.
+   Nothing on these paths blocks. *)
+
+(* A finished SEARCH: latency into its histogram, then the answer.
+   Separate histograms: a degraded request often burns its whole
+   deadline on the failed leg, which would smear the healthy-path
+   percentiles. *)
+let search_done t ~t0 reply response =
+  let dt = Pj_util.Timing.monotonic_now () -. t0 in
+  if Protocol.cacheable response then Metrics.observe_latency t.metrics dt
+  else if Protocol.is_search_success response then
+    Metrics.observe_degraded_latency t.metrics dt;
+  reply response
+
+(* The response line for a router's outcome. [precision] is the score
+   rendering of the client's wire (text or binary); the metrics
+   taxonomy is the same as for local results. *)
+let forwarded_response t ~precision ~key ~generation = function
+  | Forwarded_hits pairs ->
+      let response = Protocol.string_of_id_scores ~precision pairs in
+      Result_cache.add ~generation t.cache key response;
+      response
+  | Forwarded_degraded (pairs, failed_legs) ->
+      Metrics.record_degraded t.metrics ~n_failed_shards:(List.length failed_legs);
+      Protocol.ok_degraded_ids ~precision ~failed_shards:failed_legs pairs
+  | Forwarded_timeout ->
+      Metrics.record_timeout t.metrics;
+      Protocol.timeout
+  | Forwarded_busy ->
+      Metrics.record_busy t.metrics;
+      Protocol.busy
+  | Forwarded_error msg ->
+      Metrics.record_search_error t.metrics;
+      Protocol.err msg
+
+let local_response t ~precision ~key ~generation = function
+  | Worker_pool.Hits hits ->
+      let response = Protocol.string_of_hits ~precision hits in
+      Result_cache.add ~generation t.cache key response;
+      response
+  | Worker_pool.Degraded (hits, failed) ->
+      (* A partial answer is this request's shard luck, not the query's
+         answer — flag it, count it, and keep it out of the cache so the
+         next attempt gets a fresh scatter-gather. *)
+      Metrics.record_degraded t.metrics ~n_failed_shards:(List.length failed);
+      Protocol.ok_degraded ~precision ~failed_shards:failed hits
+  | Worker_pool.Timed_out ->
+      Metrics.record_timeout t.metrics;
+      Protocol.timeout
+  | Worker_pool.Failed msg ->
+      Metrics.record_search_error t.metrics;
+      Protocol.err msg
+
+(* Run one validated SEARCH that missed the cache under [generation],
+   either remotely (a router's scatter-gather [forward]) or on the
+   local worker pool. *)
+let execute_search t (sr : Protocol.search_request) ~precision ~key
+    ~generation ~t0 reply =
   (* Monotonic clock: an NTP step must not expire (or extend) every
      in-flight query's budget. *)
-  let deadline = Pj_util.Timing.monotonic_now () +. t.config.deadline_s in
+  let deadline = t0 +. t.config.deadline_s in
+  let search_error msg =
+    Metrics.record_search_error t.metrics;
+    search_done t ~t0 reply (Protocol.err msg)
+  in
   match t.forward with
-  | Some forward -> begin
-      match forward sr ~deadline with
-      | Forwarded_hits pairs ->
-          let response = Protocol.string_of_id_scores ~precision pairs in
-          Result_cache.add t.cache key response;
-          response
-      | Forwarded_degraded (pairs, failed_legs) ->
-          Metrics.record_degraded t.metrics
-            ~n_failed_shards:(List.length failed_legs);
-          Protocol.ok_degraded_ids ~precision ~failed_shards:failed_legs pairs
-      | Forwarded_timeout ->
-          Metrics.record_timeout t.metrics;
-          Protocol.timeout
-      | Forwarded_busy ->
-          Metrics.record_busy t.metrics;
-          Protocol.busy
-      | Forwarded_error msg ->
-          Metrics.record_search_error t.metrics;
-          Protocol.err msg
-    end
+  | Some forward ->
+      forward.search sr ~deadline (fun outcome ->
+          search_done t ~t0 reply
+            (forwarded_response t ~precision ~key ~generation outcome))
   | None -> begin
       match Protocol.scoring_of ~family:sr.Protocol.family ~alpha:sr.Protocol.alpha with
-      | Error msg ->
-          Metrics.record_search_error t.metrics;
-          Protocol.err msg
+      | Error msg -> search_error msg
       | Ok scoring -> begin
           match Pj_matching.Query_parser.parse t.graph sr.Protocol.terms with
-          | Error msg ->
-              Metrics.record_search_error t.metrics;
-              Protocol.err msg
+          | Error msg -> search_error msg
           | Ok query ->
               (* The served index is built over Porter stems (see the
                  serve subcommand), so matcher expansions are stemmed to
@@ -169,32 +220,16 @@ let execute_search t (sr : Protocol.search_request) ~precision ~key =
                       query.Pj_matching.Query.matchers;
                 }
               in
-              begin
-                match
-                  Worker_pool.run t.pool ~scoring ~k:sr.Protocol.k ~deadline
-                    query
-                with
-                | `Busy ->
-                    Metrics.record_busy t.metrics;
-                    Protocol.busy
-                | `Done (Worker_pool.Hits hits) ->
-                    let response = Protocol.string_of_hits ~precision hits in
-                    Result_cache.add t.cache key response;
-                    response
-                | `Done (Worker_pool.Degraded (hits, failed)) ->
-                    (* A partial answer is this request's shard luck,
-                       not the query's answer — flag it, count it, and
-                       keep it out of the cache so the next attempt
-                       gets a fresh scatter-gather. *)
-                    Metrics.record_degraded t.metrics
-                      ~n_failed_shards:(List.length failed);
-                    Protocol.ok_degraded ~precision ~failed_shards:failed hits
-                | `Done Worker_pool.Timed_out ->
-                    Metrics.record_timeout t.metrics;
-                    Protocol.timeout
-                | `Done (Worker_pool.Failed msg) ->
-                    Metrics.record_search_error t.metrics;
-                    Protocol.err msg
+              let queued =
+                Option.fold ~none:false t.pool ~some:(fun pool ->
+                    Worker_pool.submit pool ~scoring ~k:sr.Protocol.k ~deadline
+                      query (fun outcome ->
+                        search_done t ~t0 reply
+                          (local_response t ~precision ~key ~generation outcome)))
+              in
+              if not queued then begin
+                Metrics.record_busy t.metrics;
+                search_done t ~t0 reply Protocol.busy
               end
         end
     end
@@ -205,36 +240,45 @@ let execute_search t (sr : Protocol.search_request) ~precision ~key =
    response line. Text and binary clients render scores at different
    precisions, so the cache key carries the precision — the cached
    value is a fully rendered line of one wire dialect. *)
-let handle_search t (sr : Protocol.search_request) ~precision =
+let handle_search t (sr : Protocol.search_request) ~precision reply =
+  let t0 = Pj_util.Timing.monotonic_now () in
   let key = Printf.sprintf "%d|%s" precision (Protocol.cache_key sr) in
-  match Result_cache.find t.cache key with
-  | Some response -> response
-  | None -> execute_search t sr ~precision ~key
+  match Result_cache.lookup t.cache key with
+  | `Hit response -> search_done t ~t0 reply response
+  | `Miss generation -> execute_search t sr ~precision ~key ~generation ~t0 reply
 
 (* Answer one write verb (ADDDOC/DELDOC/FLUSH). Writes ride the same
    worker pool and bounded queue as searches — one backpressure bound,
-   one supervision story — but through [run_task], which has no
+   one supervision story — but through [submit_task], which has no
    deadline: a write the queue accepted is carried out, because a
    client that has seen ADDED must find the document. The ingest verbs
    are serialized by the live index's writer lock, so concurrent
    clients interleave whole operations, never partial ones. ADDDOCs
    additionally group-commit through [Ingest_batcher]: stemming runs
-   on the connection thread (parallel across clients), then concurrent
-   adds coalesce into one [add_batch] — one queue slot, one writer-lock
-   acquisition and one generation bump per batch. *)
-let handle_ingest t request =
-  match (t.live, request) with
-  | None, _ ->
+   on the connection's reader thread (parallel across clients), then
+   adds that arrive while a batch commits coalesce into the next
+   [add_batch] — one queue slot, one writer-lock acquisition and one
+   generation bump per batch. *)
+let handle_ingest t request reply =
+  let t0 = Pj_util.Timing.monotonic_now () in
+  let finish response =
+    if Protocol.is_ingest_success response then
+      Metrics.observe_ingest_latency t.metrics
+        (Pj_util.Timing.monotonic_now () -. t0)
+    else if response = Protocol.busy then Metrics.record_busy t.metrics
+    else
+      (* Includes a task answering ERR itself (e.g. DELDOC of an
+         unknown id) — an ingest error even though the worker ran
+         fine. *)
       Metrics.record_ingest_error t.metrics;
-      Protocol.err "not serving a live index (start with --live)"
+    reply response
+  in
+  match (t.live, request) with
+  | None, _ -> finish (Protocol.err "not serving a live index (start with --live)")
   | Some _, Protocol.Add_doc text ->
-      let batcher = Option.get t.batcher in
       (* Same normalization as the corpus the server was seeded from. *)
-      let line = Ingest_batcher.submit batcher (Pj_text.Analyzer.stems text) in
-      if line = Protocol.busy then Metrics.record_busy t.metrics
-      else if not (Protocol.is_ingest_success line) then
-        Metrics.record_ingest_error t.metrics;
-      line
+      Ingest_batcher.enqueue (Option.get t.batcher)
+        (Pj_text.Analyzer.stems text) finish
   | Some live, _ ->
       let task () =
         match request with
@@ -253,59 +297,44 @@ let handle_ingest t request =
         | Protocol.Search _ ->
             assert false (* ADDDOC goes through the batcher above *)
       in
-      begin
-        match Worker_pool.run_task t.pool task with
-        | `Busy ->
-            Metrics.record_busy t.metrics;
-            Protocol.busy
-        | `Done (Ok line) ->
-            (* The task itself can answer ERR (e.g. DELDOC of an
-               unknown id) — an ingest error even though the worker
-               ran fine. *)
-            if not (Protocol.is_ingest_success line) then
-              Metrics.record_ingest_error t.metrics;
-            line
-        | `Done (Error msg) ->
-            Metrics.record_ingest_error t.metrics;
-            Protocol.err msg
-      end
+      let queued =
+        Option.fold ~none:false t.pool ~some:(fun pool ->
+            Worker_pool.submit_task pool task (function
+              | Ok line -> finish line
+              | Error msg -> finish (Protocol.err msg)))
+      in
+      if not queued then finish Protocol.busy
 
-(* One response line per request line; [false] ends the connection. *)
-let respond t ~precision line =
+(* Answer one request line through [reply]; [false] ends the
+   connection (after QUIT's BYE). *)
+let respond t ~precision line ~reply =
   match Protocol.parse_request line with
   | Error msg ->
       Metrics.record_parse_error t.metrics;
-      (Protocol.err msg, true)
+      reply (Protocol.err msg);
+      true
   | Ok Protocol.Ping ->
       Metrics.record_ping t.metrics;
-      (Protocol.pong, true)
-  | Ok Protocol.Quit -> (Protocol.bye, false)
+      reply Protocol.pong;
+      true
+  | Ok Protocol.Quit ->
+      reply Protocol.bye;
+      false
   | Ok Protocol.Stats ->
       Metrics.record_stats t.metrics;
-      (stats_line t, true)
+      reply (stats_line t);
+      true
   | Ok (Protocol.Search sr) ->
       Metrics.record_search t.metrics;
-      let t0 = Pj_util.Timing.monotonic_now () in
-      let response = handle_search t sr ~precision in
-      let dt = Pj_util.Timing.monotonic_now () -. t0 in
-      (* Separate histograms: a degraded request often burns its whole
-         deadline on the failed leg, which would smear the healthy-path
-         percentiles. *)
-      if Protocol.cacheable response then Metrics.observe_latency t.metrics dt
-      else if Protocol.is_search_success response then
-        Metrics.observe_degraded_latency t.metrics dt;
-      (response, true)
+      handle_search t sr ~precision reply;
+      true
   | Ok ((Protocol.Add_doc _ | Protocol.Del_doc _ | Protocol.Flush) as req) ->
       (match req with
       | Protocol.Add_doc _ -> Metrics.record_add t.metrics
       | Protocol.Del_doc _ -> Metrics.record_delete t.metrics
       | _ -> Metrics.record_flush t.metrics);
-      let t0 = Pj_util.Timing.monotonic_now () in
-      let response = handle_ingest t req in
-      let dt = Pj_util.Timing.monotonic_now () -. t0 in
-      if Protocol.is_ingest_success response then
-        Metrics.observe_ingest_latency t.metrics dt;
-      (response, true)
+      handle_ingest t req reply;
+      true
 
 let register_conn t id conn =
   Mutex.lock t.conns_mutex;
@@ -357,6 +386,8 @@ let read_line_bounded ic =
   in
   go ()
 
+(* The text dialect is one request at a time: the reader waits for
+   its request's completion, writes the line, then reads the next. *)
 let handle_text t ic oc =
   let rec loop () =
     match read_line_bounded ic with
@@ -381,12 +412,15 @@ let handle_text t ic oc =
             (fun () ->
               (* Chaos site for connection handling itself: an injected
                  error (or panic) here tears down this connection only
-                 — the catch-all below owns the cleanup. *)
+                 — the catch-all in [handle_connection] owns the
+                 cleanup. *)
               Pj_util.Failpoint.hit "server.conn";
-              let response, continue =
+              let response = Pj_util.Ivar.create () in
+              let continue =
                 respond t ~precision:Protocol.text_precision line
+                  ~reply:(Pj_util.Ivar.fill response)
               in
-              output_string oc response;
+              output_string oc (Pj_util.Ivar.read response);
               output_char oc '\n';
               flush oc;
               continue)
@@ -395,80 +429,92 @@ let handle_text t ic oc =
   in
   loop ()
 
+(* A binary connection's response frames, handed from completions to
+   the connection's one writer thread. *)
+type outbox = {
+  om : Mutex.t;
+  oc_ready : Condition.t;
+  frames : Pj_frame.Frame.t Queue.t;
+  mutable closed : bool;
+}
+
+let post box frame =
+  Mutex.lock box.om;
+  Queue.push frame box.frames;
+  Condition.signal box.oc_ready;
+  Mutex.unlock box.om
+
+(* The writer: whatever frames are waiting go out in one flush. Each
+   [Response] frame holds one in-flight slot of its connection, given
+   back once the frame is written — or dropped, once the socket has
+   failed: a client that stopped reading then stalls only this thread
+   and, through the slots, its own reader. *)
+let write_frames t box oc slots =
+  let batch = Queue.create () in
+  let rec loop ~broken =
+    Mutex.lock box.om;
+    while Queue.is_empty box.frames && not box.closed do
+      Condition.wait box.oc_ready box.om
+    done;
+    Queue.transfer box.frames batch;
+    Mutex.unlock box.om;
+    if not (Queue.is_empty batch) then begin
+      let broken =
+        broken
+        ||
+        match
+          Queue.iter (Pj_frame.Wire.write oc) batch;
+          flush oc
+        with
+        | () -> false
+        | exception _ -> true
+      in
+      Queue.iter
+        (fun (f : Pj_frame.Frame.t) ->
+          if f.Pj_frame.Frame.kind = Pj_frame.Frame.Response then begin
+            Atomic.decr t.inflight;
+            Semaphore.Counting.release slots
+          end)
+        batch;
+      Queue.clear batch;
+      loop ~broken
+    end
+  in
+  loop ~broken:false
+
 (* The binary dialect of the same request/response protocol: framed,
    CRC-checked, and pipelined — request ids let [binary_inflight]
    requests from one connection be answered as they complete, out of
-   order. The reader thread (this one) only frames and enqueues;
-   worker threads (spawned lazily, at most [binary_inflight]) call
-   [respond] and write response frames under a shared write lock. The
-   per-connection Work_queue is the in-flight cap: when it is full the
-   reader blocks in [push] and stops reading the socket, which is
-   exactly TCP backpressure, not request shedding. *)
-let handle_binary t fd ic oc =
+   order. The reader (this thread) parses each request and [respond]s
+   to it; every response frame reaches the socket through the writer
+   thread, whichever thread completed it. The in-flight cap is a
+   counting semaphore: when every slot is taken the reader stops
+   reading the socket, which is exactly TCP backpressure, not request
+   shedding. *)
+let handle_binary t ic oc =
   let cap = t.config.binary_inflight in
-  let q : (int * string) Work_queue.t = Work_queue.create ~capacity:cap in
-  let write_mutex = Mutex.create () in
-  let send frame =
-    Mutex.lock write_mutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock write_mutex)
-      (fun () -> Pj_frame.Wire.write_flush oc frame)
+  let slots = Semaphore.Counting.make cap in
+  let box =
+    {
+      om = Mutex.create ();
+      oc_ready = Condition.create ();
+      frames = Queue.create ();
+      closed = false;
+    }
   in
+  let writer = Thread.create (fun () -> write_frames t box oc slots) () in
   (* A broken stream (torn/corrupt/oversized frame, or a non-request
      frame) gets one framed diagnostic, then the connection is failed
      — the frame boundary is lost, mirroring the text side's
      "request line too long". *)
-  let send_fatal msg =
-    try
-      send
-        {
-          Pj_frame.Frame.kind = Pj_frame.Frame.Error_frame;
-          id = 0;
-          payload = Protocol.err msg;
-        }
-    with _ -> ()
-  in
-  let stop_reading () =
-    Work_queue.close q;
-    (* Wake the reader out of a blocking [input_char]: after QUIT the
-       client owes us nothing more. *)
-    try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ()
-  in
-  let worker () =
-    let rec wloop () =
-      match Work_queue.pop q with
-      | None -> ()
-      | Some (rid, line) ->
-          let continue =
-            Fun.protect
-              ~finally:(fun () -> Atomic.decr t.inflight)
-              (fun () ->
-                Pj_util.Failpoint.hit "server.conn";
-                let response, continue =
-                  respond t ~precision:Protocol.exact_precision line
-                in
-                send
-                  {
-                    Pj_frame.Frame.kind = Pj_frame.Frame.Response;
-                    id = rid;
-                    payload = response;
-                  };
-                continue)
-          in
-          if continue then wloop () else stop_reading ()
-    in
-    try wloop () with _ -> stop_reading ()
-  in
-  let workers = ref [] in
-  let n_workers = ref 0 in
-  let workers_mutex = Mutex.create () in
-  let spawn_if_starved () =
-    Mutex.lock workers_mutex;
-    if !n_workers < cap && Work_queue.length q > 0 then begin
-      incr n_workers;
-      workers := Thread.create worker () :: !workers
-    end;
-    Mutex.unlock workers_mutex
+  let fatal msg =
+    Metrics.record_parse_error t.metrics;
+    post box
+      {
+        Pj_frame.Frame.kind = Pj_frame.Frame.Error_frame;
+        id = 0;
+        payload = Protocol.err msg;
+      }
   in
   let request_cap = Protocol.max_line_bytes + 64 in
   let rec rloop () =
@@ -476,34 +522,58 @@ let handle_binary t fd ic oc =
     | exception Sys_error _ -> ()
     | Pj_frame.Wire.Closed -> ()
     | Pj_frame.Wire.Bad e ->
-        Metrics.record_parse_error t.metrics;
-        let msg =
-          match e with
+        fatal
+          (match e with
           | Pj_frame.Frame.Oversized n ->
               Printf.sprintf "frame too large (%d bytes, max %d)" n request_cap
           | Pj_frame.Frame.Truncated what -> "truncated frame: " ^ what
-          | Pj_frame.Frame.Corrupt what -> "corrupt frame: " ^ what
-        in
-        send_fatal msg
+          | Pj_frame.Frame.Corrupt what -> "corrupt frame: " ^ what)
     | Pj_frame.Wire.Frame { Pj_frame.Frame.kind = Pj_frame.Frame.Request; id; payload } ->
+        Semaphore.Counting.acquire slots;
         Atomic.incr t.inflight;
-        if Work_queue.push q (id, payload) then begin
-          spawn_if_starved ();
-          rloop ()
-        end
-        else (* QUIT raced us: the queue is closed, the request is
-                abandoned unread-equivalent. *)
-          Atomic.decr t.inflight
-    | Pj_frame.Wire.Frame _ ->
-        Metrics.record_parse_error t.metrics;
-        send_fatal "unexpected frame kind (want request)"
+        (* The slot is given back exactly once: by the writer for the
+           posted answer, or here if [respond] raised — in which case
+           a completion it may have handed off finds the request
+           answered and drops its frame. *)
+        let answered = Atomic.make false in
+        let reply response =
+          if not (Atomic.exchange answered true) then
+            post box
+              {
+                Pj_frame.Frame.kind = Pj_frame.Frame.Response;
+                id;
+                payload = response;
+              }
+        in
+        let continue =
+          match
+            Pj_util.Failpoint.hit "server.conn";
+            respond t ~precision:Protocol.exact_precision payload ~reply
+          with
+          | continue -> continue
+          | exception _ ->
+              (* As on the text side: this connection is torn down. *)
+              if not (Atomic.exchange answered true) then begin
+                Atomic.decr t.inflight;
+                Semaphore.Counting.release slots
+              end;
+              false
+        in
+        if continue then rloop ()
+    | Pj_frame.Wire.Frame _ -> fatal "unexpected frame kind (want request)"
   in
-  rloop ();
-  Work_queue.close q;
-  Mutex.lock workers_mutex;
-  let ws = !workers in
-  Mutex.unlock workers_mutex;
-  List.iter Thread.join ws
+  (try rloop () with _ -> ());
+  (* Every answer still owed is written (or dropped) before the fd can
+     be closed: once all slots are back no completion holds this
+     connection, so none can write into a closed — or reused — fd. *)
+  for _ = 1 to cap do
+    Semaphore.Counting.acquire slots
+  done;
+  Mutex.lock box.om;
+  box.closed <- true;
+  Condition.signal box.oc_ready;
+  Mutex.unlock box.om;
+  Thread.join writer
 
 let handle_connection t id fd =
   (* Any per-connection failure (client gone mid-write, etc.) closes
@@ -519,7 +589,7 @@ let handle_connection t id fd =
          let oc = Unix.out_channel_of_descr fd in
          (match sniffed with
          | `Text -> handle_text t ic oc
-         | `Binary -> handle_binary t fd ic oc)
+         | `Binary -> handle_binary t ic oc)
    with _ -> ());
   unregister_conn t id;
   try Unix.close fd with Unix.Unix_error _ -> ()
@@ -556,6 +626,11 @@ let log_loop t period =
 
 let start ?(config = default_config) ?live ?forward ?extra_stats ?n_docs
     ~graph search =
+  if config.binary_inflight < 1 then
+    invalid_arg "Server.start: binary_inflight must be >= 1";
+  (* A client that hangs up before its answer is written must cost a
+     failed write on its own connection, not the process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
   let addr = Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port) in
@@ -570,17 +645,21 @@ let start ?(config = default_config) ?live ?forward ?extra_stats ?n_docs
     | Unix.ADDR_UNIX _ -> config.port
   in
   let pool =
-    Worker_pool.create ~domains:config.domains
-      ~queue_capacity:config.queue_capacity search
+    if Option.is_some forward && Option.is_none live then None
+    else
+      Some
+        (Worker_pool.create ~domains:config.domains
+           ~queue_capacity:config.queue_capacity search)
   in
   let metrics = Metrics.create () in
   let batcher =
-    Option.map
-      (fun live ->
-        Ingest_batcher.create
-          ~on_batch:(fun ~size -> Metrics.record_ingest_batch metrics ~size)
-          pool live)
-      live
+    match (live, pool) with
+    | Some live, Some pool ->
+        Some
+          (Ingest_batcher.create
+             ~on_batch:(fun ~size -> Metrics.record_ingest_batch metrics ~size)
+             pool live)
+    | _ -> None
   in
   let t =
     {
@@ -616,6 +695,12 @@ let start ?(config = default_config) ?live ?forward ?extra_stats ?n_docs
       Pj_live.Live_index.on_swap live (fun gen ->
           Result_cache.set_generation t.cache gen)
   | None -> ());
+  (* A router front's cache is namespaced by the cluster epoch the same
+     way: a backend going down (or coming back) makes every HITS cached
+     before it unreachable. *)
+  Option.iter
+    (fun f -> f.on_epoch (fun epoch -> Result_cache.set_generation t.cache epoch))
+    forward;
   t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
   (match config.log_every_s with
   | Some period when period > 0. ->
@@ -665,7 +750,7 @@ let stop_with ~drain t =
     List.iter
       (fun c -> match c.thread with Some th -> Thread.join th | None -> ())
       conns;
-    Worker_pool.shutdown t.pool;
+    Option.iter Worker_pool.shutdown t.pool;
     (match t.log_thread with Some th -> Thread.join th | None -> ())
   end
 

@@ -4,17 +4,24 @@
     or a {!Pj_live.Live_index.t}, via the {!Worker_pool.search}
     constructors).
 
-    Architecture: one accept loop hands each connection to a
-    lightweight thread that parses requests and consults the
-    {!Result_cache}; cache misses are submitted to a {!Worker_pool} of
-    OCaml 5 domains through a bounded {!Work_queue}. Failure semantics
-    per request: queue full → [BUSY]; per-query wall-clock deadline
-    exceeded → [TIMEOUT]; malformed request or failing query → [ERR]
-    with the connection left open; a sharded search that lost some
-    (but not all) shard legs → [OK-DEGRADED] carrying the surviving
-    shards' merged top-k, never cached. {!Metrics} aggregates counters and
-    latency percentiles for [STATS] and the optional periodic log
-    line on stderr.
+    Architecture: one accept loop hands each connection to a reader
+    thread that parses requests and answers what it can on the spot —
+    {!Result_cache} hits, PING, STATS, errors. A cache miss goes to a
+    {!Worker_pool} of OCaml 5 domains through a bounded {!Work_queue}
+    (or to the router's legs, see [?forward]) together with a
+    completion that renders the response, caches it, records metrics
+    and hands it back to the connection. No thread waits per request:
+    a text connection's reader waits for its one request's answer and
+    writes it; a binary connection's answers go out through the
+    connection's one writer thread, so neither a worker domain nor a
+    router backend's reader ever blocks on a client's socket. Failure
+    semantics per request: queue full → [BUSY]; per-query wall-clock
+    deadline exceeded → [TIMEOUT]; malformed request or failing query
+    → [ERR] with the connection left open; a sharded search that lost
+    some (but not all) shard legs → [OK-DEGRADED] carrying the
+    surviving shards' merged top-k, never cached. {!Metrics}
+    aggregates counters and latency percentiles for [STATS] and the
+    optional periodic log line on stderr.
 
     Live ingestion: when started with [?live], the server additionally
     accepts the write verbs [ADDDOC]/[DELDOC]/[FLUSH]. Writes ride the
@@ -40,9 +47,11 @@ type config = {
   log_every_s : float option;  (** stderr stats period, default [None] *)
   binary_inflight : int;
       (** per-connection in-flight cap on the binary wire: how many
-          pipelined requests one connection may have unanswered before
-          the server stops reading its socket (TCP backpressure, not
-          shedding), default 32 *)
+          pipelined requests one connection may have unanswered (or
+          answered but not yet written) before the server stops
+          reading its socket (TCP backpressure, not shedding), default
+          32. Costs no threads: each binary connection has one reader
+          and one writer thread whatever the cap. *)
 }
 
 val default_config : config
@@ -61,12 +70,23 @@ type forward_outcome =
   | Forwarded_busy
   | Forwarded_error of string
 
-type forward = Protocol.search_request -> deadline:float -> forward_outcome
+type forward = {
+  search :
+    Protocol.search_request -> deadline:float -> (forward_outcome -> unit) -> unit;
+      (** Scatter one SEARCH; the outcome goes to the completion
+          exactly once, from any thread. [deadline] is absolute
+          monotonic time, computed from [config.deadline_s]. Must be
+          callable from many connection readers at once and must not
+          block. *)
+  on_epoch : (int -> unit) -> unit;
+      (** Install the server's epoch listener: called (with no lock
+          held) whenever the set of healthy backends changes, with a
+          strictly newer epoch each time. The server uses it as its
+          result-cache generation. *)
+}
 (** A scatter-gather hook replacing the local worker pool for SEARCH
     (parsing, validation, caching, metrics and both wire dialects stay
-    in the server). [deadline] is absolute monotonic time, computed
-    from [config.deadline_s]. Must be callable from many connection
-    threads at once. *)
+    in the server). *)
 
 type t
 
@@ -87,11 +107,14 @@ val start :
     index's generation swaps into the result cache — pass the same
     index the search function closes over. The server does not own
     the live index: close it after {!stop}. Raises [Unix.Unix_error]
-    when the address cannot be bound.
+    when the address cannot be bound, and [Invalid_argument] when
+    [config.binary_inflight < 1].
 
     [?forward] turns the server into a router front-end: SEARCH is
-    answered by the hook instead of the worker pool (a pool is still
-    created — size it to 1 domain). [?extra_stats] appends extra
+    answered by the hook, and the hook's epoch namespaces the result
+    cache. Without [?live] such a server has no worker pool at all
+    (the search function, [config.domains] and [config.queue_capacity]
+    go unused, and STATS reports [domains=0]). [?extra_stats] appends extra
     key=value tokens to the STATS line (must render one-line).
     [?n_docs] adds a [docs=] field to STATS for static indexes, which
     is how a router derives backend doc-id bases; ignored when
@@ -100,7 +123,10 @@ val start :
     Both wire dialects are served on the one socket: a connection's
     first byte picks text ({!Protocol} lines) or binary
     ({!Pj_frame.Frame}s, request-id pipelined, score rendering at
-    {!Protocol.exact_precision}). *)
+    {!Protocol.exact_precision}).
+
+    Ignores SIGPIPE for the whole process: a client that hangs up
+    before its answer is written fails that write, not the server. *)
 
 val port : t -> int
 (** The actual bound port (useful with [port = 0]). *)
@@ -127,8 +153,9 @@ val kill : t -> unit
     process. Idempotent with {!stop}. *)
 
 val inflight : t -> int
-(** Requests currently between line-read and response-flush — what the
-    drain phase of {!stop} waits on. *)
+(** Requests currently between being read off a socket and their
+    response being written (or dropped, for a client gone away) — what
+    the drain phase of {!stop} waits on. *)
 
 val wait : t -> unit
 (** Block until the accept loop exits (i.e. until {!stop}). *)

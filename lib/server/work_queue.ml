@@ -3,7 +3,6 @@ type 'a t = {
   items : 'a Queue.t;
   mutex : Mutex.t;
   nonempty : Condition.t;
-  nonfull : Condition.t;
   mutable closed : bool;
 }
 
@@ -14,7 +13,6 @@ let create ~capacity =
     items = Queue.create ();
     mutex = Mutex.create ();
     nonempty = Condition.create ();
-    nonfull = Condition.create ();
     closed = false;
   }
 
@@ -31,39 +29,17 @@ let try_push t x =
         true
       end)
 
-(* Blocking push: waits for a slot instead of refusing, so a producer
-   that must not drop work (the binary frame reader, whose in-flight
-   cap is the queue capacity) gets TCP-style backpressure. [false]
-   only when the queue was closed. *)
-let push t x =
-  with_lock t (fun () ->
-      while (not t.closed) && Queue.length t.items >= t.capacity do
-        Condition.wait t.nonfull t.mutex
-      done;
-      if t.closed then false
-      else begin
-        Queue.push x t.items;
-        Condition.signal t.nonempty;
-        true
-      end)
-
 let pop t =
   with_lock t (fun () ->
       while Queue.is_empty t.items && not t.closed do
         Condition.wait t.nonempty t.mutex
       done;
       if Queue.is_empty t.items then None
-      else begin
-        let x = Queue.pop t.items in
-        Condition.signal t.nonfull;
-        Some x
-      end)
+      else Some (Queue.pop t.items))
 
 let close t =
   with_lock t (fun () ->
       t.closed <- true;
-      Condition.broadcast t.nonempty;
-      Condition.broadcast t.nonfull)
+      Condition.broadcast t.nonempty)
 
 let length t = with_lock t (fun () -> Queue.length t.items)
-let capacity t = t.capacity

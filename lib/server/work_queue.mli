@@ -17,12 +17,6 @@ val try_push : 'a t -> 'a -> bool
 (** Enqueue without blocking; [false] when the queue is full or
     closed. *)
 
-val push : 'a t -> 'a -> bool
-(** Enqueue, blocking while the queue is full — backpressure for
-    producers that must not drop work (the binary protocol's frame
-    reader stops reading its socket instead of shedding requests).
-    [false] only when the queue is (or becomes) closed. *)
-
 val pop : 'a t -> 'a option
 (** Block until an item is available and dequeue it. After {!close},
     drains remaining items, then returns [None] — so accepted work is
@@ -32,4 +26,3 @@ val close : 'a t -> unit
 (** Reject future pushes and wake every blocked consumer. *)
 
 val length : 'a t -> int
-val capacity : 'a t -> int

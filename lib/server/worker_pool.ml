@@ -30,30 +30,19 @@ let of_live live ~scoring ~k ~deadline query =
     (fun hits -> (hits, []))
     (Pj_live.Live_index.search_within ~k ~deadline live scoring query)
 
-(* A one-shot result cell the submitting thread blocks on. *)
-type cell = {
-  m : Mutex.t;
-  c : Condition.t;
-  mutable result : outcome option;
-}
-
-type task_cell = {
-  tm : Mutex.t;
-  tc : Condition.t;
-  mutable tresult : (string, string) result option;
-}
-
 (* Searches and ingest tasks share the queue and the worker domains:
-   one pool, one backpressure bound, one supervision story. *)
+   one pool, one backpressure bound, one supervision story. Each job
+   carries its completion: the worker that runs the job calls it
+   exactly once, with no lock held, and nobody blocks waiting for it. *)
 type job =
   | Search_job of {
       scoring : Pj_core.Scoring.t;
       k : int;
       deadline : float;
       query : Pj_matching.Query.t;
-      cell : cell;
+      reply : outcome -> unit;
     }
-  | Task_job of { run : unit -> string; cell : task_cell }
+  | Task_job of { run : unit -> string; reply : (string, string) result -> unit }
 
 type t = {
   queue : job Work_queue.t;
@@ -72,54 +61,55 @@ type t = {
   mutable supervisor : Thread.t option;
 }
 
-let fill (cell : cell) outcome =
-  Mutex.lock cell.m;
-  cell.result <- Some outcome;
-  Condition.signal cell.c;
-  Mutex.unlock cell.m
+(* A completion is the submitter's code (render, cache, hand a frame
+   to a connection's writer). Whatever it raises is its own failure,
+   not this job's: it must neither be reported as one nor kill the
+   worker. *)
+let complete reply v = try reply v with _ -> ()
 
-let fill_task (cell : task_cell) r =
-  Mutex.lock cell.tm;
-  cell.tresult <- Some r;
-  Condition.signal cell.tc;
-  Mutex.unlock cell.tm
+let panic_message site = Printf.sprintf "worker panicked (failpoint %s)" site
 
 let execute (search : search) = function
-  | Search_job job -> (
+  | Search_job job ->
       (* A job that sat in the queue past its deadline is not worth
          starting — the client's budget is wall-clock, queueing
          included. *)
-      if Pj_util.Timing.monotonic_now () > job.deadline then
-        fill job.cell Timed_out
-      else
-        match
-          Pj_util.Failpoint.hit "worker.job";
-          search ~scoring:job.scoring ~k:job.k ~deadline:job.deadline job.query
-        with
-        | Ok (hits, []) -> fill job.cell (Hits hits)
-        | Ok (hits, failed) -> fill job.cell (Degraded (hits, failed))
-        | Error `Timeout -> fill job.cell Timed_out
-        | exception (Pj_util.Failpoint.Panicked site as e) ->
-            (* A panic models a crash of this worker: answer the waiting
-               client (it must never hang on a dead domain), then let the
-               exception kill the worker loop — the supervisor respawns. *)
-            fill job.cell
-              (Failed (Printf.sprintf "worker panicked (failpoint %s)" site));
-            raise e
-        | exception e -> fill job.cell (Failed (Printexc.to_string e)))
-  | Task_job { run; cell } -> (
+      let outcome =
+        if Pj_util.Timing.monotonic_now () > job.deadline then Timed_out
+        else
+          match
+            Pj_util.Failpoint.hit "worker.job";
+            search ~scoring:job.scoring ~k:job.k ~deadline:job.deadline
+              job.query
+          with
+          | Ok (hits, []) -> Hits hits
+          | Ok (hits, failed) -> Degraded (hits, failed)
+          | Error `Timeout -> Timed_out
+          | exception (Pj_util.Failpoint.Panicked site as e) ->
+              (* A panic models a crash of this worker: answer the
+                 client (it must never wait on a dead domain), then let
+                 the exception kill the worker loop — the supervisor
+                 respawns. *)
+              complete job.reply (Failed (panic_message site));
+              raise e
+          | exception e -> Failed (Printexc.to_string e)
+      in
+      complete job.reply outcome
+  | Task_job { run; reply } ->
       (* No deadline: a write the queue accepted is carried out — a
          client that has seen ADDED must find the document. *)
-      match
-        Pj_util.Failpoint.hit "worker.job";
-        run ()
-      with
-      | line -> fill_task cell (Ok line)
-      | exception (Pj_util.Failpoint.Panicked site as e) ->
-          fill_task cell
-            (Error (Printf.sprintf "worker panicked (failpoint %s)" site));
-          raise e
-      | exception e -> fill_task cell (Error (Printexc.to_string e)))
+      let r =
+        match
+          Pj_util.Failpoint.hit "worker.job";
+          run ()
+        with
+        | line -> Ok line
+        | exception (Pj_util.Failpoint.Panicked site as e) ->
+            complete reply (Error (panic_message site));
+            raise e
+        | exception e -> Error (Printexc.to_string e)
+      in
+      complete reply r
 
 let worker_loop search queue =
   let rec go () =
@@ -151,8 +141,8 @@ let rec worker_body t slot () =
 
 (* Supervision: join each panicked domain and spawn a replacement into
    its slot, so the pool never silently shrinks. During shutdown a
-   replacement is still spawned while jobs remain queued (their
-   submitters are blocked on result cells and must not deadlock);
+   replacement is still spawned while jobs remain queued (each owes
+   its submitter a completion);
    once the queue is empty the slot is retired instead. The loop ends
    only when a stop was requested, every dead slot is reclaimed, and
    every worker domain has terminated — so after [Thread.join
@@ -225,34 +215,17 @@ let live t =
   Mutex.unlock t.m;
   n
 
-let run t ~scoring ~k ~deadline query =
-  let cell = { m = Mutex.create (); c = Condition.create (); result = None } in
-  let job = Search_job { scoring; k; deadline; query; cell } in
-  if not (Work_queue.try_push t.queue job) then `Busy
-  else begin
-    Mutex.lock cell.m;
-    while cell.result = None do
-      Condition.wait cell.c cell.m
-    done;
-    let r = Option.get cell.result in
-    Mutex.unlock cell.m;
-    `Done r
-  end
+let submit t ~scoring ~k ~deadline query reply =
+  Work_queue.try_push t.queue
+    (Search_job { scoring; k; deadline; query; reply })
 
-let run_task t f =
-  let cell =
-    { tm = Mutex.create (); tc = Condition.create (); tresult = None }
-  in
-  if not (Work_queue.try_push t.queue (Task_job { run = f; cell })) then `Busy
-  else begin
-    Mutex.lock cell.tm;
-    while cell.tresult = None do
-      Condition.wait cell.tc cell.tm
-    done;
-    let r = Option.get cell.tresult in
-    Mutex.unlock cell.tm;
-    `Done r
-  end
+let submit_task t run reply = Work_queue.try_push t.queue (Task_job { run; reply })
+
+let run t ~scoring ~k ~deadline query =
+  let result = Pj_util.Ivar.create () in
+  if submit t ~scoring ~k ~deadline query (Pj_util.Ivar.fill result) then
+    `Done (Pj_util.Ivar.read result)
+  else `Busy
 
 let shutdown t =
   Work_queue.close t.queue;

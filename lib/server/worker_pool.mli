@@ -6,20 +6,28 @@
     a {!Pj_live.Live_index.t} whose queries read immutable
     generation-swapped snapshots), so the domains race on nothing; the
     only synchronization is the bounded {!Work_queue} in front of the
-    pool and a per-job result cell. Ingest tasks ({!run_task}) ride
-    the same queue and serialize on the live index's writer lock. Parallelism therefore scales with
-    domains up to memory bandwidth, exactly like
+    pool. Ingest tasks ({!submit_task}) ride the same queue and
+    serialize on the live index's writer lock. Parallelism therefore
+    scales with domains up to memory bandwidth, exactly like
     {!Pj_util.Parallel.map_array} over documents.
+
+    Completion-driven: every job carries a completion ([outcome ->
+    unit]) that the worker executing it calls exactly once, on the
+    worker's domain, with no lock held. The submitter does not block —
+    the server's completions render, cache and hand the response to
+    the client connection's writer. {!run} is the blocking wrapper for
+    callers that do want to wait.
 
     Supervision: a worker that {e panics} (a
     {!Pj_util.Failpoint.Panicked} escaping a job — modelling a crash
-    rather than an ordinary error) first answers its waiting client
-    with [Failed] (no submitter ever hangs on a dead domain), then
-    dies; a supervisor thread detects the death, reclaims the domain,
-    and spawns a replacement into the same slot, so the pool returns
-    to full strength within one respawn cycle instead of silently
+    rather than an ordinary error) first completes its job with
+    [Failed] (no submitter is ever left without an answer), then dies;
+    a supervisor thread detects the death, reclaims the domain, and
+    spawns a replacement into the same slot, so the pool returns to
+    full strength within one respawn cycle instead of silently
     shrinking. Ordinary exceptions never kill a worker — they are
-    caught per job and reported as [Failed]. *)
+    caught per job and reported as [Failed]; an exception escaping a
+    completion is dropped. *)
 
 type outcome =
   | Hits of Pj_engine.Searcher.hit list  (** complete result *)
@@ -63,6 +71,32 @@ val create : domains:int -> queue_capacity:int -> search -> t
 (** Spawn [max 1 domains] workers sharing a bounded queue, plus the
     supervisor thread. *)
 
+val submit :
+  t ->
+  scoring:Pj_core.Scoring.t ->
+  k:int ->
+  deadline:float ->
+  Pj_matching.Query.t ->
+  (outcome -> unit) ->
+  bool
+(** Queue a search whose outcome goes to the completion. [false] —
+    without queueing, and without ever calling the completion — when
+    the queue is full (backpressure) or the pool is shut down.
+    [deadline] is an absolute time on the monotonic clock
+    ([Pj_util.Timing.monotonic_now]); a job still queued at its
+    deadline completes [Timed_out] without starting. *)
+
+val submit_task :
+  t -> (unit -> string) -> ((string, string) result -> unit) -> bool
+(** Queue an arbitrary task — the ingest path: ADDDOC/DELDOC/FLUSH run
+    on the worker domains through the same bounded queue as searches,
+    so writes get the same backpressure ([false]) and supervision
+    story. No deadline: once queued, the task runs to completion (a
+    write the server acknowledged must have happened). The completion
+    gets [Ok line], the task's response line, or [Error reason] when
+    it raised (a panic also kills the worker, which the supervisor
+    respawns, exactly as for searches). *)
+
 val run :
   t ->
   scoring:Pj_core.Scoring.t ->
@@ -70,21 +104,7 @@ val run :
   deadline:float ->
   Pj_matching.Query.t ->
   [ `Busy | `Done of outcome ]
-(** Submit a job and block until its outcome. [`Busy] — without
-    blocking — when the queue is full (backpressure) or the pool is
-    shut down. [deadline] is an absolute time on the monotonic clock
-    ([Pj_util.Timing.monotonic_now]); a job still
-    queued at its deadline is answered [Timed_out] without starting. *)
-
-val run_task : t -> (unit -> string) -> [ `Busy | `Done of (string, string) result ]
-(** Submit an arbitrary task — the ingest path: ADDDOC/DELDOC/FLUSH
-    run on the worker domains through the same bounded queue as
-    searches, so writes get the same backpressure ([`Busy]) and
-    supervision story. No deadline: once queued, the task runs to
-    completion (a write the server acknowledged must have happened).
-    [Ok line] is the task's response line; [Error reason] when it
-    raised (a panic also kills the worker, which the supervisor
-    respawns, exactly as for searches). *)
+(** {!submit} and block until the outcome; [`Busy] when refused. *)
 
 val domains : t -> int
 val queue_length : t -> int
@@ -103,6 +123,6 @@ val live : t -> int
 
 val shutdown : t -> unit
 (** Stop accepting jobs, finish the ones already queued (respawning
-    panicked workers as long as jobs remain, so no submitter
-    deadlocks), then join every worker domain and the supervisor.
-    Idempotent; concurrent {!run} calls race benignly into [`Busy]. *)
+    panicked workers as long as jobs remain, so every accepted job
+    completes), then join every worker domain and the supervisor.
+    Idempotent; concurrent submits race benignly into a refusal. *)

@@ -171,7 +171,7 @@ let with_cluster ?(replicas = 0) ~slices f =
       Alcotest.failf "router failed to start: %s" e
   | Ok router ->
       let front =
-        Server.start ~config:light ~forward:(Router.search router)
+        Server.start ~config:light ~forward:(Router.forward router)
           ~extra_stats:(fun () -> Router.stats_extra router)
           ~graph:(Pj_ontology.Mini_wordnet.create ())
           never_searches
@@ -427,8 +427,8 @@ let test_replica_failover () =
             (mono_response ~family ~alpha ~k terms)
             (request conn (search_line q0));
           Server.kill (List.hd (List.hd backends));
-          (* A different query: the first one is now cached at the
-             front, and this test is about the failover path. *)
+          (* A different query: this test is about the failover path,
+             not the cache. *)
           let q1 = List.nth queries 2 in
           let family, alpha, k, terms = q1 in
           Alcotest.(check string) "failover answer is complete and exact"
@@ -475,6 +475,42 @@ let test_degraded_is_exact_top_k_of_survivors () =
             (int_field stats "degraded" >= List.length queries);
           Alcotest.(check bool) "dead backend visible" true
             (contains stats "backend.1.0.up=0")))
+
+let test_cache_follows_cluster_epoch () =
+  (* A complete HITS cached while both legs were healthy must not be
+     replayed once a leg's backend is known dead: the backend's up/down
+     transition moves the front's cache to a new epoch. *)
+  with_cluster ~slices:[ slice ~from:0 ~len:4; slice ~from:4 ~len:4 ]
+    (fun front _router backends ->
+      let conn = connect (Server.port front) in
+      Fun.protect
+        ~finally:(fun () -> close conn)
+        (fun () ->
+          let ((family, alpha, k, terms) as q) = List.hd queries in
+          let healthy = mono_response ~family ~alpha ~k terms in
+          Alcotest.(check string) "healthy answer" healthy
+            (request conn (search_line q));
+          let hits0, _, _ = Result_cache.stats (Server.cache front) in
+          Alcotest.(check string) "served again" healthy
+            (request conn (search_line q));
+          let hits1, _, _ = Result_cache.stats (Server.cache front) in
+          Alcotest.(check int) "from the cache" (hits0 + 1) hits1;
+          Server.kill (List.hd (List.nth backends 1));
+          let give_up = Unix.gettimeofday () +. 5. in
+          while
+            (not (contains (request conn "STATS") "backend.1.0.up=0"))
+            && Unix.gettimeofday () < give_up
+          do
+            Thread.delay 0.01
+          done;
+          Alcotest.(check bool) "the router saw the backend die" true
+            (contains (request conn "STATS") "backend.1.0.up=0");
+          let pairs =
+            slice_pairs ~base:0 (slice ~from:0 ~len:4) ~family ~alpha ~k terms
+          in
+          Alcotest.(check string) "the cached HITS is not replayed"
+            (Protocol.ok_degraded_ids ~failed_shards:[ 1 ] pairs)
+            (request conn (search_line q))))
 
 let test_failpoint_leg_and_retry () =
   (* [router.leg.0] armed: the leg fails before its frame is even
@@ -610,6 +646,7 @@ let suite =
     ("cluster: hostile binary input", `Quick, test_hostile_binary_input);
     ("cluster: replica failover", `Quick, test_replica_failover);
     ("cluster: degraded = exact survivors", `Quick, test_degraded_is_exact_top_k_of_survivors);
+    ("cluster: cache follows cluster epoch", `Quick, test_cache_follows_cluster_epoch);
     ("cluster: failpoints leg/retry", `Quick, test_failpoint_leg_and_retry);
     ("cluster: failpoint connect", `Quick, test_failpoint_connect);
     ("cluster: router stats invariant", `Quick, test_router_stats_invariant);

@@ -6,4 +6,5 @@ let () =
       ("worker_pool", Test_worker_pool.suite);
       ("result_cache", Test_result_cache.suite);
       ("e2e", Test_e2e.suite);
+      ("binary_conn", Test_binary_conn.suite);
     ]

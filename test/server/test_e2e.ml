@@ -28,7 +28,7 @@ let build () =
 
 (* What the server must answer for a SEARCH line: the same parse +
    stem + search pipeline, rendered by the same formatter. *)
-let expected_response searcher graph ~family ~alpha ~k terms =
+let expected_response ?precision searcher graph ~family ~alpha ~k terms =
   match Pj_matching.Query_parser.parse graph terms with
   | Error msg -> Protocol.err msg
   | Ok query ->
@@ -45,7 +45,8 @@ let expected_response searcher graph ~family ~alpha ~k terms =
         | Ok s -> s
         | Error msg -> failwith msg
       in
-      Protocol.string_of_hits (Pj_engine.Searcher.search ~k searcher scoring query)
+      Protocol.string_of_hits ?precision
+        (Pj_engine.Searcher.search ~k searcher scoring query)
 
 type conn = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
 
@@ -533,12 +534,12 @@ let test_concurrent_adddoc_batched () =
           Alcotest.(check bool) "post-burst search answers" true
             (String.length answer >= 6 && String.sub answer 0 5 = "HITS ")))
 
-(* Satellite: the batcher's leader-crash path. A [worker.job] panic
-   kills the worker domain executing the leader's [add_batch]; the
-   pool answers the task [Error], the batcher fans ERR out to every
-   waiter — nobody hangs on a dead leader — and once the supervisor
-   respawns the worker the server keeps serving. *)
-let test_batched_ingest_leader_crash () =
+(* The batcher's crash path. A [worker.job] panic kills the worker
+   domain executing a batch's [add_batch]; the pool completes the task
+   [Error], the batcher fans ERR out to every waiter — nobody hangs on
+   a dead domain — and once the supervisor respawns the worker the
+   server keeps serving. *)
+let test_batched_ingest_worker_crash () =
   with_live_server (fun server _live ->
       let port = Server.port server in
       let n_clients = 6 in
@@ -593,11 +594,11 @@ let test_batched_ingest_leader_crash () =
           Alcotest.(check bool) "post-crash search answers" true
             (String.length answer >= 6 && String.sub answer 0 5 = "HITS ")))
 
-(* The [try execute] guard itself: an exception raised inside the
-   leader's execution path (here: the post-commit [on_batch] hook, via
-   a printer that emits control characters) must fan out as one
-   sanitized ERR line per waiter, never escape into the leader's
-   connection thread, and never leave the batcher wedged. *)
+(* The commit guard: an exception raised in a batch's completion (here:
+   the post-commit [on_batch] hook, via a printer that emits control
+   characters) must fan out as one sanitized ERR line per waiter,
+   never escape into the worker domain, and never leave the batcher
+   wedged. *)
 exception Hook_boom
 
 let () =
@@ -691,7 +692,7 @@ let suite =
     ("e2e: live ingest over socket", `Quick, test_live_ingest_over_socket);
     ("e2e: live stats accounting", `Quick, test_live_stats_accounting);
     ("e2e: concurrent ADDDOC group commit", `Quick, test_concurrent_adddoc_batched);
-    ("e2e: batched ingest leader crash", `Quick, test_batched_ingest_leader_crash);
+    ("e2e: batched ingest worker crash", `Quick, test_batched_ingest_worker_crash);
     ("e2e: batcher execute guard", `Quick, test_batcher_execute_guard);
     ("e2e: ingest refused without --live", `Quick, test_ingest_refused_without_live);
   ]

@@ -100,6 +100,30 @@ let test_generation_is_monotone () =
   Alcotest.(check (option string))
     "newer generation invalidates" None (Result_cache.find c "q")
 
+(* A search that missed before a bump and finished after it was
+   computed against the superseded index (or cluster): storing it would
+   serve it as the answer of the new generation. *)
+let test_add_after_bump_refused () =
+  let c = Result_cache.create ~capacity:8 in
+  let generation =
+    match Result_cache.lookup c "q" with
+    | `Miss g -> g
+    | `Hit _ -> Alcotest.fail "cold cache hit"
+  in
+  Result_cache.set_generation c (generation + 1);
+  Result_cache.add ~generation c "q" "HITS 1 1:0.5";
+  Alcotest.(check (option string))
+    "pre-bump answer not stored" None (Result_cache.find c "q");
+  let generation =
+    match Result_cache.lookup c "q" with
+    | `Miss g -> g
+    | `Hit _ -> Alcotest.fail "stale hit"
+  in
+  Result_cache.add ~generation c "q" "HITS 2 1:0.5 9:0.4";
+  Alcotest.(check (option string))
+    "same-generation answer stored" (Some "HITS 2 1:0.5 9:0.4")
+    (Result_cache.find c "q")
+
 let test_concurrent_access () =
   (* Hammer one cache from several domains; the test passes when no
      crash/corruption occurs and counters add up. *)
@@ -130,5 +154,6 @@ let suite =
       test_never_caches_partial_responses );
     ("result_cache: generation invalidates", `Quick, test_generation_invalidates);
     ("result_cache: generation monotone", `Quick, test_generation_is_monotone);
+    ("result_cache: add after bump refused", `Quick, test_add_after_bump_refused);
     ("result_cache: concurrent", `Quick, test_concurrent_access);
   ]

@@ -82,7 +82,8 @@ let server_config =
   }
 
 let start_backend docs =
-  Server.start ~config:server_config ~n_docs:(Array.length docs)
+  Server.start ~config:server_config
+    ~stats:(Server.static_docs (Array.length docs))
     ~graph:(Pj_ontology.Mini_wordnet.create ())
     (Pj_server.Worker_pool.of_searcher (build_searcher docs))
 
@@ -306,7 +307,7 @@ let run ~quick ~repetitions =
   in
   let front =
     Server.start ~config:server_config ~forward:(Router.forward router)
-      ~extra_stats:(fun () -> Router.stats_extra router)
+      ~stats:(Router.register_stats router)
       ~graph:(Pj_ontology.Mini_wordnet.create ())
       never_searches
   in

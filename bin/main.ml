@@ -570,13 +570,13 @@ let run_serve file index_path host port domains queue cache deadline_ms
   in
   (* Static servers advertise their document count in STATS ([docs=])
      so a router can derive doc-id bases; live servers already do. *)
-  let n_docs =
+  let stats =
     match live_index with
-    | None -> Some (Pj_index.Corpus.size corpus)
-    | Some _ -> None
+    | None -> Pj_server.Server.static_docs (Pj_index.Corpus.size corpus)
+    | Some _ -> ignore
   in
   let server =
-    Pj_server.Server.start ~config ?live:live_index ?n_docs ~graph search
+    Pj_server.Server.start ~config ?live:live_index ~stats ~graph search
   in
   (* SIGTERM/SIGINT trigger a graceful drain. The handler hands the
      (blocking) [Server.stop] to a fresh thread — a handler must not
@@ -708,7 +708,7 @@ let run_serve_router host port backends replicas cache deadline_ms drain_ms
   let server =
     Pj_server.Server.start ~config
       ~forward:(Pj_cluster.Router.forward router)
-      ~extra_stats:(fun () -> Pj_cluster.Router.stats_extra router)
+      ~stats:(Pj_cluster.Router.register_stats router)
       ~graph never_searches
   in
   let stopper = ref None in

@@ -269,31 +269,12 @@ let request t ~line ~deadline =
   submit t ~line ~deadline (Pj_util.Ivar.fill result);
   Pj_util.Ivar.read result
 
-(* Extract [key=<int>] from a STATS line ([key] preceded by a space,
-   so [docs=] never matches [segment_docs=]). *)
-let int_field line key =
-  let needle = " " ^ key ^ "=" in
-  let nl = String.length needle and ll = String.length line in
-  let rec find i =
-    if i + nl > ll then None
-    else if String.sub line i nl = needle then begin
-      let s = i + nl in
-      let e = ref s in
-      while !e < ll && line.[!e] <> ' ' do
-        incr e
-      done;
-      int_of_string_opt (String.sub line s (!e - s))
-    end
-    else find (i + 1)
-  in
-  find 0
-
 let fetch_docs t ~deadline =
   match request t ~line:"STATS" ~deadline with
   | Down reason -> Error reason
   | Timed_out -> Error "STATS timed out"
   | Line line -> (
-      match int_field line "docs" with
+      match Pj_server.Metrics.int_field line "docs" with
       | Some n -> Ok n
       | None ->
           Error

@@ -256,23 +256,25 @@ let forward t =
         f (Atomic.get t.epoch));
   }
 
-let stats_extra t =
-  let buf = Buffer.create 256 in
-  Printf.bprintf buf "router_legs=%d backend_retries=%d failovers=%d"
-    (Array.length t.legs) (Atomic.get t.retries) (Atomic.get t.failovers);
+let register_stats t m =
+  let module M = Pj_server.Metrics in
+  M.gauge m "router_legs" (fun () -> M.Int (Array.length t.legs));
+  M.gauge m "backend_retries" (fun () -> M.Int (Atomic.get t.retries));
+  M.gauge m "failovers" (fun () -> M.Int (Atomic.get t.failovers));
   Array.iteri
     (fun li leg ->
       Array.iteri
         (fun bi b ->
-          let h = Backend.health b in
-          Printf.bprintf buf
-            " backend.%d.%d=%s backend.%d.%d.up=%d backend.%d.%d.requests=%d \
-             backend.%d.%d.failures=%d backend.%d.%d.p50_ms=%.3f \
-             backend.%d.%d.p99_ms=%.3f"
-            li bi (Backend.name b) li bi
-            (if h.Backend.up then 1 else 0)
-            li bi h.Backend.requests li bi h.Backend.failures li bi
-            h.Backend.p50_ms li bi h.Backend.p99_ms)
+          let key = Printf.sprintf "backend.%d.%d" li bi in
+          M.group m
+            (fun () -> Backend.health b)
+            [
+              (key, fun _ -> M.Text (Backend.name b));
+              (key ^ ".up", fun h -> M.Int (if h.Backend.up then 1 else 0));
+              (key ^ ".requests", fun h -> M.Int h.Backend.requests);
+              (key ^ ".failures", fun h -> M.Int h.Backend.failures);
+              (key ^ ".p50_ms", fun h -> M.Ms h.Backend.p50_ms);
+              (key ^ ".p99_ms", fun h -> M.Ms h.Backend.p99_ms);
+            ])
         leg.backends)
-    t.legs;
-  Buffer.contents buf
+    t.legs

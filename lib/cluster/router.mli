@@ -100,12 +100,13 @@ val forward : t -> Pj_server.Server.forward
 (** The router as a {!Pj_server.Server.forward} hook: {!scatter} for
     SEARCH, and the cluster epoch for the front's result cache. *)
 
-val stats_extra : t -> string
-(** Router-tier STATS tokens: [router_legs=], [backend_retries=],
-    [failovers=], and per backend [backend.<leg>.<i>=host:port] with
-    [.up], [.requests], [.failures], [.p50_ms], [.p99_ms] ([i] = 0 is
-    the primary). Appended to the server's STATS line via
-    [?extra_stats]. *)
+val register_stats : t -> Pj_server.Metrics.t -> unit
+(** Register the router tier's STATS keys: [router_legs=],
+    [backend_retries=], [failovers=], and per backend
+    [backend.<leg>.<i>=host:port] with [.up], [.requests],
+    [.failures], [.p50_ms], [.p99_ms] ([i] = 0 is the primary), each
+    backend's six from one health read. Pass it as the front's
+    [Server.start ~stats]. *)
 
 val backend_retries : t -> int
 val failovers : t -> int

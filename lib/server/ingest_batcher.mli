@@ -16,9 +16,9 @@ type t
 val create :
   on_batch:(size:int -> unit) -> Worker_pool.t -> Pj_live.Live_index.t -> t
 (** [on_batch ~size] fires once per successfully committed batch, on
-    the worker domain that committed it — the observability hook for
-    {!Metrics.record_ingest_batch}. If it raises, every document of
-    the batch is acknowledged [ERR]. *)
+    the worker domain that committed it — the observability hook
+    behind STATS [ingest_batches=]/[batched_adds=]. If it raises,
+    every document of the batch is acknowledged [ERR]. *)
 
 val enqueue : t -> string array -> (string -> unit) -> unit
 (** Submit one document (pre-stemmed tokens); its acknowledgement goes

@@ -1,183 +1,112 @@
+type value = Int of int | Ms of float | Seconds of float | Text of string
+type stat = Mean | Percentile of float | Max
+type counter = int Atomic.t
+type total = { mutable members : int list }
+type histogram = { m : Mutex.t; h : Pj_util.Histogram.t }
+
+(* A counter renders from its slot of the render's frame; a total sums
+   its members' slots of the same frame; everything else reads its own
+   source once per render. *)
+type entry =
+  | Counter of string * int
+  | Total of string * total
+  | Read of (Buffer.t -> unit)
+
 type t = {
-  mutex : Mutex.t;
-  started_at : float;
-  mutable searches : int;
-  mutable pings : int;
-  mutable stats_calls : int;
-  mutable parse_errors : int;
-  mutable search_errors : int;
-  mutable busy : int;
-  mutable timeouts : int;
-  mutable degraded : int;
-  mutable shard_failures : int;
-  mutable adds : int;
-  mutable deletes : int;
-  mutable flushes : int;
-  mutable ingest_errors : int;
-  mutable ingest_batches : int;
-  mutable batched_adds : int;
-  latency : Pj_util.Histogram.t;
-  degraded_latency : Pj_util.Histogram.t;
-  ingest_latency : Pj_util.Histogram.t;
+  mutable cells : counter list;  (* newest first *)
+  mutable entries : entry list;  (* newest first *)
 }
 
-let create () =
-  {
-    mutex = Mutex.create ();
-    started_at = Pj_util.Timing.monotonic_now ();
-    searches = 0;
-    pings = 0;
-    stats_calls = 0;
-    parse_errors = 0;
-    search_errors = 0;
-    busy = 0;
-    timeouts = 0;
-    degraded = 0;
-    shard_failures = 0;
-    adds = 0;
-    deletes = 0;
-    flushes = 0;
-    ingest_errors = 0;
-    ingest_batches = 0;
-    batched_adds = 0;
-    latency = Pj_util.Histogram.create ();
-    degraded_latency = Pj_util.Histogram.create ();
-    ingest_latency = Pj_util.Histogram.create ();
-  }
+let create () = { cells = []; entries = [] }
+let push t e = t.entries <- e :: t.entries
 
-let with_lock t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+let put buf key v =
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf key;
+  Buffer.add_char buf '=';
+  match v with
+  | Int n -> Buffer.add_string buf (string_of_int n)
+  | Ms x -> Printf.bprintf buf "%.3f" x
+  | Seconds x -> Printf.bprintf buf "%.1f" x
+  | Text s -> Buffer.add_string buf s
 
-let record_search t = with_lock t (fun () -> t.searches <- t.searches + 1)
-let record_ping t = with_lock t (fun () -> t.pings <- t.pings + 1)
-let record_stats t = with_lock t (fun () -> t.stats_calls <- t.stats_calls + 1)
+let total t key =
+  let tot = { members = [] } in
+  push t (Total (key, tot));
+  tot
 
-let record_parse_error t =
-  with_lock t (fun () -> t.parse_errors <- t.parse_errors + 1)
+let counter ?(into = []) t key =
+  let c = Atomic.make 0 in
+  let slot = List.length t.cells in
+  t.cells <- c :: t.cells;
+  List.iter (fun tot -> tot.members <- slot :: tot.members) into;
+  push t (Counter (key, slot));
+  c
 
-let record_search_error t =
-  with_lock t (fun () -> t.search_errors <- t.search_errors + 1)
+let incr = Atomic.incr
+let add c n = ignore (Atomic.fetch_and_add c n)
 
-let record_busy t = with_lock t (fun () -> t.busy <- t.busy + 1)
-let record_timeout t = with_lock t (fun () -> t.timeouts <- t.timeouts + 1)
+let group t read fields =
+  push t
+    (Read
+       (fun buf ->
+         let s = read () in
+         List.iter (fun (key, f) -> put buf key (f s)) fields))
 
-(* One degraded response lost [n_failed_shards] shard legs; both the
-   response count and the per-leg count are tracked, so "how often do
-   users see partial answers" and "how flaky are the shards" read off
-   separately. *)
-let record_degraded t ~n_failed_shards =
-  with_lock t (fun () ->
-      t.degraded <- t.degraded + 1;
-      t.shard_failures <- t.shard_failures + n_failed_shards)
+let gauge t key read = group t read [ (key, Fun.id) ]
 
-let record_add t = with_lock t (fun () -> t.adds <- t.adds + 1)
-let record_delete t = with_lock t (fun () -> t.deletes <- t.deletes + 1)
-let record_flush t = with_lock t (fun () -> t.flushes <- t.flushes + 1)
+let histogram t stats =
+  let hist = { m = Mutex.create (); h = Pj_util.Histogram.create () } in
+  let value = function
+    | Mean -> Pj_util.Histogram.mean hist.h
+    | Percentile p -> Pj_util.Histogram.percentile hist.h p
+    | Max -> Pj_util.Histogram.max_value hist.h
+  in
+  push t
+    (Read
+       (fun buf ->
+         Mutex.lock hist.m;
+         let vs = List.map (fun (key, s) -> (key, 1000. *. value s)) stats in
+         Mutex.unlock hist.m;
+         List.iter (fun (key, ms) -> put buf key (Ms ms)) vs));
+  hist
 
-let record_ingest_error t =
-  with_lock t (fun () -> t.ingest_errors <- t.ingest_errors + 1)
+let observe hist seconds =
+  Mutex.lock hist.m;
+  Pj_util.Histogram.observe hist.h seconds;
+  Mutex.unlock hist.m
 
-let record_ingest_batch t ~size =
-  with_lock t (fun () ->
-      t.ingest_batches <- t.ingest_batches + 1;
-      t.batched_adds <- t.batched_adds + size)
+let render t =
+  (* Every counter is read once, before anything renders, so a total
+     and its members come from the same values. *)
+  let frame = Array.of_list (List.rev_map Atomic.get t.cells) in
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf "STATS";
+  List.iter
+    (function
+      | Counter (key, slot) -> put buf key (Int frame.(slot))
+      | Total (key, tot) ->
+          put buf key
+            (Int (List.fold_left (fun acc s -> acc + frame.(s)) 0 tot.members))
+      | Read f -> f buf)
+    (List.rev t.entries);
+  Buffer.contents buf
 
-let observe_latency t seconds =
-  with_lock t (fun () -> Pj_util.Histogram.observe t.latency seconds)
+let field line key =
+  let needle = " " ^ key ^ "=" in
+  let nl = String.length needle and ll = String.length line in
+  let rec find i =
+    if i + nl > ll then None
+    else if String.sub line i nl = needle then begin
+      let s = i + nl in
+      let e = ref s in
+      while !e < ll && line.[!e] <> ' ' do
+        Stdlib.incr e
+      done;
+      Some (String.sub line s (!e - s))
+    end
+    else find (i + 1)
+  in
+  find 0
 
-let observe_degraded_latency t seconds =
-  with_lock t (fun () -> Pj_util.Histogram.observe t.degraded_latency seconds)
-
-let observe_ingest_latency t seconds =
-  with_lock t (fun () -> Pj_util.Histogram.observe t.ingest_latency seconds)
-
-type snapshot = {
-  uptime_s : float;
-  requests : int;
-  searches : int;
-  pings : int;
-  stats_calls : int;
-  parse_errors : int;
-  search_errors : int;
-  errors : int;
-  busy : int;
-  timeouts : int;
-  degraded : int;
-  shard_failures : int;
-  adds : int;
-  deletes : int;
-  flushes : int;
-  ingest_errors : int;
-  ingest_batches : int;
-  batched_adds : int;
-  served : int;
-  latency_mean_ms : float;
-  latency_p50_ms : float;
-  latency_p95_ms : float;
-  latency_p99_ms : float;
-  latency_max_ms : float;
-  ingest_p50_ms : float;
-  ingest_p99_ms : float;
-}
-
-let snapshot t =
-  with_lock t (fun () ->
-      let ms f = 1000. *. f in
-      let h = t.latency in
-      {
-        uptime_s = Pj_util.Timing.monotonic_now () -. t.started_at;
-        (* A search that fails inside handle_search was already counted
-           in [searches]; only requests that never parsed into a
-           command add to the total here. Summing [errors] instead
-           would double-count every failed SEARCH. The same holds for
-           the write verbs: an ADDDOC that fails in the worker was
-           already counted in [adds]. *)
-        requests =
-          t.searches + t.pings + t.stats_calls + t.parse_errors + t.adds
-          + t.deletes + t.flushes;
-        searches = t.searches;
-        pings = t.pings;
-        stats_calls = t.stats_calls;
-        parse_errors = t.parse_errors;
-        search_errors = t.search_errors;
-        errors = t.parse_errors + t.search_errors + t.ingest_errors;
-        busy = t.busy;
-        timeouts = t.timeouts;
-        degraded = t.degraded;
-        shard_failures = t.shard_failures;
-        adds = t.adds;
-        deletes = t.deletes;
-        flushes = t.flushes;
-        ingest_errors = t.ingest_errors;
-        ingest_batches = t.ingest_batches;
-        batched_adds = t.batched_adds;
-        served = Pj_util.Histogram.count h;
-        latency_mean_ms = ms (Pj_util.Histogram.mean h);
-        latency_p50_ms = ms (Pj_util.Histogram.percentile h 50.);
-        latency_p95_ms = ms (Pj_util.Histogram.percentile h 95.);
-        latency_p99_ms = ms (Pj_util.Histogram.percentile h 99.);
-        latency_max_ms = ms (Pj_util.Histogram.max_value h);
-        ingest_p50_ms = ms (Pj_util.Histogram.percentile t.ingest_latency 50.);
-        ingest_p99_ms = ms (Pj_util.Histogram.percentile t.ingest_latency 99.);
-      })
-
-let render t ~cache_hits ~cache_misses ~cache_len ~queue_len ~domains
-    ~worker_panics ~worker_respawns =
-  let s = snapshot t in
-  Printf.sprintf
-    "STATS uptime_s=%.1f requests=%d searches=%d served=%d pings=%d \
-     stats=%d errors=%d parse_errors=%d search_errors=%d busy=%d \
-     timeouts=%d degraded=%d shard_failures=%d adds=%d deletes=%d \
-     flushes=%d ingest_errors=%d ingest_batches=%d batched_adds=%d \
-     worker_panics=%d \
-     worker_respawns=%d cache_hits=%d cache_misses=%d cache_len=%d \
-     queue_len=%d domains=%d lat_mean_ms=%.3f p50_ms=%.3f p95_ms=%.3f \
-     p99_ms=%.3f max_ms=%.3f ingest_p50_ms=%.3f ingest_p99_ms=%.3f"
-    s.uptime_s s.requests s.searches s.served s.pings s.stats_calls s.errors
-    s.parse_errors s.search_errors s.busy s.timeouts s.degraded
-    s.shard_failures s.adds s.deletes s.flushes s.ingest_errors
-    s.ingest_batches s.batched_adds worker_panics
-    worker_respawns cache_hits cache_misses cache_len queue_len domains
-    s.latency_mean_ms s.latency_p50_ms s.latency_p95_ms s.latency_p99_ms
-    s.latency_max_ms s.ingest_p50_ms s.ingest_p99_ms
+let int_field line key = Option.bind (field line key) int_of_string_opt

@@ -1,133 +1,89 @@
-(** Server observability: request/error counters and a latency
-    histogram, reported through the [STATS] command and the periodic
-    log line.
+(** The STATS registry: one ordered table of named entries that
+    renders the single-line key=value [STATS] response (and the
+    periodic log line).
 
-    All operations are mutex-protected; recording is O(1) (the
-    histogram is {!Pj_util.Histogram}, constant-memory log buckets), so
-    metrics never become the hot path they are measuring.
+    Each key is declared exactly once, where it is registered: its
+    name, where its value comes from, and its number format ({!value}).
+    {!render} walks the table in registration order; there is no
+    record of fields, snapshot or format string to keep in step.
 
-    Errors are counted at two distinct levels and never mixed:
-    a {e parse} error is a request line that never became a command
-    (malformed, unknown verb, over-long line) — it is a request in its
-    own right; a {e search} error is a SEARCH that parsed fine but
-    failed during evaluation (bad scoring family, unknown term, worker
-    exception) — that request is already counted in [searches], and an
-    {e ingest} error likewise in [adds]/[deletes]/[flushes]. Keeping
-    the levels apart is what makes the invariant
-    [requests = searches + pings + stats + parse_errors + adds +
-    deletes + flushes] hold exactly; a single error counter would put
-    failed requests in both terms of the sum. *)
+    {2 Adding a key}
+
+    One registration, at the point in the line where the key belongs,
+    before the server accepts its first connection:
+    - a request counter:
+      [let hits = Metrics.counter m "hits"], then [Metrics.incr hits]
+      wherever it happens;
+    - a latency histogram:
+      [let h = Metrics.histogram m [ ("x_p50_ms", Percentile 50.) ]],
+      then [Metrics.observe h seconds];
+    - a value owned elsewhere (a pool, a cache, an index):
+      [Metrics.gauge m "k" (fun () -> Int (read ()))], or {!group} for
+      several keys off one read of their source.
+
+    {2 Consistency}
+
+    Counters are [Atomic] cells, bumped without a lock. A {!total} is
+    rendered from the same per-render read of its member counters, so
+    [requests = searches + pings + ...] holds exactly on every line,
+    however many requests land while it renders. A {!group} reads its
+    source once per render, so keys that must agree with each other
+    (the live index's [docs = segment_docs + memtable_docs -
+    tombstones]) come from one read. Histograms take their own mutex
+    per observation (O(1): constant-memory log buckets, see
+    {!Pj_util.Histogram}). *)
 
 type t
 
 val create : unit -> t
+(** An empty registry; register entries, then {!render}. Registration
+    is not thread-safe: finish it before the first render. *)
 
-val record_search : t -> unit
-val record_ping : t -> unit
-val record_stats : t -> unit
+(** How a value renders: [Int] as [%d], [Ms] (milliseconds) as
+    [%.3f], [Seconds] as [%.1f], [Text] verbatim (must hold no space). *)
+type value = Int of int | Ms of float | Seconds of float | Text of string
 
-val record_parse_error : t -> unit
-(** A request line that parsed into no command at all. Counted as a
-    request; never overlaps [record_search]. *)
+(** {2 Registration} — each call appends its keys to the line. *)
 
-val record_search_error : t -> unit
-(** A SEARCH (already counted by [record_search]) that failed during
-    evaluation. Not counted as an extra request. *)
+type total
 
-val record_busy : t -> unit
-(** Also counted under its verb's counter; tracks queue-full
-    rejections. *)
+val total : t -> string -> total
+(** [key=] the sum of the counters later registered [~into] it. *)
 
-val record_timeout : t -> unit
-(** Also counted as a search; tracks deadline expiries. *)
+type counter
 
-val record_degraded : t -> n_failed_shards:int -> unit
-(** An OK-DEGRADED response (already counted as a search): bumps the
-    degraded-response count by one and the cumulative shard-failure
-    count by [n_failed_shards] — the first says how often clients see
-    partial answers, the second how flaky the shards are. *)
+val counter : ?into:total list -> t -> string -> counter
+(** [key=] a count starting at 0, also summed into every total of
+    [into]. *)
 
-val record_add : t -> unit
-(** An ADDDOC request (attempted, whatever its outcome). *)
+val incr : counter -> unit
+val add : counter -> int -> unit
 
-val record_delete : t -> unit
-(** A DELDOC request (attempted, whatever its outcome). *)
+type histogram
+type stat = Mean | Percentile of float | Max
 
-val record_flush : t -> unit
-(** A FLUSH request (attempted, whatever its outcome). *)
+val histogram : t -> (string * stat) list -> histogram
+(** One key per listed statistic of the observations, in
+    milliseconds; 0 while empty. *)
 
-val record_ingest_batch : t -> size:int -> unit
-(** One group-commit batch of [size] ADDDOCs executed through the
-    worker pool (each ADDDOC is still counted by [record_add]); the
-    ratio [batched_adds / ingest_batches] is the achieved group-commit
-    factor. *)
+val observe : histogram -> float -> unit
+(** Record one observation, in seconds. Thread-safe. *)
 
-val record_ingest_error : t -> unit
-(** A write verb (already counted by [record_add]/[record_delete]/
-    [record_flush]) that failed during execution — including writes
-    refused because the server fronts a read-only index. Not counted
-    as an extra request. *)
+val gauge : t -> string -> (unit -> value) -> unit
+(** [key=] whatever the function returns, read at every render. *)
 
-val observe_latency : t -> float -> unit
-(** Seconds from request receipt to response for a served search
-    (cache hits included). *)
+val group : t -> (unit -> 'a) -> (string * ('a -> value)) list -> unit
+(** Several keys off one read of their source per render. *)
 
-val observe_degraded_latency : t -> float -> unit
-(** Same clock, but for OK-DEGRADED responses — kept in a separate
-    histogram so degraded requests (which often burn the whole
-    deadline on a failed leg) don't skew the healthy-path
-    percentiles. *)
+(** {2 Reading} *)
 
-val observe_ingest_latency : t -> float -> unit
-(** Seconds from request receipt to acknowledgement for a completed
-    write (ADDED/DELETED/FLUSHED). Separate histogram: a FLUSH's
-    fsync-bound latency has nothing in common with a search's. *)
+val render : t -> string
+(** ["STATS k=v k=v ..."], one line, keys in registration order. *)
 
-type snapshot = {
-  uptime_s : float;
-  requests : int;
-      (** searches + pings + stats + parse errors + adds + deletes +
-          flushes, exactly *)
-  searches : int;
-  pings : int;
-  stats_calls : int;
-  parse_errors : int;
-  search_errors : int;
-  errors : int;  (** parse_errors + search_errors + ingest_errors *)
-  busy : int;
-  timeouts : int;
-  degraded : int;  (** OK-DEGRADED responses *)
-  shard_failures : int;  (** total failed shard legs across them *)
-  adds : int;
-  deletes : int;
-  flushes : int;
-  ingest_errors : int;
-  ingest_batches : int;
-      (** group-commit batches executed for ADDDOC acknowledgements *)
-  batched_adds : int;  (** ADDDOCs carried by those batches *)
-  served : int;  (** searches answered with a HITS line *)
-  latency_mean_ms : float;
-  latency_p50_ms : float;
-  latency_p95_ms : float;
-  latency_p99_ms : float;
-  latency_max_ms : float;
-  ingest_p50_ms : float;
-  ingest_p99_ms : float;
-}
+val field : string -> string -> string option
+(** [field line key] is the value of [key=] in a [STATS] (or any
+    space-separated key=value) line. The key must follow a space, so
+    [docs] never matches inside [segment_docs=]. *)
 
-val snapshot : t -> snapshot
-
-val render :
-  t ->
-  cache_hits:int ->
-  cache_misses:int ->
-  cache_len:int ->
-  queue_len:int ->
-  domains:int ->
-  worker_panics:int ->
-  worker_respawns:int ->
-  string
-(** The single-line key=value [STATS] response. [worker_panics] and
-    [worker_respawns] come from {!Worker_pool} (they live in the pool,
-    not here, because the supervisor owns them). When the server
-    fronts a live index it appends the live-index fields itself. *)
+val int_field : string -> string -> int option
+(** {!field}, as an integer. *)

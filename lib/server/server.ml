@@ -49,6 +49,150 @@ type conn = {
          nothing running to join. *)
 }
 
+(* What the request paths bump. *)
+type stats = {
+  searches : Metrics.counter;
+  served : Metrics.counter;  (* searches answered with a HITS line *)
+  pings : Metrics.counter;
+  stats_requests : Metrics.counter;
+  parse_errors : Metrics.counter;
+  search_errors : Metrics.counter;
+  busy : Metrics.counter;
+  timeouts : Metrics.counter;
+  degraded : Metrics.counter;
+  shard_failures : Metrics.counter;
+  adds : Metrics.counter;
+  deletes : Metrics.counter;
+  flushes : Metrics.counter;
+  ingest_errors : Metrics.counter;
+  ingest_batches : Metrics.counter;
+  batched_adds : Metrics.counter;
+  latency : Metrics.histogram;
+  ingest_latency : Metrics.histogram;
+}
+
+(* The whole STATS line, in order: the request taxonomy, the pool and
+   cache, the latency histograms, the live index's section (when there
+   is one), then whatever the caller registers. Errors are counted at
+   two levels and never mixed: a parse error is a request line that
+   never became a command — a request in its own right — while a
+   search or ingest error is a request already counted under its verb.
+   So [requests] sums the verbs and the parse errors, never [errors]:
+   summing both would count every failed request twice. *)
+let register_stats m ~pool ~cache ~live ~extra =
+  let started = Pj_util.Timing.monotonic_now () in
+  Metrics.gauge m "uptime_s" (fun () ->
+      Metrics.Seconds (Pj_util.Timing.monotonic_now () -. started));
+  let requests = Metrics.total m "requests" in
+  let request = Metrics.counter m ~into:[ requests ] in
+  let searches = request "searches" in
+  let served = Metrics.counter m "served" in
+  let pings = request "pings" in
+  let stats_requests = request "stats" in
+  let errors = Metrics.total m "errors" in
+  let parse_errors =
+    Metrics.counter m ~into:[ requests; errors ] "parse_errors"
+  in
+  let search_errors = Metrics.counter m ~into:[ errors ] "search_errors" in
+  let busy = Metrics.counter m "busy" in
+  let timeouts = Metrics.counter m "timeouts" in
+  (* How often clients see partial answers, and how flaky the shards
+     are: one OK-DEGRADED response bumps [degraded] once and
+     [shard_failures] by its number of failed legs. *)
+  let degraded = Metrics.counter m "degraded" in
+  let shard_failures = Metrics.counter m "shard_failures" in
+  let adds = request "adds" in
+  let deletes = request "deletes" in
+  let flushes = request "flushes" in
+  let ingest_errors = Metrics.counter m ~into:[ errors ] "ingest_errors" in
+  (* [batched_adds / ingest_batches] is the achieved group-commit
+     factor. *)
+  let ingest_batches = Metrics.counter m "ingest_batches" in
+  let batched_adds = Metrics.counter m "batched_adds" in
+  (* The supervisor owns the pool's numbers; a router front has no
+     pool and reports 0. *)
+  let pool_int key f =
+    Metrics.gauge m key (fun () ->
+        Metrics.Int (Option.fold ~none:0 ~some:f pool))
+  in
+  pool_int "worker_panics" Worker_pool.panics;
+  pool_int "worker_respawns" Worker_pool.respawns;
+  Metrics.group m
+    (fun () -> Result_cache.stats cache)
+    [
+      ("cache_hits", fun (h, _, _) -> Metrics.Int h);
+      ("cache_misses", fun (_, mi, _) -> Metrics.Int mi);
+      ("cache_len", fun (_, _, n) -> Metrics.Int n);
+    ];
+  pool_int "queue_len" Worker_pool.queue_length;
+  pool_int "domains" Worker_pool.domains;
+  (* Healthy searches only: a degraded answer often burns its whole
+     deadline on the failed leg, which would smear these percentiles. *)
+  let latency =
+    Metrics.histogram m
+      [
+        ("lat_mean_ms", Metrics.Mean);
+        ("p50_ms", Metrics.Percentile 50.);
+        ("p95_ms", Metrics.Percentile 95.);
+        ("p99_ms", Metrics.Percentile 99.);
+        ("max_ms", Metrics.Max);
+      ]
+  in
+  (* A FLUSH's fsync-bound latency has nothing in common with a
+     search's. *)
+  let ingest_latency =
+    Metrics.histogram m
+      [
+        ("ingest_p50_ms", Metrics.Percentile 50.);
+        ("ingest_p99_ms", Metrics.Percentile 99.);
+      ]
+  in
+  Option.iter
+    (fun live ->
+      (* One read per render, so [docs = segment_docs + memtable_docs -
+         tombstones] holds on the line. *)
+      let module L = Pj_live.Live_index in
+      Metrics.group m
+        (fun () -> L.stats live)
+        [
+          ("live", fun _ -> Metrics.Int 1);
+          ("docs", fun s -> Metrics.Int s.L.docs);
+          ("total_docs", fun s -> Metrics.Int s.L.total_docs);
+          ("segments", fun s -> Metrics.Int s.L.segments);
+          ("segment_docs", fun s -> Metrics.Int s.L.segment_docs);
+          ("memtable_docs", fun s -> Metrics.Int s.L.memtable_docs);
+          ("tombstones", fun s -> Metrics.Int s.L.tombstones);
+          ("generation", fun s -> Metrics.Int s.L.generation);
+          ("merges", fun s -> Metrics.Int s.L.merges);
+          ("index_flushes", fun s -> Metrics.Int s.L.flushes);
+          ("wal_appends", fun s -> Metrics.Int s.L.wal_appends);
+          ("wal_fsyncs", fun s -> Metrics.Int s.L.wal_fsyncs);
+          ("durable_lag", fun s -> Metrics.Int s.L.durable_lag);
+          ("merge_errors", fun s -> Metrics.Int s.L.merge_errors);
+        ])
+    live;
+  extra m;
+  {
+    searches;
+    served;
+    pings;
+    stats_requests;
+    parse_errors;
+    search_errors;
+    busy;
+    timeouts;
+    degraded;
+    shard_failures;
+    adds;
+    deletes;
+    flushes;
+    ingest_errors;
+    ingest_batches;
+    batched_adds;
+    latency;
+    ingest_latency;
+  }
+
 type t = {
   config : config;
   listen_fd : Unix.file_descr;
@@ -63,17 +207,11 @@ type t = {
   batcher : Ingest_batcher.t option; (* Some iff [live] is Some *)
   cache : Result_cache.t;
   metrics : Metrics.t;
+  stats : stats;
   forward : forward option;
       (* A router's scatter-gather, replacing the worker pool for
          SEARCH: parse/validate/cache/metrics stay here, result
          production is remote. *)
-  extra_stats : (unit -> string) option;
-      (* Extra key=value tokens appended to the STATS line (a router's
-         per-backend health). Must render as a single line. *)
-  n_docs : int option;
-      (* Documents served, for static (non-live) indexes: rendered as
-         [docs=] in STATS so a router can derive doc-id bases. Live
-         servers render their own [docs=]. *)
   running : bool Atomic.t;
   inflight : int Atomic.t;
       (* Requests between line-read and response-flush; what [stop]'s
@@ -86,46 +224,9 @@ type t = {
 }
 
 let port t = t.port
-let metrics t = t.metrics
 let cache t = t.cache
 let inflight t = Atomic.get t.inflight
-
-let stats_line t =
-  let cache_hits, cache_misses, cache_len = Result_cache.stats t.cache in
-  let pool_stat f = Option.fold ~none:0 ~some:f t.pool in
-  let base =
-    Metrics.render t.metrics ~cache_hits ~cache_misses ~cache_len
-      ~queue_len:(pool_stat Worker_pool.queue_length)
-      ~domains:(pool_stat Worker_pool.domains)
-      ~worker_panics:(pool_stat Worker_pool.panics)
-      ~worker_respawns:(pool_stat Worker_pool.respawns)
-  in
-  let base =
-    match (t.live, t.n_docs) with
-    | None, Some n -> Printf.sprintf "%s docs=%d" base n
-    | _ -> base
-  in
-  let line =
-    match t.live with
-    | None -> base
-    | Some live ->
-      (* The live-index accounting invariant
-         [docs = segment_docs + memtable_docs - tombstones] is readable
-         straight off this line — test/server asserts it over the
-         socket. *)
-      let s = Pj_live.Live_index.stats live in
-      Printf.sprintf
-        "%s live=1 docs=%d total_docs=%d segments=%d segment_docs=%d \
-         memtable_docs=%d tombstones=%d generation=%d merges=%d \
-         index_flushes=%d wal_appends=%d wal_fsyncs=%d durable_lag=%d"
-        base s.Pj_live.Live_index.docs s.Pj_live.Live_index.total_docs
-        s.Pj_live.Live_index.segments s.Pj_live.Live_index.segment_docs
-        s.Pj_live.Live_index.memtable_docs s.Pj_live.Live_index.tombstones
-        s.Pj_live.Live_index.generation s.Pj_live.Live_index.merges
-        s.Pj_live.Live_index.flushes s.Pj_live.Live_index.wal_appends
-        s.Pj_live.Live_index.wal_fsyncs s.Pj_live.Live_index.durable_lag
-  in
-  match t.extra_stats with None -> line | Some f -> line ^ " " ^ f ()
+let stats_line t = Metrics.render t.metrics
 
 (* Every request is answered through a [reply] completion, called
    exactly once: inline on the connection's reader thread for cache
@@ -135,16 +236,18 @@ let stats_line t =
    action, so one that raises has neither called it nor given it away.
    Nothing on these paths blocks. *)
 
-(* A finished SEARCH: latency into its histogram, then the answer.
-   Separate histograms: a degraded request often burns its whole
-   deadline on the failed leg, which would smear the healthy-path
-   percentiles. *)
+(* A finished SEARCH: a HITS answer is served and timed, then the
+   answer goes out. *)
 let search_done t ~t0 reply response =
-  let dt = Pj_util.Timing.monotonic_now () -. t0 in
-  if Protocol.cacheable response then Metrics.observe_latency t.metrics dt
-  else if Protocol.is_search_success response then
-    Metrics.observe_degraded_latency t.metrics dt;
+  if Protocol.cacheable response then begin
+    Metrics.incr t.stats.served;
+    Metrics.observe t.stats.latency (Pj_util.Timing.monotonic_now () -. t0)
+  end;
   reply response
+
+let degraded t n_failed =
+  Metrics.incr t.stats.degraded;
+  Metrics.add t.stats.shard_failures n_failed
 
 (* The response line for a router's outcome. [precision] is the score
    rendering of the client's wire (text or binary); the metrics
@@ -155,16 +258,16 @@ let forwarded_response t ~precision ~key ~generation = function
       Result_cache.add ~generation t.cache key response;
       response
   | Forwarded_degraded (pairs, failed_legs) ->
-      Metrics.record_degraded t.metrics ~n_failed_shards:(List.length failed_legs);
+      degraded t (List.length failed_legs);
       Protocol.ok_degraded_ids ~precision ~failed_shards:failed_legs pairs
   | Forwarded_timeout ->
-      Metrics.record_timeout t.metrics;
+      Metrics.incr t.stats.timeouts;
       Protocol.timeout
   | Forwarded_busy ->
-      Metrics.record_busy t.metrics;
+      Metrics.incr t.stats.busy;
       Protocol.busy
   | Forwarded_error msg ->
-      Metrics.record_search_error t.metrics;
+      Metrics.incr t.stats.search_errors;
       Protocol.err msg
 
 let local_response t ~precision ~key ~generation = function
@@ -176,13 +279,13 @@ let local_response t ~precision ~key ~generation = function
       (* A partial answer is this request's shard luck, not the query's
          answer — flag it, count it, and keep it out of the cache so the
          next attempt gets a fresh scatter-gather. *)
-      Metrics.record_degraded t.metrics ~n_failed_shards:(List.length failed);
+      degraded t (List.length failed);
       Protocol.ok_degraded ~precision ~failed_shards:failed hits
   | Worker_pool.Timed_out ->
-      Metrics.record_timeout t.metrics;
+      Metrics.incr t.stats.timeouts;
       Protocol.timeout
   | Worker_pool.Failed msg ->
-      Metrics.record_search_error t.metrics;
+      Metrics.incr t.stats.search_errors;
       Protocol.err msg
 
 (* Run one validated SEARCH that missed the cache under [generation],
@@ -194,7 +297,7 @@ let execute_search t (sr : Protocol.search_request) ~precision ~key
      in-flight query's budget. *)
   let deadline = t0 +. t.config.deadline_s in
   let search_error msg =
-    Metrics.record_search_error t.metrics;
+    Metrics.incr t.stats.search_errors;
     search_done t ~t0 reply (Protocol.err msg)
   in
   match t.forward with
@@ -228,7 +331,7 @@ let execute_search t (sr : Protocol.search_request) ~precision ~key
                           (local_response t ~precision ~key ~generation outcome)))
               in
               if not queued then begin
-                Metrics.record_busy t.metrics;
+                Metrics.incr t.stats.busy;
                 search_done t ~t0 reply Protocol.busy
               end
         end
@@ -263,14 +366,14 @@ let handle_ingest t request reply =
   let t0 = Pj_util.Timing.monotonic_now () in
   let finish response =
     if Protocol.is_ingest_success response then
-      Metrics.observe_ingest_latency t.metrics
+      Metrics.observe t.stats.ingest_latency
         (Pj_util.Timing.monotonic_now () -. t0)
-    else if response = Protocol.busy then Metrics.record_busy t.metrics
+    else if response = Protocol.busy then Metrics.incr t.stats.busy
     else
       (* Includes a task answering ERR itself (e.g. DELDOC of an
          unknown id) — an ingest error even though the worker ran
          fine. *)
-      Metrics.record_ingest_error t.metrics;
+      Metrics.incr t.stats.ingest_errors;
     reply response
   in
   match (t.live, request) with
@@ -310,29 +413,29 @@ let handle_ingest t request reply =
 let respond t ~precision line ~reply =
   match Protocol.parse_request line with
   | Error msg ->
-      Metrics.record_parse_error t.metrics;
+      Metrics.incr t.stats.parse_errors;
       reply (Protocol.err msg);
       true
   | Ok Protocol.Ping ->
-      Metrics.record_ping t.metrics;
+      Metrics.incr t.stats.pings;
       reply Protocol.pong;
       true
   | Ok Protocol.Quit ->
       reply Protocol.bye;
       false
   | Ok Protocol.Stats ->
-      Metrics.record_stats t.metrics;
+      Metrics.incr t.stats.stats_requests;
       reply (stats_line t);
       true
   | Ok (Protocol.Search sr) ->
-      Metrics.record_search t.metrics;
+      Metrics.incr t.stats.searches;
       handle_search t sr ~precision reply;
       true
   | Ok ((Protocol.Add_doc _ | Protocol.Del_doc _ | Protocol.Flush) as req) ->
       (match req with
-      | Protocol.Add_doc _ -> Metrics.record_add t.metrics
-      | Protocol.Del_doc _ -> Metrics.record_delete t.metrics
-      | _ -> Metrics.record_flush t.metrics);
+      | Protocol.Add_doc _ -> Metrics.incr t.stats.adds
+      | Protocol.Del_doc _ -> Metrics.incr t.stats.deletes
+      | _ -> Metrics.incr t.stats.flushes);
       handle_ingest t req reply;
       true
 
@@ -397,7 +500,7 @@ let handle_text t ic oc =
         (* One diagnostic, then the connection is failed: the rest of
            the over-long line is unread, so the stream can no longer
            be parsed at request boundaries. *)
-        Metrics.record_parse_error t.metrics;
+        Metrics.incr t.stats.parse_errors;
         output_string oc (Protocol.err "request line too long");
         output_char oc '\n';
         flush oc
@@ -508,7 +611,7 @@ let handle_binary t ic oc =
      — the frame boundary is lost, mirroring the text side's
      "request line too long". *)
   let fatal msg =
-    Metrics.record_parse_error t.metrics;
+    Metrics.incr t.stats.parse_errors;
     post box
       {
         Pj_frame.Frame.kind = Pj_frame.Frame.Error_frame;
@@ -624,8 +727,10 @@ let log_loop t period =
       Printf.eprintf "[pj_server] %s\n%!" (stats_line t)
   done
 
-let start ?(config = default_config) ?live ?forward ?extra_stats ?n_docs
-    ~graph search =
+let static_docs n m = Metrics.gauge m "docs" (fun () -> Metrics.Int n)
+
+let start ?(config = default_config) ?live ?forward ?(stats = ignore) ~graph
+    search =
   if config.binary_inflight < 1 then
     invalid_arg "Server.start: binary_inflight must be >= 1";
   (* A client that hangs up before its answer is written must cost a
@@ -651,13 +756,17 @@ let start ?(config = default_config) ?live ?forward ?extra_stats ?n_docs
         (Worker_pool.create ~domains:config.domains
            ~queue_capacity:config.queue_capacity search)
   in
+  let cache = Result_cache.create ~capacity:config.cache_capacity in
   let metrics = Metrics.create () in
+  let counters = register_stats metrics ~pool ~cache ~live ~extra:stats in
   let batcher =
     match (live, pool) with
     | Some live, Some pool ->
         Some
           (Ingest_batcher.create
-             ~on_batch:(fun ~size -> Metrics.record_ingest_batch metrics ~size)
+             ~on_batch:(fun ~size ->
+               Metrics.incr counters.ingest_batches;
+               Metrics.add counters.batched_adds size)
              pool live)
     | _ -> None
   in
@@ -671,10 +780,9 @@ let start ?(config = default_config) ?live ?forward ?extra_stats ?n_docs
       live;
       batcher;
       forward;
-      extra_stats;
-      n_docs;
-      cache = Result_cache.create ~capacity:config.cache_capacity;
+      cache;
       metrics;
+      stats = counters;
       running = Atomic.make true;
       inflight = Atomic.make 0;
       accept_thread = None;

@@ -94,8 +94,7 @@ val start :
   ?config:config ->
   ?live:Pj_live.Live_index.t ->
   ?forward:forward ->
-  ?extra_stats:(unit -> string) ->
-  ?n_docs:int ->
+  ?stats:(Metrics.t -> unit) ->
   graph:Pj_ontology.Graph.t ->
   Worker_pool.search ->
   t
@@ -114,11 +113,13 @@ val start :
     answered by the hook, and the hook's epoch namespaces the result
     cache. Without [?live] such a server has no worker pool at all
     (the search function, [config.domains] and [config.queue_capacity]
-    go unused, and STATS reports [domains=0]). [?extra_stats] appends extra
-    key=value tokens to the STATS line (must render one-line).
-    [?n_docs] adds a [docs=] field to STATS for static indexes, which
-    is how a router derives backend doc-id bases; ignored when
-    [?live] is given (the live index reports its own [docs=]).
+    go unused, and STATS reports [domains=0]).
+
+    [?stats] registers the caller's STATS keys after the server's own,
+    before the first connection is accepted: a static index's [docs=]
+    ({!static_docs}: how a router derives backend doc-id bases; a live
+    index reports its own), or a router's per-backend health
+    ({!Pj_cluster.Router.register_stats}).
 
     Both wire dialects are served on the one socket: a connection's
     first byte picks text ({!Protocol} lines) or binary
@@ -127,6 +128,10 @@ val start :
 
     Ignores SIGPIPE for the whole process: a client that hangs up
     before its answer is written fails that write, not the server. *)
+
+val static_docs : int -> Metrics.t -> unit
+(** [~stats:(static_docs n)]: register [docs=n] for a static index of
+    [n] documents. *)
 
 val port : t -> int
 (** The actual bound port (useful with [port = 0]). *)
@@ -163,5 +168,4 @@ val wait : t -> unit
 val stats_line : t -> string
 (** The current [STATS] response line. *)
 
-val metrics : t -> Metrics.t
 val cache : t -> Result_cache.t

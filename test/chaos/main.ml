@@ -135,23 +135,6 @@ let baseline server =
     ~finally:(fun () -> close conn)
     (fun () -> List.map (fun q -> (q, expect_response conn q)) queries)
 
-let stats_field line key =
-  (* "worker_respawns=3" somewhere in a key=value STATS line. *)
-  let needle = key ^ "=" in
-  let n = String.length needle and len = String.length line in
-  let rec find i =
-    if i + n > len then None
-    else if String.sub line i n = needle then begin
-      let j = ref (i + n) in
-      while !j < len && line.[!j] <> ' ' do
-        incr j
-      done;
-      int_of_string_opt (String.sub line (i + n) (!j - i - n))
-    end
-    else find (i + 1)
-  in
-  find 0
-
 (* --- 1. randomized schedules ---------------------------------------- *)
 
 let random_schedule rng =
@@ -271,11 +254,11 @@ let test_degraded_flagged_and_uncached () =
           Alcotest.(check (option int))
             "every degraded response counted"
             (Some (List.length expected))
-            (stats_field stats "degraded");
+            (Metrics.int_field stats "degraded");
           Alcotest.(check (option int))
             "one failed leg each"
             (Some (List.length expected))
-            (stats_field stats "shard_failures")))
+            (Metrics.int_field stats "shard_failures")))
 
 (* --- 3. worker kill: detected, counted, respawned ------------------- *)
 
@@ -298,7 +281,7 @@ let test_worker_kill_respawns () =
              is joined and replaced, then every query serves again. *)
           let deadline = Pj_util.Timing.monotonic_now () +. 5. in
           let respawned () =
-            match stats_field (Server.stats_line server) "worker_respawns" with
+            match Metrics.int_field (Server.stats_line server) "worker_respawns" with
             | Some n -> n >= 1
             | None -> false
           in
@@ -308,7 +291,7 @@ let test_worker_kill_respawns () =
           Alcotest.(check bool) "respawn counted" true (respawned ());
           Alcotest.(check (option int))
             "panic counted" (Some 1)
-            (stats_field (Server.stats_line server) "worker_panics");
+            (Metrics.int_field (Server.stats_line server) "worker_panics");
           List.iter
             (fun (q, want) ->
               Alcotest.(check string)

@@ -107,20 +107,10 @@ let brequest conn ~id line =
   Alcotest.(check int) "response id echoes request id" id f.Frame.id;
   (f.Frame.kind, f.Frame.payload)
 
-let int_field line name =
-  let pat = " " ^ name ^ "=" in
-  let n = String.length pat and len = String.length line in
-  let rec find i =
-    if i + n > len then Alcotest.failf "field %s missing in %S" name line
-    else if String.sub line i n = pat then i + n
-    else find (i + 1)
-  in
-  let start = find 0 in
-  let stop = ref start in
-  while !stop < len && line.[!stop] <> ' ' do
-    incr stop
-  done;
-  int_of_string (String.sub line start (!stop - start))
+let int_field line key =
+  match Pj_server.Metrics.int_field line key with
+  | Some n -> n
+  | None -> Alcotest.failf "field %s missing in %S" key line
 
 let contains line sub =
   let n = String.length sub in
@@ -136,8 +126,9 @@ let light = { Server.default_config with Server.domains = 1 }
 let start_backend texts =
   let searcher = build_searcher texts in
   let graph = Pj_ontology.Mini_wordnet.create () in
-  Server.start ~config:light ~n_docs:(List.length texts) ~graph
-    (Worker_pool.of_searcher searcher)
+  Server.start ~config:light
+    ~stats:(Server.static_docs (List.length texts))
+    ~graph (Worker_pool.of_searcher searcher)
 
 let spec_of server =
   { Router.host = "127.0.0.1"; port = Server.port server; base = None }
@@ -172,7 +163,7 @@ let with_cluster ?(replicas = 0) ~slices f =
   | Ok router ->
       let front =
         Server.start ~config:light ~forward:(Router.forward router)
-          ~extra_stats:(fun () -> Router.stats_extra router)
+          ~stats:(Router.register_stats router)
           ~graph:(Pj_ontology.Mini_wordnet.create ())
           never_searches
       in
@@ -299,7 +290,7 @@ let test_binary_inflight_cap_still_answers_all () =
   let server =
     Server.start
       ~config:{ light with Server.binary_inflight = 2 }
-      ~n_docs:(List.length texts)
+      ~stats:(Server.static_docs (List.length texts))
       ~graph:(Pj_ontology.Mini_wordnet.create ())
       (Worker_pool.of_searcher searcher)
   in

@@ -355,35 +355,25 @@ let contains line sub =
   in
   go 0
 
-(* Extract the integer of [" name=<int>"] from a STATS/FLUSHED line. The
-   leading space keeps ["docs"] from matching inside ["segment_docs"]. *)
-let int_field line name =
-  let pat = " " ^ name ^ "=" in
-  let n = String.length pat and len = String.length line in
-  let rec find i =
-    if i + n > len then Alcotest.failf "field %s missing in %S" name line
-    else if String.sub line i n = pat then i + n
-    else find (i + 1)
-  in
-  let start = find 0 in
-  let stop = ref start in
-  while !stop < len && line.[!stop] <> ' ' do
-    incr stop
-  done;
-  int_of_string (String.sub line start (!stop - start))
+(* The integer of [key=] in a STATS/FLUSHED line; the test fails when
+   it is missing. *)
+let int_field line key =
+  match Metrics.int_field line key with
+  | Some n -> n
+  | None -> Alcotest.failf "field %s missing in %S" key line
 
 let stems text =
   Array.map Pj_text.Porter.stem (Pj_text.Tokenizer.tokenize_array text)
 
 (* Same corpus as [build ()], but held by a writable live index that the
    server mutates through ADDDOC/DELDOC/FLUSH. *)
-let with_live_server f =
+let with_live_server ?(background_merge = false) f =
   let config =
     {
       Pj_live.Live_index.default_config with
       memtable_capacity = 4;
       merge_threshold = 2;
-      background_merge = false;
+      background_merge;
     }
   in
   let live = Pj_live.Live_index.create ~config () in
@@ -479,6 +469,34 @@ let test_live_stats_accounting () =
             + int_field stats "adds"
             + int_field stats "deletes"
             + int_field stats "flushes")))
+
+(* A background merger that keeps failing retries every 50 ms; STATS
+   must show it, or nobody can see it. *)
+let test_merge_errors_in_stats () =
+  with_live_server ~background_merge:true (fun server _live ->
+      Pj_util.Failpoint.arm "live.merge" Pj_util.Failpoint.Fail;
+      Fun.protect ~finally:Pj_util.Failpoint.clear (fun () ->
+          let conn = connect (Server.port server) in
+          Fun.protect
+            ~finally:(fun () -> close conn)
+            (fun () ->
+              (* Two more sealed segments put the merge policy over its
+                 threshold; every attempt then fails. *)
+              for i = 1 to 8 do
+                ignore (request conn (Printf.sprintf "ADDDOC merge fodder %d" i))
+              done;
+              let deadline = Pj_util.Timing.monotonic_now () +. 10. in
+              let rec wait () =
+                let stats = request conn "STATS" in
+                if int_field stats "merge_errors" >= 1 then ()
+                else if Pj_util.Timing.monotonic_now () > deadline then
+                  Alcotest.failf "no merge error reported: %S" stats
+                else begin
+                  Thread.delay 0.01;
+                  wait ()
+                end
+              in
+              wait ())))
 
 (* Many connections appending at once: the batcher must hand every
    client its own dense id exactly once, account every add, and group
@@ -691,6 +709,7 @@ let suite =
     ("e2e: connection table drains", `Quick, test_connection_table_drains);
     ("e2e: live ingest over socket", `Quick, test_live_ingest_over_socket);
     ("e2e: live stats accounting", `Quick, test_live_stats_accounting);
+    ("e2e: merge errors in live stats", `Quick, test_merge_errors_in_stats);
     ("e2e: concurrent ADDDOC group commit", `Quick, test_concurrent_adddoc_batched);
     ("e2e: batched ingest worker crash", `Quick, test_batched_ingest_worker_crash);
     ("e2e: batcher execute guard", `Quick, test_batcher_execute_guard);

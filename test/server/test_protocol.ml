@@ -175,62 +175,112 @@ let test_response_classes () =
         (Protocol.is_search_success r))
     cases
 
+(* A search function scripted by [k]: 1 answers HITS, 2 raises, 3
+   times out, 4 answers degraded with two failed shards after burning
+   0.3 s. *)
+let scripted ~scoring:_ ~k ~deadline:_ _query =
+  match k with
+  | 1 -> Ok ([], [])
+  | 2 -> failwith "scripted failure"
+  | 3 -> Error `Timeout
+  | _ ->
+      Thread.delay 0.3;
+      Ok ([], [ 0; 1 ])
+
 let test_stats_request_accounting () =
   (* Regression for the STATS double-count: a failed SEARCH used to be
      added to both [searches] and [errors], and [requests] summed the
      two — so one request line counted twice. Replay a mixed workload
-     and hold the invariant the snapshot documents. *)
+     over the socket and hold the invariants STATS documents. *)
+  let live = Pj_live.Live_index.create () in
+  let server =
+    Server.start ~live ~graph:(Pj_ontology.Mini_wordnet.create ()) scripted
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop server;
+      Pj_live.Live_index.close live)
+    (fun () ->
+      let conn = Test_e2e.connect (Server.port server) in
+      Fun.protect
+        ~finally:(fun () -> Test_e2e.close conn)
+        (fun () ->
+          let send line = ignore (Test_e2e.request conn line) in
+          (* 4 searches: one served, one failing at evaluation, one
+             timing out, and one answered degraded (2 of its shard legs
+             failed). The degraded one is not [served], and its 0.3 s
+             stays out of the healthy latency histogram. *)
+          List.iter
+            (fun k -> send (Printf.sprintf "SEARCH win 0.2 %d exact:lenovo" k))
+            [ 1; 2; 3; 4 ];
+          (* 2 request lines that never parsed into a command. *)
+          send "BOGUS";
+          send "SEARCH";
+          send "PING";
+          (* 3 writes: a served ADDDOC, a DELDOC failing at evaluation,
+             and a FLUSH. The failing DELDOC is already counted in
+             [deletes], so its ingest error must not add a request. *)
+          send "ADDDOC lenovo nba";
+          send "DELDOC 999";
+          send "FLUSH";
+          (* ... and the STATS request itself. *)
+          let s = Test_e2e.request conn "STATS" in
+          let f = Test_e2e.int_field s in
+          Alcotest.(check int)
+            "requests = searches + pings + stats + parse errors + adds + \
+             deletes + flushes"
+            (f "searches" + f "pings" + f "stats" + f "parse_errors" + f "adds"
+           + f "deletes" + f "flushes")
+            (f "requests");
+          Alcotest.(check int) "exactly the 11 request lines" 11 (f "requests");
+          Alcotest.(check int) "searches" 4 (f "searches");
+          Alcotest.(check int) "parse errors" 2 (f "parse_errors");
+          Alcotest.(check int) "search errors" 1 (f "search_errors");
+          Alcotest.(check int) "timeouts" 1 (f "timeouts");
+          Alcotest.(check int) "adds" 1 (f "adds");
+          Alcotest.(check int) "deletes" 1 (f "deletes");
+          Alcotest.(check int) "flushes" 1 (f "flushes");
+          Alcotest.(check int) "ingest errors" 1 (f "ingest_errors");
+          Alcotest.(check int) "errors = parse + search + ingest errors"
+            (f "parse_errors" + f "search_errors" + f "ingest_errors")
+            (f "errors");
+          Alcotest.(check int) "served only counts HITS responses" 1 (f "served");
+          Alcotest.(check int) "degraded responses" 1 (f "degraded");
+          Alcotest.(check int) "failed shard legs" 2 (f "shard_failures");
+          let max_ms =
+            float_of_string (Option.get (Metrics.field s "max_ms"))
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "degraded latency kept out (max_ms=%g)" max_ms)
+            true (max_ms < 300.)))
+
+(* A total and its members must come from one read of the counters,
+   and a group from one read of its source, even when a value changes
+   while the line renders: here a gauge rendered between a total and
+   its member bumps the member, as a request landing mid-render would. *)
+let test_metrics_render_is_one_read () =
   let m = Metrics.create () in
-  (* 3 searches: one served, one failing at evaluation, one timing out. *)
-  Metrics.record_search m;
-  Metrics.observe_latency m 0.001;
-  Metrics.record_search m;
-  Metrics.record_search_error m;
-  Metrics.record_search m;
-  Metrics.record_timeout m;
-  (* ... and one answered degraded: 2 of its shard legs failed. Its
-     latency goes to the separate degraded histogram, so it must not
-     bump [served]. *)
-  Metrics.record_search m;
-  Metrics.record_degraded m ~n_failed_shards:2;
-  Metrics.observe_degraded_latency m 0.5;
-  (* 2 request lines that never parsed into a command. *)
-  Metrics.record_parse_error m;
-  Metrics.record_parse_error m;
-  (* And some chatter. *)
-  Metrics.record_ping m;
-  Metrics.record_stats m;
-  (* 3 writes: a served ADDDOC, a DELDOC failing at evaluation, and a
-     FLUSH. The failing DELDOC is already counted in [deletes], so its
-     ingest error must not add a request. *)
-  Metrics.record_add m;
-  Metrics.observe_ingest_latency m 0.002;
-  Metrics.record_delete m;
-  Metrics.record_ingest_error m;
-  Metrics.record_flush m;
-  Metrics.observe_ingest_latency m 0.010;
-  let s = Metrics.snapshot m in
-  Alcotest.(check int)
-    "requests = searches + pings + stats + parse errors + adds + deletes + \
-     flushes"
-    (s.Metrics.searches + s.Metrics.pings + s.Metrics.stats_calls
-   + s.Metrics.parse_errors + s.Metrics.adds + s.Metrics.deletes
-   + s.Metrics.flushes)
-    s.Metrics.requests;
-  Alcotest.(check int) "exactly the 11 request lines" 11 s.Metrics.requests;
-  Alcotest.(check int) "searches" 4 s.Metrics.searches;
-  Alcotest.(check int) "parse errors" 2 s.Metrics.parse_errors;
-  Alcotest.(check int) "search errors" 1 s.Metrics.search_errors;
-  Alcotest.(check int) "adds" 1 s.Metrics.adds;
-  Alcotest.(check int) "deletes" 1 s.Metrics.deletes;
-  Alcotest.(check int) "flushes" 1 s.Metrics.flushes;
-  Alcotest.(check int) "ingest errors" 1 s.Metrics.ingest_errors;
-  Alcotest.(check int) "errors = parse + search + ingest errors"
-    (s.Metrics.parse_errors + s.Metrics.search_errors + s.Metrics.ingest_errors)
-    s.Metrics.errors;
-  Alcotest.(check int) "served only counts HITS responses" 1 s.Metrics.served;
-  Alcotest.(check int) "degraded responses" 1 s.Metrics.degraded;
-  Alcotest.(check int) "failed shard legs" 2 s.Metrics.shard_failures
+  let tot = Metrics.total m "total" in
+  let bump = ref ignore in
+  Metrics.gauge m "bump" (fun () ->
+      !bump ();
+      Metrics.Int 0);
+  let member = Metrics.counter ~into:[ tot ] m "member" in
+  (bump := fun () -> Metrics.incr member);
+  let reads = ref 0 in
+  Metrics.group m
+    (fun () ->
+      incr reads;
+      !reads)
+    [ ("a", fun n -> Metrics.Int n); ("b", fun n -> Metrics.Int n) ];
+  Metrics.add member 2;
+  let line = Metrics.render m in
+  Alcotest.(check string) "one frame"
+    "STATS total=2 bump=0 member=2 a=1 b=1" line;
+  Alcotest.(check (option int)) "the bump shows next time" (Some 3)
+    (Metrics.int_field (Metrics.render m) "member");
+  Alcotest.(check (option int)) "field anchors on the space" None
+    (Metrics.int_field "STATS segment_docs=4" "docs")
 
 (* Satellite regression: ERR payloads come from arbitrary exception
    messages — a reason containing a newline used to be flattened, but
@@ -270,4 +320,5 @@ let suite =
     ("protocol: renderers", `Quick, test_renderers);
     ("protocol: response classes", `Quick, test_response_classes);
     ("protocol: stats request accounting", `Quick, test_stats_request_accounting);
+    ("protocol: stats render is one read", `Quick, test_metrics_render_is_one_read);
   ]

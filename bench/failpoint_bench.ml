@@ -6,10 +6,12 @@
      for the chaos hooks. This is the number that must stay ~free.
    - armed elsewhere: some rule is armed, but not for this site — the
      hit takes the slow path far enough to discover it doesn't match.
-     This is what healthy shards pay while one shard is being tortured.
-   - end-to-end: a sharded search (the same workload as bench-shard's
-     uniform layout) with sites disabled vs armed-elsewhere, to bound
-     the serving-path overhead as a ratio rather than nanoseconds.
+     This is what healthy requests pay while another site is being
+     tortured.
+   - end-to-end: one search through a [Worker_pool], whose worker hits
+     the [worker.job] site before every job (bench-ingest's query and
+     corpus), with sites disabled vs armed-elsewhere, to bound the
+     serving-path overhead as a ratio rather than nanoseconds.
 
    Results land in BENCH_failpoint.json. *)
 
@@ -62,28 +64,35 @@ let run ~quick ~repetitions =
   Pj_util.Failpoint.clear ();
   assert (Pj_util.Failpoint.fired site = 0);
   ignore (Sys.opaque_identity !sink);
-  (* End-to-end: the sharded searcher's per-query latency with its
-     shard.N sites disabled vs armed-elsewhere. *)
+  (* End-to-end: a query's latency through the worker pool with its
+     worker.job site disabled vs armed-elsewhere. *)
   let rng = Pj_util.Prng.create 2024 in
   let n_docs = if quick then 500 else 2000 in
-  let corpus = Shard_bench.build_corpus ~n_docs ~layout:`Uniform rng in
-  let searcher =
-    Pj_engine.Shard_searcher.create (Pj_index.Sharded_index.build ~shards:4 corpus)
+  let corpus = Pj_index.Corpus.create () in
+  List.iter
+    (fun doc -> ignore (Pj_index.Corpus.add_tokens corpus doc))
+    (Ingest_bench.gen_docs rng n_docs);
+  let pool =
+    Pj_server.Worker_pool.create ~domains:1 ~queue_capacity:4
+      (Pj_server.Worker_pool.of_searcher
+         (Pj_engine.Searcher.create (Pj_index.Inverted_index.build corpus)))
   in
   let deadline () = Pj_util.Timing.monotonic_now () +. 60. in
   let query_once () =
     match
-      Pj_engine.Shard_searcher.search_degraded ~k:10 ~deadline:(deadline ())
-        searcher Shard_bench.scoring Shard_bench.query
+      Pj_server.Worker_pool.run pool ~scoring:Ingest_bench.scoring
+        ~k:Ingest_bench.k ~deadline:(deadline ()) Ingest_bench.query
     with
-    | Ok d -> assert (d.Pj_engine.Shard_searcher.failed = [])
-    | Error `Timeout -> assert false
+    | `Done (Pj_server.Worker_pool.Hits _) -> ()
+    | `Done _ | `Busy -> assert false
   in
   let e2e_disabled = measure ~repetitions query_once in
   Pj_util.Failpoint.arm "some.other.site" Pj_util.Failpoint.Fail;
   let e2e_armed = measure ~repetitions query_once in
   Pj_util.Failpoint.clear ();
-  Runs.print_header "bench-failpoint: sharded query, 4 shards" [ "latency" ];
+  Pj_server.Worker_pool.shutdown pool;
+  Runs.print_header "bench-failpoint: query through the worker pool"
+    [ "latency" ];
   Runs.print_row "sites disabled" [ Runs.seconds e2e_disabled ];
   Runs.print_row "armed elsewhere" [ Runs.seconds e2e_armed ];
   let path = "BENCH_failpoint.json" in

@@ -31,6 +31,24 @@
    structurally identical hits to a from-scratch build over the same
    surviving documents. Results land in BENCH_ingest.json. *)
 
+(* The query and scoring every search here (and bench-failpoint's
+   end-to-end arm) runs: three terms, each a full-score form and a
+   dense degraded one, matching the forms [gen_doc] plants. *)
+let query =
+  Pj_matching.Query.make "bench"
+    [
+      Pj_matching.Matcher.of_table ~name:"t1" [ ("alpha", 1.0); ("alfa", 0.35) ];
+      Pj_matching.Matcher.of_table ~name:"t2" [ ("bravo", 0.9); ("brav", 0.3) ];
+      Pj_matching.Matcher.of_table ~name:"t3"
+        [ ("charlie", 0.8); ("charli", 0.25) ];
+    ]
+
+let scoring = Pj_core.Scoring.Win (Pj_core.Scoring.win_exponential ~alpha:0.1)
+let k = 10
+
+(* One document: filler plus planted forms. Degraded forms are dense,
+   so most documents are conjunctive candidates; a strong document
+   carries one tight run of the full-score forms. *)
 let gen_doc rng ~strong =
   let len = 80 + Pj_util.Prng.int rng 120 in
   let tokens =
@@ -118,9 +136,7 @@ let durability_run ~wal docs =
   rm_rf dir;
   (dt, stats.Pj_live.Live_index.wal_fsyncs)
 
-let search_once live =
-  Pj_live.Live_index.search ~k:Shard_bench.k live Shard_bench.scoring
-    Shard_bench.query
+let search_once live = Pj_live.Live_index.search ~k live scoring query
 
 let run ~quick ~repetitions =
   ignore repetitions;
@@ -173,8 +189,7 @@ let run ~quick ~repetitions =
   in
   let live_hits = search_once live in
   let scratch_hits =
-    Pj_engine.Searcher.search ~k:Shard_bench.k scratch_searcher
-      Shard_bench.scoring Shard_bench.query
+    Pj_engine.Searcher.search ~k scratch_searcher scoring query
   in
   assert (live_hits = scratch_hits);
   let observe () =

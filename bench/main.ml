@@ -13,7 +13,7 @@ let available =
     "fig2_ablation"; "max_ablation"; "dedup_ablation"; "byloc_ablation";
     "switch_ablation"; "winvalid_ablation"; "stream_ablation";
     "search_ablation"; "parallel_ablation"; "alpha_ablation"; "daat";
-    "shard"; "topk"; "failpoint"; "ingest"; "storage"; "cluster"; "bechamel";
+    "topk"; "failpoint"; "ingest"; "storage"; "cluster"; "bechamel";
   ]
 
 let run_experiments ~quick ~only ~csv =
@@ -56,7 +56,6 @@ let run_experiments ~quick ~only ~csv =
     Ablations.parallel_ablation ~n_docs ~repetitions;
   if selected "alpha_ablation" then Ablations.alpha_ablation ~n_docs;
   if selected "daat" then Daat_bench.run ~quick ~repetitions;
-  if selected "shard" then Shard_bench.run ~quick ~repetitions;
   if selected "topk" then Topk_bench.run ~quick ~repetitions;
   if selected "failpoint" then Failpoint_bench.run ~quick ~repetitions;
   if selected "ingest" then Ingest_bench.run ~quick ~repetitions;

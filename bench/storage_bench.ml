@@ -66,8 +66,8 @@ let percentile_ms latencies p =
   1000. *. Pj_util.Stats.percentile latencies p
 
 let search_searcher sr =
-  Pj_engine.Searcher.search ~k:Shard_bench.k sr Shard_bench.scoring
-    Shard_bench.query
+  Pj_engine.Searcher.search ~k:Ingest_bench.k sr Ingest_bench.scoring
+    Ingest_bench.query
 
 let observe sr =
   let t0 = Pj_util.Timing.monotonic_now () in

@@ -159,7 +159,7 @@ let run_extract file terms family alpha threshold =
 
 (* --- isearch: index-driven engine search with snippets ---------------- *)
 
-let run_isearch file terms family alpha top_k shards =
+let run_isearch file terms family alpha top_k =
   let graph = Pj_ontology.Mini_wordnet.create () in
   let query = build_query graph terms in
   (* The index path matches expansion forms against indexed tokens, so
@@ -176,34 +176,14 @@ let run_isearch file terms family alpha top_k shards =
   let scoring = scoring_of ~family ~alpha in
   let corpus = Pj_index.Corpus.of_stemmed_texts (read_documents file) in
   let vocab = Pj_index.Corpus.vocab corpus in
-  (* Candidate counts are additive across shards (the shards partition
-     the documents), so both paths report the same number. *)
-  let hits, n_candidates =
-    if shards <= 1 then begin
-      let index = Pj_index.Inverted_index.build corpus in
-      let searcher = Pj_engine.Searcher.create index in
-      ( Pj_engine.Searcher.search ~k:top_k searcher scoring query,
-        Array.length (Pj_engine.Searcher.candidates searcher query) )
-    end
-    else begin
-      let sharded = Pj_index.Sharded_index.build ~shards corpus in
-      let searcher = Pj_engine.Shard_searcher.create sharded in
-      let n = ref 0 in
-      for i = 0 to Pj_index.Sharded_index.n_shards sharded - 1 do
-        let fragment =
-          Pj_engine.Searcher.create (Pj_index.Sharded_index.shard sharded i)
-        in
-        n := !n + Array.length (Pj_engine.Searcher.candidates fragment query)
-      done;
-      ( Pj_engine.Shard_searcher.search ~k:top_k searcher scoring query,
-        !n )
-    end
+  let searcher =
+    Pj_engine.Searcher.create (Pj_index.Inverted_index.build corpus)
   in
-  Printf.printf "%d candidate documents, %d hits, scoring %s, %d shard%s\n"
-    n_candidates (List.length hits)
-    (Pj_core.Scoring.name scoring)
-    (Stdlib.max 1 shards)
-    (if Stdlib.max 1 shards = 1 then "" else "s");
+  let hits = Pj_engine.Searcher.search ~k:top_k searcher scoring query in
+  Printf.printf "%d candidate documents, %d hits, scoring %s\n"
+    (Array.length (Pj_engine.Searcher.candidates searcher query))
+    (List.length hits)
+    (Pj_core.Scoring.name scoring);
   List.iteri
     (fun i hit ->
       let doc = Pj_index.Corpus.document corpus hit.Pj_engine.Searcher.doc_id in
@@ -304,11 +284,6 @@ let run_ask file question k =
 
 (* --- compact / inspect: the v4 mmap-servable on-disk format ------------ *)
 
-let balanced_counts ~shards n =
-  let shards = Stdlib.max 1 shards in
-  let base = n / shards and extra = n mod shards in
-  Array.init shards (fun i -> base + if i < extra then 1 else 0)
-
 let human_bytes n =
   let f = float_of_int n in
   if n >= 1 lsl 20 then Printf.sprintf "%.1f MiB" (f /. float_of_int (1 lsl 20))
@@ -399,32 +374,25 @@ let run_inspect path deep =
 (* Compact a corpus source — raw blank-line-separated documents or an
    existing v4 file — into a fresh v4 file. Raw text is stemmed exactly
    as [serve]/[isearch] stem their corpora, so a compacted file answers
-   the same queries. Any other proxjoin file is refused by
-   [read_documents] before DST is touched. *)
-let run_compact src dst shards =
+   the same queries, and is written as one shard. A v4 source keeps its
+   persisted shard layout, so re-compacting a file reproduces its
+   bytes. Any other proxjoin file is refused by [read_documents] before
+   DST is touched. *)
+let run_compact src dst =
   let t0 = Pj_util.Timing.monotonic_now () in
   let source, idx, counts =
     match sniff_magic src with
     | "PJX4" ->
         let mapped = Pj_ondisk.Mapped_index.open_file src in
-        let corpus = Pj_ondisk.Mapped_index.corpus mapped in
-        let counts =
-          match shards with
-          | Some s -> balanced_counts ~shards:s (Pj_index.Corpus.size corpus)
-          | None -> Pj_ondisk.Mapped_index.counts mapped
-        in
-        ("v4 index", Pj_ondisk.Mapped_index.index mapped, counts)
+        ( "v4 index",
+          Pj_ondisk.Mapped_index.index mapped,
+          Some (Pj_ondisk.Mapped_index.counts mapped) )
     | _ ->
         let corpus = Pj_index.Corpus.of_stemmed_texts (read_documents src) in
-        let counts =
-          balanced_counts
-            ~shards:(Option.value shards ~default:1)
-            (Pj_index.Corpus.size corpus)
-        in
-        ("documents", Pj_index.Inverted_index.build corpus, counts)
+        ("documents", Pj_index.Inverted_index.build corpus, None)
   in
   Pj_ondisk.Writer.write ~fp_write:"ondisk.save.write"
-    ~fp_rename:"ondisk.save.rename" ~counts idx dst;
+    ~fp_rename:"ondisk.save.rename" ?counts idx dst;
   let elapsed = Pj_util.Timing.monotonic_now () -. t0 in
   let mapped = Pj_ondisk.Mapped_index.open_file dst in
   Pj_ondisk.Mapped_index.verify mapped;
@@ -445,9 +413,29 @@ let run_compact src dst shards =
        float_of_int info.Pj_ondisk.Mapped_index.mem_postings_bytes
        /. float_of_int info.Pj_ondisk.Mapped_index.postings_bytes)
 
+(* A numeric flag out of range is refused with one line before anything
+   is loaded or bound. *)
+let require cmd flag ok range =
+  if not ok then failwith (Printf.sprintf "%s: %s must be %s" cmd flag range)
+
+(* The flags [serve] and [serve-router] share. *)
+let check_front_flags cmd ~port ~cache ~deadline_ms ~drain_ms ~log_every =
+  require cmd "--port" (port >= 0 && port <= 65535) "in 0..65535";
+  require cmd "--cache" (cache >= 1) ">= 1";
+  require cmd "--deadline-ms" (deadline_ms >= 0.) ">= 0";
+  require cmd "--drain-ms" (drain_ms >= 0.) ">= 0";
+  require cmd "--log-every"
+    (match log_every with Some s -> s >= 0. | None -> true)
+    ">= 0"
+
 let run_serve file index_path host port domains queue cache deadline_ms
-    drain_ms log_every shards live live_dir memtable mmap_segments merge_par wal
+    drain_ms log_every live live_dir memtable mmap_segments merge_par wal
     fsync_policy_s =
+  check_front_flags "serve" ~port ~cache ~deadline_ms ~drain_ms ~log_every;
+  require "serve" "--domains" (domains >= 1) ">= 1";
+  require "serve" "--queue" (queue >= 1) ">= 1";
+  require "serve" "--memtable" (memtable >= 1) ">= 1";
+  require "serve" "--merge-par" (merge_par >= 1) ">= 1";
   let graph = Pj_ontology.Mini_wordnet.create () in
   let fsync_policy =
     match Pj_live.Wal.fsync_policy_of_string fsync_policy_s with
@@ -501,58 +489,25 @@ let run_serve file index_path host port domains queue cache deadline_ms
       Some index
     end
   in
-  let corpus, search, n_shards =
-    match live_index with
-    | Some index ->
-        ( Pj_live.Live_index.corpus index,
-          Pj_server.Worker_pool.of_live index,
-          1 )
-    | None -> begin
-        match index_path with
-        | Some path ->
-            (* Zero-copy serving: the index file is mapped, never
-               loaded — postings and documents decode from the page
-               cache per query. A persisted multi-shard layout is
-               honored; otherwise --shards balanced ranges apply. *)
-            let mapped = Pj_ondisk.Mapped_index.open_file path in
-            let corpus = Pj_ondisk.Mapped_index.corpus mapped in
-            let counts =
-              let persisted = Pj_ondisk.Mapped_index.counts mapped in
-              if Array.length persisted > 1 then persisted
-              else balanced_counts ~shards (Pj_index.Corpus.size corpus)
-            in
-            if Array.length counts <= 1 then
-              ( corpus,
-                Pj_server.Worker_pool.of_searcher
-                  (Pj_engine.Searcher.create (Pj_ondisk.Mapped_index.index mapped)),
-                1 )
-            else begin
-              let sharded =
-                Pj_index.Sharded_index.of_prebuilt corpus ~counts
-                  ~shard_of:(fun _ ~pos ~len ->
-                    Pj_ondisk.Mapped_index.shard_index mapped ~pos ~len)
-              in
-              ( corpus,
-                Pj_server.Worker_pool.of_shard_searcher
-                  (Pj_engine.Shard_searcher.create sharded),
-                Array.length counts )
-            end
-        | None ->
-            let corpus = Pj_index.Corpus.of_stemmed_texts (read_documents file) in
-            if shards <= 1 then
-              ( corpus,
-                Pj_server.Worker_pool.of_searcher
-                  (Pj_engine.Searcher.create
-                     (Pj_index.Inverted_index.build corpus)),
-                1 )
-            else begin
-              let sharded = Pj_index.Sharded_index.build ~shards corpus in
-              ( corpus,
-                Pj_server.Worker_pool.of_shard_searcher
-                  (Pj_engine.Shard_searcher.create sharded),
-                Pj_index.Sharded_index.n_shards sharded )
-            end
-      end
+  let corpus, search =
+    match (live_index, index_path) with
+    | Some index, _ ->
+        (Pj_live.Live_index.corpus index, Pj_server.Worker_pool.of_live index)
+    | None, Some path ->
+        (* Zero-copy serving: the index file is mapped, never loaded —
+           postings and documents decode from the page cache per query.
+           The whole file is one index whatever shard layout it
+           persists. *)
+        let mapped = Pj_ondisk.Mapped_index.open_file path in
+        ( Pj_ondisk.Mapped_index.corpus mapped,
+          Pj_server.Worker_pool.of_searcher
+            (Pj_engine.Searcher.create (Pj_ondisk.Mapped_index.index mapped)) )
+    | None, None ->
+        let corpus = Pj_index.Corpus.of_stemmed_texts (read_documents file) in
+        ( corpus,
+          Pj_server.Worker_pool.of_searcher
+            (Pj_engine.Searcher.create (Pj_index.Inverted_index.build corpus))
+        )
   in
   let config =
     {
@@ -608,8 +563,8 @@ let run_serve file index_path host port domains queue cache deadline_ms
       ()
   in
   Printf.printf
-    "proxjoin serving %d documents on %s:%d (%s%d shard%s, %d domains, queue \
-     %d, cache %d, deadline %.0f ms, drain %.0f ms)\n\
+    "proxjoin serving %d documents on %s:%d (%s%d domains, queue %d, cache \
+     %d, deadline %.0f ms, drain %.0f ms)\n\
      %!"
     (Pj_index.Corpus.size corpus) host
     (Pj_server.Server.port server)
@@ -617,8 +572,6 @@ let run_serve file index_path host port domains queue cache deadline_ms
     | Some _, _ -> "live, "
     | None, Some _ -> "mmap, "
     | None, None -> "")
-    n_shards
-    (if n_shards = 1 then "" else "s")
     config.Pj_server.Server.domains queue cache deadline_ms drain_ms;
   Pj_server.Server.wait server;
   (* The accept loop only dies via [stop], so the handler has run; its
@@ -644,6 +597,9 @@ let run_serve file index_path host port domains queue cache deadline_ms
 
 let run_serve_router host port backends replicas cache deadline_ms drain_ms
     log_every binary_inflight =
+  check_front_flags "serve-router" ~port ~cache ~deadline_ms ~drain_ms
+    ~log_every;
+  require "serve-router" "--binary-inflight" (binary_inflight >= 1) ">= 1";
   let parse_spec s =
     match Pj_cluster.Router.spec_of_string s with
     | Ok spec -> spec
@@ -651,8 +607,6 @@ let run_serve_router host port backends replicas cache deadline_ms drain_ms
   in
   if backends = [] then
     failwith "serve-router needs at least one --backend HOST:PORT[@BASE]";
-  if binary_inflight < 1 then
-    failwith "serve-router: --binary-inflight must be >= 1";
   let primaries = List.map parse_spec backends in
   let n = List.length primaries in
   let replicas_per_leg = Array.make n [] in
@@ -756,81 +710,6 @@ let run_serve_router host port backends replicas cache deadline_ms drain_ms
   Pj_cluster.Router.close router;
   Printf.printf "proxjoin: shut down cleanly\n%!"
 
-(* --- bench-serve: loopback load generator ------------------------------ *)
-
-let connect host port =
-  let addr =
-    try Unix.inet_addr_of_string host
-    with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-  in
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (addr, port));
-  Unix.setsockopt fd Unix.TCP_NODELAY true;
-  fd
-
-let run_bench_serve host port clients requests terms family alpha k =
-  if terms = [] then failwith "bench-serve needs at least one --term";
-  (* Fail fast with a readable message when no server is listening,
-     instead of killing client threads mid-flight. *)
-  (try Unix.close (connect host port)
-   with Unix.Unix_error (e, _, _) ->
-     failwith
-       (Printf.sprintf "bench-serve: cannot connect to %s:%d (%s)" host port
-          (Unix.error_message e)));
-  let request =
-    Printf.sprintf "SEARCH %s %g %d %s\n" family alpha k
-      (String.concat " " terms)
-  in
-  let tally = [| 0; 0; 0; 0 |] in
-  (* hits; busy; timeout; err *)
-  let tally_mutex = Mutex.create () in
-  let client () =
-    let fd = connect host port in
-    let ic = Unix.in_channel_of_descr fd in
-    let oc = Unix.out_channel_of_descr fd in
-    let latencies = Array.make requests 0. in
-    for i = 0 to requests - 1 do
-      let t0 = Pj_util.Timing.monotonic_now () in
-      output_string oc request;
-      flush oc;
-      let line = input_line ic in
-      latencies.(i) <- Pj_util.Timing.monotonic_now () -. t0;
-      let slot =
-        if String.length line >= 4 && String.sub line 0 4 = "HITS" then 0
-        else if line = "BUSY" then 1
-        else if line = "TIMEOUT" then 2
-        else 3
-      in
-      Mutex.lock tally_mutex;
-      tally.(slot) <- tally.(slot) + 1;
-      Mutex.unlock tally_mutex
-    done;
-    output_string oc "QUIT\n";
-    flush oc;
-    (try ignore (input_line ic) with End_of_file -> ());
-    Unix.close fd;
-    latencies
-  in
-  let t0 = Pj_util.Timing.monotonic_now () in
-  let results = Array.make clients [||] in
-  let threads =
-    List.init clients (fun i ->
-        Thread.create (fun () -> results.(i) <- client ()) ())
-  in
-  List.iter Thread.join threads;
-  let elapsed = Pj_util.Timing.monotonic_now () -. t0 in
-  let latencies = Array.concat (Array.to_list results) in
-  let total = Array.length latencies in
-  let ms p = 1000. *. Pj_util.Stats.percentile latencies p in
-  Printf.printf
-    "%d clients x %d requests in %.3f s — %.0f req/s\n\
-     hits %d, busy %d, timeout %d, err %d\n\
-     latency ms: p50 %.3f  p95 %.3f  p99 %.3f  mean %.3f\n"
-    clients requests elapsed
-    (float_of_int total /. elapsed)
-    tally.(0) tally.(1) tally.(2) tally.(3) (ms 50.) (ms 95.) (ms 99.)
-    (1000. *. Pj_util.Stats.mean latencies)
-
 (* --- cmdliner glue ----------------------------------------------------- *)
 
 open Cmdliner
@@ -881,28 +760,17 @@ let extract_cmd =
     Term.(
       ret (const run $ file_arg $ terms_arg $ family_arg $ alpha_arg $ threshold))
 
-let shards_arg =
-  Arg.(
-    value
-    & opt int (Pj_util.Parallel.recommended_shards ())
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Partition the index into N doc-id-range shards searched \
-           scatter-gather (default honors \\$PROXJOIN_SHARDS; 1 disables \
-           sharding). Results are identical either way.")
-
 let isearch_cmd =
   let top_k = Arg.(value & opt int 5 & info [ "top" ] ~doc:"Results shown.") in
-  let run file terms family alpha k shards =
-    wrap (fun () -> run_isearch file terms family alpha k shards)
+  let run file terms family alpha k =
+    wrap (fun () -> run_isearch file terms family alpha k)
   in
   Cmd.v
     (Cmd.info "isearch"
        ~doc:"Index-driven top-k search with highlighted snippets.")
     Term.(
       ret
-        (const run $ file_arg $ terms_arg $ family_arg $ alpha_arg $ top_k
-       $ shards_arg))
+        (const run $ file_arg $ terms_arg $ family_arg $ alpha_arg $ top_k))
 
 let ask_cmd =
   let question =
@@ -978,8 +846,7 @@ let serve_cmd =
       & info [ "live" ]
           ~doc:
             "Serve a writable live index: ADDDOC/DELDOC/FLUSH ingest \
-             documents while searches run. Implied by $(b,--live-dir). \
-             Sharding is ignored in live mode (segments play that role).")
+             documents while searches run. Implied by $(b,--live-dir).")
   in
   let live_dir =
     Arg.(
@@ -1013,9 +880,9 @@ let serve_cmd =
           ~doc:
             "Serve a compacted v4 index file zero-copy via mmap (see \
              $(b,proxjoin compact)): opening is O(1) and postings decode \
-             from the page cache per query. A persisted multi-shard layout \
-             is honored; otherwise $(b,--shards) balanced doc-id ranges \
-             apply. Mutually exclusive with $(b,--live).")
+             from the page cache per query. The file is served as one \
+             index whatever shard layout it persists. Mutually exclusive \
+             with $(b,--live).")
   in
   let mmap_segments =
     Arg.(
@@ -1060,10 +927,10 @@ let serve_cmd =
              loss).")
   in
   let run file index host port domains queue cache deadline drain log_every
-      shards live live_dir memtable mmap_segments merge_par wal fsync_policy =
+      live live_dir memtable mmap_segments merge_par wal fsync_policy =
     wrap (fun () ->
         run_serve file index host port domains queue cache deadline drain
-          log_every shards live live_dir memtable mmap_segments merge_par wal
+          log_every live live_dir memtable mmap_segments merge_par wal
           fsync_policy)
   in
   Cmd.v
@@ -1076,7 +943,7 @@ let serve_cmd =
       ret
         (const run $ opt_file_arg $ index_arg $ host_arg
        $ port_arg ~default:7070 $ domains $ queue $ cache $ deadline $ drain
-       $ log_every $ shards_arg $ live $ live_dir $ memtable $ mmap_segments
+       $ log_every $ live $ live_dir $ memtable $ mmap_segments
        $ merge_par $ wal $ fsync_policy))
 
 let serve_router_cmd =
@@ -1150,27 +1017,6 @@ let serve_router_cmd =
         (const run $ host_arg $ port_arg ~default:7080 $ backends $ replicas
        $ cache $ deadline $ drain $ log_every $ binary_inflight))
 
-let bench_serve_cmd =
-  let clients =
-    Arg.(value & opt int 4 & info [ "clients" ] ~doc:"Concurrent connections.")
-  in
-  let requests =
-    Arg.(
-      value & opt int 100 & info [ "requests"; "n" ] ~doc:"Requests per client.")
-  in
-  let top_k = Arg.(value & opt int 10 & info [ "top" ] ~doc:"k per query.") in
-  let run host port clients requests terms family alpha k =
-    wrap (fun () ->
-        run_bench_serve host port clients requests terms family alpha k)
-  in
-  Cmd.v
-    (Cmd.info "bench-serve"
-       ~doc:"Load-generate against a running proxjoin serve instance.")
-    Term.(
-      ret
-        (const run $ host_arg $ port_arg ~default:7070 $ clients $ requests
-       $ terms_arg $ family_arg $ alpha_arg $ top_k))
-
 let compact_cmd =
   let src =
     Arg.(
@@ -1186,22 +1032,13 @@ let compact_cmd =
       required & pos 1 (some string) None
       & info [] ~docv:"DST" ~doc:"Output v4 index file.")
   in
-  let shards =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Persist N balanced doc-id-range shards (default: keep the \
-             source's layout; 1 for raw documents).")
-  in
-  let run src dst shards = wrap (fun () -> run_compact src dst shards) in
+  let run src dst = wrap (fun () -> run_compact src dst) in
   Cmd.v
     (Cmd.info "compact"
        ~doc:
          "Rewrite a corpus as a block-compressed v4 index file that \
           $(b,serve --index) maps zero-copy.")
-    Term.(ret (const run $ src $ dst $ shards))
+    Term.(ret (const run $ src $ dst))
 
 let inspect_cmd =
   let path =
@@ -1245,7 +1082,6 @@ let main =
       inspect_cmd;
       serve_cmd;
       serve_router_cmd;
-      bench_serve_cmd;
     ]
 
 let () =

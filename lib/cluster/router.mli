@@ -24,8 +24,7 @@
     is the exact top-k over every document the surviving legs hold.
     With all legs surviving it is byte-identical to a single-process
     search over the whole corpus; with failures it is the exact
-    top-k-of-survivors that [OK-DEGRADED] promises
-    (see {!Pj_engine.Shard_searcher.search_degraded}).
+    top-k-of-survivors that [OK-DEGRADED] promises.
 
     {2 Failover state machine}
 

@@ -158,7 +158,9 @@ type run = {
   scoring : Pj_core.Scoring.t;
   k : int;
   heap : hit Pj_util.Heap.t;
-  threshold : float Atomic.t option;
+  threshold : float ref;
+      (* the best proven lower bound on the cascade's global k-th
+         score, raised by every fragment that holds k hits *)
   check_deadline : unit -> unit;
   global_bound : float;
       (* the same-for-every-document ceiling from each term's
@@ -175,15 +177,7 @@ type run = {
 let weaker_first a b =
   match compare b.score a.score with 0 -> a.doc_id <= b.doc_id | c -> c <= 0
 
-let shared r =
-  match r.threshold with None -> Float.neg_infinity | Some tau -> Atomic.get tau
-
-(* Raise a shared threshold to [v] (monotone: only ever increases).
-   [compare_and_set] on the freshly read box retries cleanly under
-   contention from sibling shard domains. *)
-let rec atomic_max a v =
-  let cur = Atomic.get a in
-  if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
+let shared r = !(r.threshold)
 
 (* --- bounding -------------------------------------------------------------
    Threshold-aware candidate generation on the skip metadata every
@@ -221,9 +215,9 @@ let rec atomic_max a v =
    quantity these bounds are built from. *)
 
 (* Could a document with upper bound [b] still enter the heap? Strict
-   against the shared threshold (a sibling shard's tied hit may have a
-   larger doc id); tie-losing against our own root (later candidates
-   have larger ids). *)
+   against the shared threshold (an earlier fragment's tied hit may
+   have a larger doc id); tie-losing against our own root (later
+   candidates have larger ids). *)
 let could_win r b = b >= r.seen_shared && ((not r.seen_full) || b > r.seen_root)
 
 (* Take a fresh threshold signature; true when it moved since the last
@@ -368,10 +362,10 @@ let doc_bound r doc_id =
 (* Could solving [doc_id] change the heap? The proximity-free
    [Scoring.upper_bound] over the forms present in the document, checked
    before any match list is built. Raises [Early_stop] once even the
-   per-term maxima cannot reach a score the heap (or a sibling fragment)
-   already beats. The shared-threshold checks are strict: it comes from
-   hits whose doc ids may be smaller than this fragment's candidates, so
-   a tied bound could still win the global tiebreak. *)
+   per-term maxima cannot reach a score the heap (or an earlier
+   fragment) already beats. The shared-threshold checks are strict: it
+   comes from hits whose doc ids may be larger than this fragment's
+   candidates, so a tied bound could still win the global tiebreak. *)
 let worth_solving r doc_id =
   let tau = shared r in
   if r.global_bound < tau then raise Early_stop;
@@ -427,14 +421,13 @@ let problem_at r doc_id = Array.map (fun tc -> term_matches tc doc_id) r.terms
 (* Once this fragment holds k hits, its weakest score is a lower bound
    on the *global* k-th score (a subset's k-th best never exceeds the
    union's), so it is safe to publish into the shared threshold for
-   sibling shards to prune against. *)
+   later fragments to prune against. *)
 let publish r =
-  match r.threshold with
-  | Some tau when Pj_util.Heap.length r.heap = r.k -> (
-      match Pj_util.Heap.peek r.heap with
-      | Some weakest -> atomic_max tau weakest.score
-      | None -> ())
-  | Some _ | None -> ()
+  if Pj_util.Heap.length r.heap = r.k then
+    match Pj_util.Heap.peek r.heap with
+    | Some weakest when weakest.score > !(r.threshold) ->
+        r.threshold := weakest.score
+    | Some _ | None -> ()
 
 let offer r hit =
   let admitted =
@@ -479,7 +472,7 @@ let drain heap =
   in
   go []
 
-let search_impl ?deadline ?threshold ?(accept = fun _ -> true) ~k t scoring q
+let search_impl ?deadline ~threshold ?(accept = fun _ -> true) ~k t scoring q
     =
   if k < 0 then invalid_arg "Searcher.search: negative k";
   let check_deadline =
@@ -525,11 +518,46 @@ let search_impl ?deadline ?threshold ?(accept = fun _ -> true) ~k t scoring q
          with Early_stop -> ());
         drain r.heap)
 
-let search ?(k = 10) t scoring q = search_impl ~k t scoring q
+let search_fragment ?deadline ?accept ?(k = 10) t scoring q =
+  try
+    Ok
+      (search_impl ?deadline ~threshold:(ref Float.neg_infinity) ?accept ~k t
+         scoring q)
+  with Expired -> Error `Timeout
+
+let search ?(k = 10) t scoring q =
+  match search_fragment ~k t scoring q with
+  | Ok hits -> hits
+  | Error `Timeout -> assert false (* no deadline *)
 
 let search_within ?(k = 10) ~deadline t scoring q =
-  try Ok (search_impl ~deadline ~k t scoring q) with Expired -> Error `Timeout
+  search_fragment ~deadline ~k t scoring q
 
-let search_fragment ?deadline ?threshold ?accept ?(k = 10) t scoring q =
-  try Ok (search_impl ?deadline ?threshold ?accept ~k t scoring q)
-  with Expired -> Error `Timeout
+(* Global order on hits: score descending, ties toward smaller doc id —
+   the order [drain] returns one fragment's hits in. *)
+let compare_hits a b =
+  match Float.compare b.score a.score with
+  | 0 -> Int.compare a.doc_id b.doc_id
+  | c -> c
+
+let rec take n = function
+  | x :: rest when n > 0 -> x :: take (n - 1) rest
+  | _ -> []
+
+(* Fragments run one after another against one threshold, so each
+   starts from the best bound the earlier ones proved. The global top-k
+   is a subset of the union of the fragments' top-k lists, so one sort
+   of their concatenation merges exactly. *)
+let search_cascade ?deadline ?accept ~k fragments scoring q =
+  if k < 0 then invalid_arg "Searcher.search_cascade: negative k";
+  if k = 0 then Ok []
+  else begin
+    let threshold = ref Float.neg_infinity in
+    match
+      List.concat_map
+        (fun t -> search_impl ?deadline ~threshold ?accept ~k t scoring q)
+        (Array.to_list fragments)
+    with
+    | hits -> Ok (take k (List.sort compare_hits hits))
+    | exception Expired -> Error `Timeout
+  end

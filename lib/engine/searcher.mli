@@ -40,8 +40,8 @@ val search : ?k:int -> t -> Pj_core.Scoring.t -> Pj_matching.Query.t -> hit list
 
     There is one traversal: block-max pruned DAAT. Candidates come from
     a leapfrog over the term cursors, and three threshold prunes apply
-    once a threshold exists (k hits held, or a shared [threshold] from
-    {!search_fragment}):
+    once a threshold exists (k hits held, or a bound an earlier
+    fragment of {!search_cascade} proved):
 
     - {e Essential forms.} An expansion form whose score cannot lift any
       document past the threshold, even with every other term at its
@@ -87,35 +87,47 @@ val search_within :
 
 val search_fragment :
   ?deadline:float ->
-  ?threshold:float Atomic.t ->
   ?accept:(int -> bool) ->
   ?k:int ->
   t ->
   Pj_core.Scoring.t ->
   Pj_matching.Query.t ->
   (hit list, [ `Timeout ]) result
-(** One shard's leg of a scatter-gather search (see
-    {!Shard_searcher}): [search_within] over this index, with an
-    optional [threshold] shared between concurrent fragments of one
-    query. Whenever this fragment holds [k] hits, it publishes its
-    weakest score into [threshold] (monotonically, with a
-    compare-and-set maximum); every fragment prunes candidates — and
-    stops its whole scan — whose upper bound falls *strictly* below
-    the shared value. Strictness is what keeps the merge
-    byte-identical to the monolithic search: the shared threshold may
-    come from hits with smaller doc ids in another shard, so a tied
-    bound could still win the global smaller-id tiebreak and must be
-    solved (the within-fragment prunes keep their tie-aware checks,
-    where increasing-doc-id order makes ties safe). A fragment's k-th
-    best score never exceeds the global k-th best (its documents are a
-    subset), so pruning strictly below the shared threshold can never
-    discard a global top-k hit. Without [threshold] this is exactly
-    [search_within]; without [deadline] it cannot time out.
+(** {!search_within} with an optional [deadline] (without one it cannot
+    time out) and a document filter. [accept] (default: everything)
+    filters candidate documents before any scoring or heap insertion —
+    a rejected document behaves exactly as if its postings were
+    absent. *)
 
-    [accept] (default: everything) filters candidate documents before
-    any scoring, threshold publication, or heap insertion — a rejected
-    document behaves exactly as if its postings were absent. This is
-    how a live index hides tombstoned documents without rewriting
-    segment posting lists (see {!Pj_live.Live_index}). *)
+val search_cascade :
+  ?deadline:float ->
+  ?accept:(int -> bool) ->
+  k:int ->
+  t array ->
+  Pj_core.Scoring.t ->
+  Pj_matching.Query.t ->
+  (hit list, [ `Timeout ]) result
+(** Top-[k] over fragments whose documents are disjoint and carry
+    global ids, sharing one vocabulary: the sealed segments and
+    memtable of a live index ({!Pj_live.Live_index}), or the shards of
+    a persisted layout ({!Shard_searcher}). The fragments run in array
+    order in the calling domain, against one threshold: whenever a
+    fragment holds [k] hits, its weakest score is a lower bound on the
+    global k-th score (a subset's k-th best never exceeds the union's),
+    and every later fragment prunes candidates — and stops its whole
+    scan — whose upper bound falls {e strictly} below it (Fagin et
+    al.'s threshold-algorithm bound). Strictness keeps the result
+    byte-identical to {!search} over the union: fragments may come in
+    any id order, so the bound may come from hits with larger doc ids,
+    and a candidate that ties it could still win the smaller-id
+    tiebreak and must be solved.
+    The per-fragment top-k lists merge by (score desc, doc id asc).
+
+    [accept] applies to every fragment, as in {!search_fragment} (a
+    live index hides tombstoned documents with it). [deadline] applies
+    to every fragment, and any fragment expiring times the whole search
+    out: a partial cascade is as unsound as a partial scan. [k = 0]
+    returns [Ok []] without touching the fragments. Raises
+    [Invalid_argument] when [k < 0]. *)
 
 val index : t -> Pj_index.Inverted_index.t

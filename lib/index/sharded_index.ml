@@ -1,45 +1,5 @@
-type t = {
-  corpus : Corpus.t;
-  shards : Inverted_index.t array;
-  ranges : (int * int) array; (* (first doc id, doc count) per shard *)
-}
+type t = Inverted_index.t array
 
-(* Contiguous doc-id ranges, sized within one of each other — the same
-   balancing rule as [Pj_util.Parallel.map_array]'s chunking, so shard
-   work is even when documents are. *)
-let balanced_counts ~shards n =
-  let base = n / shards and extra = n mod shards in
-  Array.init shards (fun i -> base + if i < extra then 1 else 0)
-
-let build_with_counts corpus counts =
-  let n = Corpus.size corpus in
-  let total = Array.fold_left ( + ) 0 counts in
-  if Array.length counts = 0 then invalid_arg "Sharded_index: no shards";
-  if total <> n then
-    invalid_arg
-      (Printf.sprintf "Sharded_index: shard layout covers %d of %d documents"
-         total n);
-  let ranges = Array.make (Array.length counts) (0, 0) in
-  let start = ref 0 in
-  Array.iteri
-    (fun i len ->
-      ranges.(i) <- (!start, len);
-      start := !start + len)
-    counts;
-  let shards =
-    Array.map
-      (fun (pos, len) -> Inverted_index.build (Corpus.sub corpus ~pos ~len))
-      ranges
-  in
-  { corpus; shards; ranges }
-
-let build ~shards corpus =
-  let shards = Stdlib.max 1 shards in
-  build_with_counts corpus (balanced_counts ~shards (Corpus.size corpus))
-
-(* Assemble from already-constructed per-range indexes — the storage
-   engine's entry point, where each shard is a provider-backed index
-   over a doc-id range of one mmap file and nothing is rebuilt. *)
 let of_prebuilt corpus ~counts ~shard_of =
   let n = Corpus.size corpus in
   if Array.length counts = 0 then invalid_arg "Sharded_index: no shards";
@@ -48,39 +8,13 @@ let of_prebuilt corpus ~counts ~shard_of =
     invalid_arg
       (Printf.sprintf "Sharded_index: shard layout covers %d of %d documents"
          total n);
-  let ranges = Array.make (Array.length counts) (0, 0) in
-  let start = ref 0 in
-  Array.iteri
+  let pos = ref 0 in
+  Array.mapi
     (fun i len ->
-      ranges.(i) <- (!start, len);
-      start := !start + len)
-    counts;
-  let shards = Array.mapi (fun i (pos, len) -> shard_of i ~pos ~len) ranges in
-  { corpus; shards; ranges }
+      let shard = shard_of i ~pos:!pos ~len in
+      pos := !pos + len;
+      shard)
+    counts
 
-let n_shards t = Array.length t.shards
-let shard t i = t.shards.(i)
-let range t i = t.ranges.(i)
-let corpus t = t.corpus
-let counts t = Array.map snd t.ranges
-
-let shard_of_doc t doc_id =
-  let rec go i =
-    if i >= Array.length t.ranges then None
-    else
-      let start, len = t.ranges.(i) in
-      if doc_id >= start && doc_id < start + len then Some i else go (i + 1)
-  in
-  if doc_id < 0 then None else go 0
-
-let stats t =
-  Array.fold_left
-    (fun acc idx ->
-      let s = Inverted_index.stats idx in
-      {
-        Inverted_index.n_tokens = Stdlib.max acc.Inverted_index.n_tokens s.Inverted_index.n_tokens;
-        n_postings = acc.Inverted_index.n_postings + s.Inverted_index.n_postings;
-        n_positions = acc.Inverted_index.n_positions + s.Inverted_index.n_positions;
-      })
-    { Inverted_index.n_tokens = 0; n_postings = 0; n_positions = 0 }
-    t.shards
+let n_shards = Array.length
+let shard t i = t.(i)

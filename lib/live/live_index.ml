@@ -931,52 +931,23 @@ let close t =
 
 (* --- search ------------------------------------------------------------ *)
 
-exception Frag_timeout
-
-let compare_hits (a : Searcher.hit) (b : Searcher.hit) =
-  match compare b.Searcher.score a.Searcher.score with
-  | 0 -> compare a.Searcher.doc_id b.Searcher.doc_id
-  | c -> c
-
-let rec take n = function
-  | [] -> []
-  | _ when n = 0 -> []
-  | x :: tl -> x :: take (n - 1) tl
-
-(* Search one immutable snapshot: every fragment (sealed segments, then
-   the memtable) runs the block-max pruned DAAT search, cascading one
-   shared threshold so later fragments prune against the best bound so
-   far; tombstones are hidden by the [accept] filter. The merge by
-   (score desc, doc id asc) is byte-identical to a monolithic search
-   over the surviving documents — same vocabulary, same global doc ids,
-   same strict cross-fragment prune as [Shard_searcher]. *)
+(* Search one immutable snapshot: the sealed segments, then the
+   memtable, as one fragment cascade; tombstones are hidden by the
+   [accept] filter. Same vocabulary and global doc ids in every
+   fragment, so the result is byte-identical to a monolithic search
+   over the surviving documents. *)
 let search_snapshot ?deadline ~k s scoring q =
-  if k = 0 then Ok []
-  else begin
-    let accept =
-      if IntSet.is_empty s.tombstones then None
-      else Some (fun doc_id -> not (IntSet.mem doc_id s.tombstones))
-    in
-    let threshold = Atomic.make Float.neg_infinity in
-    let fragments =
-      Array.to_list (Array.map (fun sg -> sg.searcher) s.segments)
-      @ (match s.mem with Some sr -> [ sr ] | None -> [])
-    in
-    try
-      let hits =
-        List.concat_map
-          (fun sr ->
-            match
-              Searcher.search_fragment ?deadline ~threshold ?accept ~k sr
-                scoring q
-            with
-            | Ok hits -> hits
-            | Error `Timeout -> raise Frag_timeout)
-          fragments
-      in
-      Ok (take k (List.sort compare_hits hits))
-    with Frag_timeout -> Error `Timeout
-  end
+  let accept =
+    if IntSet.is_empty s.tombstones then None
+    else Some (fun doc_id -> not (IntSet.mem doc_id s.tombstones))
+  in
+  let segments = Array.map (fun sg -> sg.searcher) s.segments in
+  let fragments =
+    match s.mem with
+    | Some sr -> Array.append segments [| sr |]
+    | None -> segments
+  in
+  Searcher.search_cascade ?deadline ?accept ~k fragments scoring q
 
 let search ?(k = 10) t scoring q =
   match search_snapshot ~k (Atomic.get t.snap) scoring q with

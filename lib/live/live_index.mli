@@ -26,9 +26,8 @@
     for queries. Over a quiesced index, search results are
     byte-identical to {!Pj_engine.Searcher.search} on a from-scratch
     {!Pj_index.Inverted_index.build} over the surviving documents:
-    fragments share the vocabulary and global ids, cascade one strict
-    prune threshold (as in {!Pj_engine.Shard_searcher}), and merge by
-    (score desc, doc id asc).
+    the segments and the memtable share the vocabulary and global ids
+    and run as one {!Pj_engine.Searcher.search_cascade}.
 
     {2 Durability}
 

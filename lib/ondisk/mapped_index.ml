@@ -304,10 +304,6 @@ let shard_index t ~pos ~len =
   Pj_index.Inverted_index.of_provider (corpus t)
     (range_provider t ~lo:pos ~hi:(pos + len))
 
-let sharded t =
-  Pj_index.Sharded_index.of_prebuilt (corpus t) ~counts:t.counts
-    ~shard_of:(fun _ ~pos ~len -> shard_index t ~pos ~len)
-
 (* --- integrity --------------------------------------------------------- *)
 
 let verify t =

@@ -5,11 +5,11 @@
     documents and postings, milliseconds for a file that takes seconds
     to load into the heap. Everything else (documents, dictionary,
     posting blocks) stays on disk and is decoded on demand through the
-    page cache: {!index} and {!sharded} wrap the mapping in
+    page cache: {!index} and {!shard_index} wrap the mapping in
     provider-backed [Pj_index.Inverted_index] values, so the DAAT
-    searcher, scatter-gather sharding and the server run on it
-    unchanged and return byte-identical results to an in-memory index
-    over the same corpus.
+    searcher and the server run on it unchanged and return
+    byte-identical results to an in-memory index over the same
+    corpus.
 
     Integrity: opening validates magics, the format version and the
     section-offset chain; it does {e not} checksum the payload (that
@@ -46,11 +46,9 @@ val segment_index : t -> base:int -> Pj_index.Corpus.t -> Pj_index.Inverted_inde
     base. *)
 
 val counts : t -> int array
-(** The persisted shard layout (defaults to one shard). *)
-
-val sharded : t -> Pj_index.Sharded_index.t
-(** The persisted layout as a sharded index whose shards are
-    range-restricted views of the one mapping — nothing is rebuilt. *)
+(** The persisted shard layout (defaults to one shard). Searches ignore
+    it ({!index} serves the whole file); [compact] carries it into the
+    file it writes. *)
 
 val shard_index : t -> pos:int -> len:int -> Pj_index.Inverted_index.t
 (** A provider-backed index over documents [pos, pos + len) only —

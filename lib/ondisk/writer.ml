@@ -1,12 +1,11 @@
 let add_u64le buf n = Buffer.add_int64_le buf (Int64.of_int n)
 
-(* Core writer, parameterized on how to fetch one term's postings so
-   [write_sharded] can concatenate per-shard lists without rebuilding
-   a monolithic index first. *)
-let write_with ?fp_write ?fp_rename ~corpus ~counts ~postings_of path =
+let write ?fp_write ?fp_rename ?counts idx path =
+  let corpus = Pj_index.Inverted_index.corpus idx in
   let vocab = Pj_index.Corpus.vocab corpus in
   let n_docs = Pj_index.Corpus.size corpus in
   let n_words = Pj_text.Vocab.size vocab in
+  let counts = Option.value counts ~default:[| n_docs |] in
   if
     Array.length counts = 0
     || Array.exists (fun c -> c < 0) counts
@@ -51,7 +50,10 @@ let write_with ?fp_write ?fp_rename ~corpus ~counts ~postings_of path =
   let blobs = Buffer.create size_hint in
   let n_postings = ref 0 and n_positions = ref 0 in
   for tok = 0 to n_words - 1 do
-    let posts = Pj_index.Posting_list.to_sorted_array (postings_of tok) in
+    let posts =
+      Pj_index.Posting_list.to_sorted_array
+        (Pj_index.Inverted_index.postings idx tok)
+    in
     let df = Array.length posts in
     if df = 0 then begin
       add_u64le buf 0;
@@ -97,34 +99,3 @@ let write_with ?fp_write ?fp_rename ~corpus ~counts ~postings_of path =
   Buffer.add_bytes buf footer;
   Buffer.add_string buf File_format.end_magic;
   Pj_util.Bytecodec.write_file_atomic ?fp_write ?fp_rename path buf
-
-let write ?fp_write ?fp_rename ?counts idx path =
-  let corpus = Pj_index.Inverted_index.corpus idx in
-  let counts =
-    match counts with
-    | Some c -> c
-    | None -> [| Pj_index.Corpus.size corpus |]
-  in
-  write_with ?fp_write ?fp_rename ~corpus ~counts
-    ~postings_of:(Pj_index.Inverted_index.postings idx)
-    path
-
-let write_sharded sharded path =
-  let corpus = Pj_index.Sharded_index.corpus sharded in
-  let n = Pj_index.Sharded_index.n_shards sharded in
-  (* Shard postings carry global doc ids over disjoint increasing
-     ranges, so per-term concatenation in shard order is already the
-     monolithic sorted list. *)
-  let postings_of tok =
-    let pl = ref Pj_index.Posting_list.empty in
-    for i = 0 to n - 1 do
-      pl :=
-        Pj_index.Posting_list.append_disjoint !pl
-          (Pj_index.Inverted_index.postings
-             (Pj_index.Sharded_index.shard sharded i)
-             tok)
-    done;
-    !pl
-  in
-  write_with ~fp_write:"ondisk.save.write" ~fp_rename:"ondisk.save.rename"
-    ~corpus ~counts:(Pj_index.Sharded_index.counts sharded) ~postings_of path

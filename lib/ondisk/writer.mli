@@ -22,9 +22,3 @@ val write :
   Pj_index.Inverted_index.t ->
   string ->
   unit
-
-val write_sharded : Pj_index.Sharded_index.t -> string -> unit
-(** Persist a sharded index with its layout. Postings are written once
-    from a merged traversal (they are global-doc-id lists, so the
-    monolithic section serves every shard through range cursors). It
-    hits the ["ondisk.save.write"] / ["ondisk.save.rename"] sites. *)

@@ -159,19 +159,12 @@ let string_of_hits ?precision hits =
        hits)
 
 (* A degraded answer is a complete HITS line prefixed with which
-   shards are missing, so clients that only want best-effort results
+   legs are missing, so clients that only want best-effort results
    can strip everything up to "HITS" and proceed. *)
 let ok_degraded_ids ?precision ~failed_shards pairs =
   Printf.sprintf "OK-DEGRADED shards=%s %s"
     (String.concat "," (List.map string_of_int failed_shards))
     (string_of_id_scores ?precision pairs)
-
-let ok_degraded ?precision ~failed_shards hits =
-  ok_degraded_ids ?precision ~failed_shards
-    (List.map
-       (fun (h : Pj_engine.Searcher.hit) ->
-         (h.Pj_engine.Searcher.doc_id, h.Pj_engine.Searcher.score))
-       hits)
 
 (* Inverse of [string_of_id_scores], for router legs and test oracles.
    Strict: the declared count must match, every token must be

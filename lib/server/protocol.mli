@@ -20,9 +20,9 @@
     v}
 
     Responses: ["HITS n doc:score ..."], ["OK-DEGRADED shards=i,j HITS
-    n doc:score ..."] (a complete answer from the surviving shards
-    when shards [i,j] failed or blew the deadline — see
-    {!Pj_engine.Shard_searcher.search_degraded}), ["ADDED id"],
+    n doc:score ..."] (a router's complete answer from the surviving
+    legs when legs [i,j] failed or blew the deadline — see
+    [Pj_cluster.Router]), ["ADDED id"],
     ["DELETED id"], ["FLUSHED gen=g segments=n"], ["PONG"], ["BYE"],
     ["BUSY"] (queue full), ["TIMEOUT"] (deadline exceeded),
     ["ERR reason"], or a single ["STATS ..."] key=value line. A
@@ -88,18 +88,11 @@ val parse_hits : string -> ((int * float) list, string) result
     count must match, ids non-negative). The inverse of
     {!string_of_id_scores} at {!exact_precision}. *)
 
-val ok_degraded :
-  ?precision:int ->
-  failed_shards:int list ->
-  Pj_engine.Searcher.hit list ->
-  string
-(** ["OK-DEGRADED shards=1,3 HITS n doc:score ..."]: the surviving
-    shards' merged top-k plus which shard indexes are missing from
-    it. Never cached (see {!cacheable}). *)
-
 val ok_degraded_ids :
   ?precision:int -> failed_shards:int list -> (int * float) list -> string
-(** {!ok_degraded} over bare pairs, for the router's merged legs. *)
+(** ["OK-DEGRADED shards=1,3 HITS n doc:score ..."]: the router's merged
+    top-k of the surviving legs plus which leg indexes are missing from
+    it. Never cached (see {!cacheable}). *)
 
 val cacheable : string -> bool
 (** Whether a response line may be stored in (and replayed from) the

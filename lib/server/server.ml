@@ -96,8 +96,8 @@ let register_stats m ~pool ~cache ~live ~extra =
   let search_errors = Metrics.counter m ~into:[ errors ] "search_errors" in
   let busy = Metrics.counter m "busy" in
   let timeouts = Metrics.counter m "timeouts" in
-  (* How often clients see partial answers, and how flaky the shards
-     are: one OK-DEGRADED response bumps [degraded] once and
+  (* How often a router's clients see partial answers, and how flaky
+     its legs are: one OK-DEGRADED response bumps [degraded] once and
      [shard_failures] by its number of failed legs. *)
   let degraded = Metrics.counter m "degraded" in
   let shard_failures = Metrics.counter m "shard_failures" in
@@ -245,10 +245,6 @@ let search_done t ~t0 reply response =
   end;
   reply response
 
-let degraded t n_failed =
-  Metrics.incr t.stats.degraded;
-  Metrics.add t.stats.shard_failures n_failed
-
 (* The response line for a router's outcome. [precision] is the score
    rendering of the client's wire (text or binary); the metrics
    taxonomy is the same as for local results. *)
@@ -258,7 +254,8 @@ let forwarded_response t ~precision ~key ~generation = function
       Result_cache.add ~generation t.cache key response;
       response
   | Forwarded_degraded (pairs, failed_legs) ->
-      degraded t (List.length failed_legs);
+      Metrics.incr t.stats.degraded;
+      Metrics.add t.stats.shard_failures (List.length failed_legs);
       Protocol.ok_degraded_ids ~precision ~failed_shards:failed_legs pairs
   | Forwarded_timeout ->
       Metrics.incr t.stats.timeouts;
@@ -275,12 +272,6 @@ let local_response t ~precision ~key ~generation = function
       let response = Protocol.string_of_hits ~precision hits in
       Result_cache.add ~generation t.cache key response;
       response
-  | Worker_pool.Degraded (hits, failed) ->
-      (* A partial answer is this request's shard luck, not the query's
-         answer — flag it, count it, and keep it out of the cache so the
-         next attempt gets a fresh scatter-gather. *)
-      degraded t (List.length failed);
-      Protocol.ok_degraded ~precision ~failed_shards:failed hits
   | Worker_pool.Timed_out ->
       Metrics.incr t.stats.timeouts;
       Protocol.timeout

@@ -1,6 +1,5 @@
 (** The concurrent query-serving loop: a TCP server speaking
-    {!Protocol} over a hot search function (a monolithic
-    {!Pj_engine.Searcher.t}, a sharded {!Pj_engine.Shard_searcher.t},
+    {!Protocol} over a hot search function (a {!Pj_engine.Searcher.t}
     or a {!Pj_live.Live_index.t}, via the {!Worker_pool.search}
     constructors).
 
@@ -17,9 +16,9 @@
     router backend's reader ever blocks on a client's socket. Failure
     semantics per request: queue full → [BUSY]; per-query wall-clock
     deadline exceeded → [TIMEOUT]; malformed request or failing query
-    → [ERR] with the connection left open; a sharded search that lost
-    some (but not all) shard legs → [OK-DEGRADED] carrying the
-    surviving shards' merged top-k, never cached. {!Metrics}
+    → [ERR] with the connection left open; a routed search ([?forward])
+    that lost some (but not all) legs → [OK-DEGRADED] carrying the
+    surviving legs' merged top-k, never cached. {!Metrics}
     aggregates counters and latency percentiles for [STATS] and the
     optional periodic log line on stderr.
 
@@ -100,8 +99,7 @@ val start :
   t
 (** Bind, listen, spawn the worker pool and the accept thread, and
     return immediately. The search function must be domain-safe (use
-    {!Worker_pool.of_searcher}, {!Worker_pool.of_shard_searcher} or
-    {!Worker_pool.of_live}); [graph] is the lemma graph query terms
+    {!Worker_pool.of_searcher} or {!Worker_pool.of_live}); [graph] is the lemma graph query terms
     are parsed against. [?live] enables the write verbs and wires the
     index's generation swaps into the result cache — pass the same
     index the search function closes over. The server does not own

@@ -1,33 +1,25 @@
 type outcome =
   | Hits of Pj_engine.Searcher.hit list
-  | Degraded of Pj_engine.Searcher.hit list * int list
   | Timed_out
   | Failed of string
+
+type incomplete = |
 
 type search =
   scoring:Pj_core.Scoring.t ->
   k:int ->
   deadline:float ->
   Pj_matching.Query.t ->
-  (Pj_engine.Searcher.hit list * int list, [ `Timeout ]) result
+  (Pj_engine.Searcher.hit list * incomplete list, [ `Timeout ]) result
+
+let complete_hits = Result.map (fun hits -> (hits, []))
 
 let of_searcher searcher ~scoring ~k ~deadline query =
-  (* A monolithic index has no shards to lose: complete or timed out. *)
-  Result.map
-    (fun hits -> (hits, []))
+  complete_hits
     (Pj_engine.Searcher.search_within ~k ~deadline searcher scoring query)
 
-let of_shard_searcher sharded ~scoring ~k ~deadline query =
-  Result.map
-    (fun { Pj_engine.Shard_searcher.hits; failed } -> (hits, failed))
-    (Pj_engine.Shard_searcher.search_degraded ~k ~deadline sharded scoring
-       query)
-
 let of_live live ~scoring ~k ~deadline query =
-  (* Like a monolithic index: a snapshot search is complete or timed
-     out, never degraded. *)
-  Result.map
-    (fun hits -> (hits, []))
+  complete_hits
     (Pj_live.Live_index.search_within ~k ~deadline live scoring query)
 
 (* Searches and ingest tasks share the queue and the worker domains:
@@ -82,8 +74,7 @@ let execute (search : search) = function
             search ~scoring:job.scoring ~k:job.k ~deadline:job.deadline
               job.query
           with
-          | Ok (hits, []) -> Hits hits
-          | Ok (hits, failed) -> Degraded (hits, failed)
+          | Ok (hits, _) -> Hits hits
           | Error `Timeout -> Timed_out
           | exception (Pj_util.Failpoint.Panicked site as e) ->
               (* A panic models a crash of this worker: answer the

@@ -1,8 +1,7 @@
 (** A supervised pool of OCaml 5 worker domains executing searches
     against one shared, immutable search function.
 
-    The function closes over a searcher (monolithic
-    {!Pj_engine.Searcher.t}, sharded {!Pj_engine.Shard_searcher.t}, or
+    The function closes over a searcher (a {!Pj_engine.Searcher.t}, or
     a {!Pj_live.Live_index.t} whose queries read immutable
     generation-swapped snapshots), so the domains race on nothing; the
     only synchronization is the bounded {!Work_queue} in front of the
@@ -31,39 +30,36 @@
 
 type outcome =
   | Hits of Pj_engine.Searcher.hit list  (** complete result *)
-  | Degraded of Pj_engine.Searcher.hit list * int list
-      (** hits from the surviving shards plus the failed shard
-          indexes (ascending, non-empty) — see
-          {!Pj_engine.Shard_searcher.search_degraded} *)
   | Timed_out  (** the per-query deadline passed (queueing included) *)
   | Failed of string
       (** the search raised, e.g. a matcher without finite expansions,
           or the worker executing it panicked *)
+
+type incomplete = |
+(** A type with no values. *)
 
 type search =
   scoring:Pj_core.Scoring.t ->
   k:int ->
   deadline:float ->
   Pj_matching.Query.t ->
-  (Pj_engine.Searcher.hit list * int list, [ `Timeout ]) result
-(** What a worker runs per job: [Ok (hits, failed_shards)] where an
-    empty [failed_shards] means the result is complete. Must be safe
-    to call from several domains at once (both provided constructors
-    are: they only read an immutable index). *)
+  (Pj_engine.Searcher.hit list * incomplete list, [ `Timeout ]) result
+(** What a worker runs per job: [Ok (hits, [])], the complete top-k, or
+    [Error `Timeout]. [incomplete] has no values, so the list is always
+    [[]]; the pair stays because the benchmark harness
+    ([perfbench/traced.ml]) builds search functions of this shape.
+    Must be safe to call from several
+    domains at once (both provided constructors are: they only read
+    immutable index data). *)
 
 val of_searcher : Pj_engine.Searcher.t -> search
 (** [Pj_engine.Searcher.search_within] (block-max pruned DAAT, the one
-    traversal) over one monolithic index; never degraded. *)
-
-val of_shard_searcher : Pj_engine.Shard_searcher.t -> search
-(** [Pj_engine.Shard_searcher.search_degraded] — fault-isolated
-    scatter-gather over the shards, byte-identical results to
-    {!of_searcher} on the same corpus when every shard answers. *)
+    traversal) over one index. *)
 
 val of_live : Pj_live.Live_index.t -> search
 (** [Pj_live.Live_index.search_within] over the live index's current
     snapshot — domain-safe because each query reads one immutable
-    snapshot; never degraded. *)
+    snapshot. *)
 
 type t
 

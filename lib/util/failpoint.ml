@@ -38,7 +38,8 @@ let arm ?(prob = 1.0) site action =
       Atomic.set armed true)
 
 (* Exact site name wins; otherwise the longest armed "*"-prefix, so
-   ["shard.*"] can cover every shard while ["shard.0"] overrides one. *)
+   ["router.leg.*"] can cover every leg while ["router.leg.0"]
+   overrides one. *)
 let find_rule name =
   let exact = List.find_opt (fun r -> r.site = name) !rules in
   match exact with

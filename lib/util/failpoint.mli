@@ -20,12 +20,12 @@
        action  ::= "error" | "delay:" milliseconds | "panic"
        site    ::= exact name, or a prefix ending in "*" ]}
 
-    e.g. [PROXJOIN_FAILPOINTS='shard.0=error,worker.job=panic@0.05,
+    e.g. [PROXJOIN_FAILPOINTS='router.leg.0=error,worker.job=panic@0.05,
     live.flush=delay:250'].
 
     Sites wired into serving code: [ondisk.save.write],
-    [ondisk.save.rename], [shard.N] (per scatter-gather leg),
-    [worker.job], [server.conn], [live.flush], [live.merge],
+    [ondisk.save.rename], [worker.job], [server.conn], [live.flush],
+    [live.merge], [live.mmap_open],
     [live.manifest], [live.wal.append], [live.wal.fsync],
     [live.wal.rotate], and the router tier's
     [router.connect] (before every backend (re)connect),

@@ -11,14 +11,6 @@ let domain_cap () =
 let recommended_domains () =
   Stdlib.min (domain_cap ()) (Domain.recommended_domain_count ())
 
-let recommended_shards () =
-  match Sys.getenv_opt "PROXJOIN_SHARDS" with
-  | None -> 1
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n -> Stdlib.max 1 n
-      | None -> 1)
-
 let map_array ?domains f a =
   let n = Array.length a in
   let domains =

@@ -12,13 +12,6 @@ val recommended_domains : unit -> int
     e.g. to let a dedicated server box use more than 8 cores, or to
     pin CI to a single domain. *)
 
-val recommended_shards : unit -> int
-(** Default index shard count: the [PROXJOIN_SHARDS] environment
-    variable (clamped to at least 1; non-numeric values are ignored),
-    or 1 — a monolithic index — when unset. Read by the [serve] and
-    [isearch] subcommands as the default of their [--shards] flag, so
-    a deployment can be resharded without touching the command line. *)
-
 val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Parallel [Array.map], preserving order. [domains] defaults to
     {!recommended_domains}; [1] (or arrays shorter than 2 elements) runs

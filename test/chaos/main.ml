@@ -1,16 +1,16 @@
 (* Chaos suite: randomized failpoint schedules against a live socket
-   server. The properties under test are the serving contract of the
-   degradation work, not any particular scheduling of faults:
+   server. The properties under test are the serving contract, not any
+   particular scheduling of faults:
 
    - never hang: every request gets a response line (or a clean
      disconnect) within a bounded time, whatever is armed;
    - never crash: the server survives injected errors, delays and
      worker panics, and keeps accepting connections;
-   - honesty: responses are only ever HITS / OK-DEGRADED / TIMEOUT /
-     BUSY / ERR, and once the faults are cleared, every query answers
-     byte-identically to the fault-free run — which also proves no
-     degraded or timed-out response was ever cached, and that panicked
-     worker domains were respawned to full strength.
+   - honesty: responses are only ever HITS / TIMEOUT / BUSY / ERR, and
+     once the faults are cleared, every query answers byte-identically
+     to the fault-free run — which also proves no timed-out or failed
+     response was ever cached, and that panicked worker domains were
+     respawned to full strength.
 
    The schedule PRNG is seeded from $CHAOS_SEED when set (the CI chaos
    job passes a fresh one per run and logs it), else a fixed default —
@@ -55,17 +55,14 @@ let build () =
     texts;
   (corpus, Pj_ontology.Mini_wordnet.create ())
 
-let n_shards = 3
-
 let with_server ?(config = Server.default_config) f =
   Pj_util.Failpoint.clear ();
   let corpus, graph = build () in
-  let sharded =
-    Pj_engine.Shard_searcher.create
-      (Pj_index.Sharded_index.build ~shards:n_shards corpus)
+  let searcher =
+    Pj_engine.Searcher.create (Pj_index.Inverted_index.build corpus)
   in
   let server =
-    Server.start ~config ~graph (Worker_pool.of_shard_searcher sharded)
+    Server.start ~config ~graph (Worker_pool.of_searcher searcher)
   in
   Fun.protect
     ~finally:(fun () ->
@@ -125,7 +122,7 @@ let expect_response conn line =
 let valid_response r =
   List.exists
     (fun p -> String.length r >= String.length p && String.sub r 0 (String.length p) = p)
-    [ "HITS "; "OK-DEGRADED "; "TIMEOUT"; "BUSY"; "ERR "; "PONG" ]
+    [ "HITS "; "TIMEOUT"; "BUSY"; "ERR "; "PONG" ]
 
 (* Fault-free expected lines, captured over the wire before any rule is
    armed — the recovery oracle. *)
@@ -142,10 +139,7 @@ let random_schedule rng =
   let candidates =
     [
       (fun () ->
-        { site = Printf.sprintf "shard.%d" (Pj_util.Prng.int rng n_shards);
-          action = Fail; prob = 1. });
-      (fun () ->
-        { site = Printf.sprintf "shard.%d" (Pj_util.Prng.int rng n_shards);
+        { site = "worker.job";
           action = Delay (0.005 +. Pj_util.Prng.float rng 0.03); prob = 1. });
       (fun () -> { site = "worker.job"; action = Fail; prob = 0.3 });
       (fun () -> { site = "worker.job"; action = Panic; prob = 0.15 });
@@ -217,50 +211,7 @@ let test_randomized_schedules () =
           Alcotest.failf "%d contract violations, e.g. %s (seed %d)"
             (List.length !violations) v seed)
 
-(* --- 2. degraded responses: flagged, honest, never cached ----------- *)
-
-let test_degraded_flagged_and_uncached () =
-  with_server (fun server ->
-      let expected = baseline server in
-      (* From here the cache holds complete answers; killing a shard
-         must bypass them... so drop them first to force live searches. *)
-      Result_cache.clear (Server.cache server);
-      Pj_util.Failpoint.arm "shard.1" Pj_util.Failpoint.Fail;
-      let conn = connect (Server.port server) in
-      Fun.protect
-        ~finally:(fun () -> close conn)
-        (fun () ->
-          List.iter
-            (fun (q, _) ->
-              let r = expect_response conn q in
-              Alcotest.(check bool)
-                (Printf.sprintf "degraded and names shard 1: %S" r)
-                true
-                (String.length r >= 20
-                && String.sub r 0 20 = "OK-DEGRADED shards=1"))
-            expected;
-          let _, _, len = Result_cache.stats (Server.cache server) in
-          Alcotest.(check int) "no degraded response cached" 0 len;
-          (* Heal the shard: the same queries answer complete again —
-             and would not, had the degraded lines been cached. *)
-          Pj_util.Failpoint.clear ();
-          List.iter
-            (fun (q, want) ->
-              Alcotest.(check string)
-                (Printf.sprintf "healed %S" q)
-                want (expect_response conn q))
-            expected;
-          let stats = expect_response conn "STATS" in
-          Alcotest.(check (option int))
-            "every degraded response counted"
-            (Some (List.length expected))
-            (Metrics.int_field stats "degraded");
-          Alcotest.(check (option int))
-            "one failed leg each"
-            (Some (List.length expected))
-            (Metrics.int_field stats "shard_failures")))
-
-(* --- 3. worker kill: detected, counted, respawned ------------------- *)
+(* --- 2. worker kill: detected, counted, respawned ------------------- *)
 
 let test_worker_kill_respawns () =
   with_server (fun server ->
@@ -299,7 +250,7 @@ let test_worker_kill_respawns () =
                 want (expect_response conn q))
             expected))
 
-(* --- 4. graceful drain: stop under load flushes in-flight ----------- *)
+(* --- 3. graceful drain: stop under load flushes in-flight ----------- *)
 
 let test_drain_under_load () =
   let config = { Server.default_config with drain_s = 5. } in
@@ -316,9 +267,10 @@ let test_drain_under_load () =
         Thread.delay 0.002
       done;
       Alcotest.(check int) "baseline requests retired" 0 (Server.inflight server);
-      (* Every shard leg sleeps, so the request is reliably in flight
-         when stop begins; the drain must still flush its response. *)
-      Pj_util.Failpoint.arm "shard.*" (Pj_util.Failpoint.Delay 0.2);
+      (* The worker sleeps before it searches, so the request is
+         reliably in flight when stop begins; the drain must still flush
+         its response. *)
+      Pj_util.Failpoint.arm "worker.job" (Pj_util.Failpoint.Delay 0.2);
       let q, want = List.hd expected in
       let got = ref `Hung in
       let client =
@@ -344,7 +296,7 @@ let test_drain_under_load () =
       | `Gone -> Alcotest.fail "in-flight request lost by stop"
       | `Hung -> Alcotest.fail "in-flight request hung through stop")
 
-(* --- 5. live index: every live.* failpoint fails cleanly, recovery
+(* --- 4. live index: every live.* failpoint fails cleanly, recovery
        replays exactly the last durable generation --------------------- *)
 
 let stems text =
@@ -480,7 +432,7 @@ let test_live_failpoints_recover () =
                 (live_hits recovered <> durable))))
     provocations
 
-(* --- 6. write-ahead log: crash at every WAL kill point, acknowledged
+(* --- 5. write-ahead log: crash at every WAL kill point, acknowledged
        writes always recover, unacknowledged ones never tear ---------- *)
 
 let wal_live_config = { live_config with Pj_live.Live_index.wal = true }
@@ -581,9 +533,6 @@ let () =
       ( "chaos",
         [
           ("chaos: randomized schedules", `Quick, test_randomized_schedules);
-          ( "chaos: degraded flagged, never cached",
-            `Quick,
-            test_degraded_flagged_and_uncached );
           ("chaos: worker kill respawns", `Quick, test_worker_kill_respawns);
           ("chaos: drain under load", `Quick, test_drain_under_load);
           ( "chaos: live failpoints recover",

@@ -41,8 +41,9 @@ let read_file path =
   with Sys_error _ -> ""
 
 (* Poll the process's log for its " on 127.0.0.1:PORT " banner — both
-   `serving` and `routing` print one — and return the bound port. *)
-let wait_port proc =
+   `serving` and `routing` print one — and return [`Port] with the bound
+   port, or [`Exited] with the exit code when the process ends first. *)
+let wait_banner proc =
   let needle = " on 127.0.0.1:" in
   let deadline = Unix.gettimeofday () +. 15. in
   let rec poll () =
@@ -63,24 +64,30 @@ let wait_port proc =
           incr stop
         done;
         if !stop = start then Alcotest.failf "no port in banner: %s" log
-        else int_of_string (String.sub log start (!stop - start))
-    | None ->
-        if Unix.gettimeofday () > deadline then
-          Alcotest.failf "process %d never printed its banner; log: %s"
-            proc.pid (read_file proc.log)
-        else begin
-          (* A child that died is never going to print it. *)
-          (match Unix.waitpid [ Unix.WNOHANG ] proc.pid with
-          | 0, _ -> ()
-          | _, _ ->
-              Alcotest.failf "process %d exited before binding; log: %s"
-                proc.pid (read_file proc.log)
-          | exception Unix.Unix_error _ -> ());
+        else `Port (int_of_string (String.sub log start (!stop - start)))
+    | None -> (
+        (* A child that ended is never going to print it. *)
+        let wait () =
+          if Unix.gettimeofday () > deadline then
+            Alcotest.failf "process %d never printed its banner; log: %s"
+              proc.pid (read_file proc.log);
           Thread.delay 0.05;
           poll ()
-        end
+        in
+        match Unix.waitpid [ Unix.WNOHANG ] proc.pid with
+        | 0, _ -> wait ()
+        | _, Unix.WEXITED code -> `Exited code
+        | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> `Exited (-1)
+        | exception Unix.Unix_error _ -> wait ())
   in
   poll ()
+
+let wait_port proc =
+  match wait_banner proc with
+  | `Port port -> port
+  | `Exited _ ->
+      Alcotest.failf "process %d exited before binding; log: %s" proc.pid
+        (read_file proc.log)
 
 let reap proc =
   (try Unix.kill proc.pid Sys.sigkill with Unix.Unix_error _ -> ());

@@ -1,8 +1,8 @@
 (* The STATS line is an interface: routers read [docs=], dashboards and
    the bench kit read everything else. These tests pin it key by key —
-   names, order and number format — for the four front ends a deployment
-   runs, over real `proxjoin` processes, and hold the line's accounting
-   identities while clients write and search concurrently. *)
+   names, order and number format — for the three front ends a
+   deployment runs, over real `proxjoin` processes, and hold the line's
+   accounting identities while clients write and search concurrently. *)
 
 module E = Test_cluster_e2e
 module P = Test_cluster_proc
@@ -146,15 +146,6 @@ let test_static_mmap_front () =
       check_keys ~front:"static --index" static_keys
         (stats_after_search (P.wait_port front)))
 
-let test_sharded_heap_front () =
-  with_procs (fun dir spawn ->
-      let docs = docs_file dir "docs.txt" E.texts in
-      let front =
-        spawn [ "serve"; docs; "--shards"; "2"; "--port"; "0" ] ~log:"front.log"
-      in
-      check_keys ~front:"sharded heap" static_keys
-        (stats_after_search (P.wait_port front)))
-
 let live_front spawn dir =
   let docs = docs_file dir "docs.txt" E.texts in
   spawn
@@ -257,7 +248,6 @@ let test_identities_under_load () =
 let suite =
   [
     ("stats keys: static --index front", `Slow, test_static_mmap_front);
-    ("stats keys: sharded heap front", `Slow, test_sharded_heap_front);
     ("stats keys: live front", `Slow, test_live_front);
     ("stats keys: router front", `Slow, test_router_front);
     ("stats identities under concurrent load", `Slow, test_identities_under_load);

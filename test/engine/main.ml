@@ -6,7 +6,7 @@ let () =
       ("accept", Test_accept.suite);
       ("search_oracle", Test_search_oracle.suite);
       ("shard_oracle", Test_shard_oracle.suite);
-      ("degraded", Test_degraded.suite);
+      ("cascade", Test_cascade.suite);
       ("daat_oracle", Test_daat_oracle.suite);
       ("blockmax_oracle", Test_blockmax_oracle.suite);
       ("snippet", Test_snippet.suite);

@@ -133,7 +133,7 @@ let check_layout seed layout =
   let index = Pj_index.Inverted_index.build corpus in
   let searcher = Searcher.create index in
   let sharded =
-    Shard_searcher.create (Pj_index.Sharded_index.build ~shards:3 corpus)
+    Shard_searcher.create (Pj_reference.sharded ~shards:3 corpus)
   in
   List.iter
     (fun q ->

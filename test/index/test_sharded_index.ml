@@ -9,14 +9,16 @@ let sample_corpus () =
   ignore (Corpus.add_text c "nba games in beijing");
   c
 
+let build c counts =
+  Sharded_index.of_prebuilt c ~counts ~shard_of:(fun _ ~pos ~len ->
+      Inverted_index.build (Corpus.sub c ~pos ~len))
+
 let test_balanced_build () =
   let c = sample_corpus () in
-  let s = Sharded_index.build ~shards:2 c in
-  Alcotest.(check int) "two shards" 2 (Sharded_index.n_shards s);
   Alcotest.(check (array int)) "sizes within one" [| 3; 2 |]
-    (Sharded_index.counts s);
-  Alcotest.(check (pair int int)) "first range" (0, 3) (Sharded_index.range s 0);
-  Alcotest.(check (pair int int)) "second range" (3, 2) (Sharded_index.range s 1);
+    (Pj_reference.balanced_counts ~shards:2 (Corpus.size c));
+  let s = Pj_reference.sharded ~shards:2 c in
+  Alcotest.(check int) "two shards" 2 (Sharded_index.n_shards s);
   (* Postings keep global document ids: "nba" occurs in docs 0 and 4,
      each found in its own shard under its original id. *)
   let df i word =
@@ -32,10 +34,8 @@ let test_balanced_build () =
 
 let test_one_shard_is_monolithic () =
   let c = sample_corpus () in
-  let s = Sharded_index.build ~shards:1 c in
+  let s = Pj_reference.sharded ~shards:1 c in
   Alcotest.(check int) "one shard" 1 (Sharded_index.n_shards s);
-  Alcotest.(check (array int)) "covers everything" [| Corpus.size c |]
-    (Sharded_index.counts s);
   let mono = Inverted_index.build c in
   let vocab = Corpus.vocab c in
   for tok = 0 to Pj_text.Vocab.size vocab - 1 do
@@ -48,56 +48,37 @@ let test_one_shard_is_monolithic () =
 
 let test_more_shards_than_docs () =
   let c = sample_corpus () in
-  let s = Sharded_index.build ~shards:9 c in
+  let s = Pj_reference.sharded ~shards:9 c in
   Alcotest.(check int) "all nine shards exist" 9 (Sharded_index.n_shards s);
-  Alcotest.(check int) "counts still cover the corpus" (Corpus.size c)
-    (Array.fold_left ( + ) 0 (Sharded_index.counts s));
   (* Trailing shards are empty and answer queries with no postings. *)
   let stats = Inverted_index.stats (Sharded_index.shard s 8) in
   Alcotest.(check int) "empty shard has no postings" 0
-    stats.Inverted_index.n_postings;
-  Alcotest.(check bool) "no doc maps to an empty shard" true
-    (Sharded_index.shard_of_doc s 4 <> Some 8)
+    stats.Inverted_index.n_postings
 
 let test_explicit_empty_middle_shard () =
   let c = sample_corpus () in
-  let s = Sharded_index.build_with_counts c [| 2; 0; 3 |] in
-  Alcotest.(check (pair int int)) "empty middle range" (2, 0)
-    (Sharded_index.range s 1);
-  Alcotest.(check (option int)) "doc 1 -> shard 0" (Some 0)
-    (Sharded_index.shard_of_doc s 1);
-  Alcotest.(check (option int)) "doc 2 -> shard 2, skipping the empty one"
-    (Some 2)
-    (Sharded_index.shard_of_doc s 2);
-  Alcotest.(check (option int)) "doc beyond the corpus" None
-    (Sharded_index.shard_of_doc s 99);
-  Alcotest.(check (option int)) "negative doc id" None
-    (Sharded_index.shard_of_doc s (-1))
+  let ranges = ref [] in
+  let s =
+    Sharded_index.of_prebuilt c ~counts:[| 2; 0; 3 |]
+      ~shard_of:(fun i ~pos ~len ->
+        ranges := (i, pos, len) :: !ranges;
+        Inverted_index.build (Corpus.sub c ~pos ~len))
+  in
+  Alcotest.(check (list (triple int int int)))
+    "each shard built over its own range, in order"
+    [ (0, 0, 2); (1, 2, 0); (2, 2, 3) ]
+    (List.rev !ranges);
+  Alcotest.(check int) "empty middle shard has no postings" 0
+    (Inverted_index.stats (Sharded_index.shard s 1)).Inverted_index.n_postings
 
 let test_invalid_layouts_rejected () =
   let c = sample_corpus () in
   Alcotest.(check bool) "empty layout" true
-    (match Sharded_index.build_with_counts c [||] with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
+    (match build c [||] with exception Invalid_argument _ -> true | _ -> false);
   Alcotest.(check bool) "short layout" true
-    (match Sharded_index.build_with_counts c [| 2; 2 |] with
+    (match build c [| 2; 2 |] with
     | exception Invalid_argument _ -> true
-    | _ -> false);
-  (* Non-positive shard requests clamp rather than fail. *)
-  Alcotest.(check int) "shards:0 clamps to 1" 1
-    (Sharded_index.n_shards (Sharded_index.build ~shards:0 c))
-
-let test_stats_merge () =
-  let c = sample_corpus () in
-  let mono = Inverted_index.stats (Inverted_index.build c) in
-  let merged = Sharded_index.stats (Sharded_index.build ~shards:3 c) in
-  Alcotest.(check int) "tokens" mono.Inverted_index.n_tokens
-    merged.Inverted_index.n_tokens;
-  Alcotest.(check int) "postings sum across shards"
-    mono.Inverted_index.n_postings merged.Inverted_index.n_postings;
-  Alcotest.(check int) "positions sum across shards"
-    mono.Inverted_index.n_positions merged.Inverted_index.n_positions
+    | _ -> false)
 
 let test_corpus_sub () =
   let c = sample_corpus () in
@@ -124,6 +105,5 @@ let suite =
     ("sharded: more shards than docs", `Quick, test_more_shards_than_docs);
     ("sharded: explicit empty shard", `Quick, test_explicit_empty_middle_shard);
     ("sharded: invalid layouts", `Quick, test_invalid_layouts_rejected);
-    ("sharded: stats merge", `Quick, test_stats_merge);
     ("sharded: corpus sub views", `Quick, test_corpus_sub);
   ]

@@ -117,7 +117,7 @@ let test_text_and_v4_sources () =
              dell and lenovo compete\n\n\
              the olympic games in beijing\n");
       with_dst (fun v4 ->
-          let code, out = run [ "compact"; docs; v4; "--shards"; "2" ] in
+          let code, out = run [ "compact"; docs; v4 ] in
           Alcotest.(check int) ("text compacts: " ^ out) 0 code;
           with_dst (fun again ->
               let code, out = run [ "compact"; v4; again ] in
@@ -187,32 +187,6 @@ let test_magic_lookalikes_are_text () =
       ("PJ harvey sings\n\nPJX3 is no magic\n", 2);
     ]
 
-(* Compacting a v4 file to a new shard count gives the bytes that
-   compacting its documents to that count gives. *)
-let test_v4_reshard_matches_text () =
-  let docs = Filename.temp_file "pj_compact_cli" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove docs)
-    (fun () ->
-      Out_channel.with_open_bin docs (fun oc ->
-          output_string oc
-            "lenovo partners with the nba\n\n\
-             dell and lenovo compete\n\n\
-             the olympic games in beijing\n\n\
-             lenovo wins\n");
-      let compact args =
-        let code, out = run ("compact" :: args) in
-        Alcotest.(check int) (String.concat " " args ^ ": " ^ out) 0 code
-      in
-      with_dst (fun three ->
-          with_dst (fun resharded ->
-              with_dst (fun direct ->
-                  compact [ docs; three; "--shards"; "3" ];
-                  compact [ three; resharded; "--shards"; "2" ];
-                  compact [ docs; direct; "--shards"; "2" ];
-                  Alcotest.(check bool) "3 -> 2 shards = text -> 2 shards" true
-                    (read_file resharded = read_file direct)))))
-
 let suite =
   [
     ("compact cli: refuses proxjoin binaries", `Quick,
@@ -224,6 +198,4 @@ let suite =
       test_serve_refuses_wrong_format);
     ("compact cli: magic lookalikes are text", `Quick,
       test_magic_lookalikes_are_text);
-    ("compact cli: v4 reshard matches text", `Quick,
-      test_v4_reshard_matches_text);
   ]

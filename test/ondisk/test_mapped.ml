@@ -81,11 +81,15 @@ let compare_all_searches ~mem_index ~mapped =
   let shards = Stdlib.max 1 (Stdlib.min 3 n) in
   let mem_sharded =
     Pj_engine.Shard_searcher.create
-      (Pj_index.Sharded_index.build ~shards
-         (Pj_index.Inverted_index.corpus mem_index))
+      (Pj_reference.sharded ~shards (Pj_index.Inverted_index.corpus mem_index))
   in
+  (* The persisted layout, each shard a range view of the one mapping. *)
   let disk_sharded =
-    Pj_engine.Shard_searcher.create (Mapped_index.sharded mapped)
+    Pj_engine.Shard_searcher.create
+      (Pj_index.Sharded_index.of_prebuilt (Mapped_index.corpus mapped)
+         ~counts:(Mapped_index.counts mapped)
+         ~shard_of:(fun _ ~pos ~len ->
+           Mapped_index.shard_index mapped ~pos ~len))
   in
   let failure = ref None in
   List.iter
@@ -200,41 +204,41 @@ let test_shard_index_matches_sub_build () =
   with_temp (fun path ->
       Writer.write ~counts:[| 2; 3; 1 |] idx path;
       let mapped = Mapped_index.open_file path in
-      Alcotest.(check (array int)) "layout" [| 2; 3; 1 |]
-        (Mapped_index.counts mapped);
-      let sharded = Mapped_index.sharded mapped in
+      let counts = Mapped_index.counts mapped in
+      Alcotest.(check (array int)) "layout" [| 2; 3; 1 |] counts;
       let vocab = Pj_index.Corpus.vocab corpus in
-      for s = 0 to Pj_index.Sharded_index.n_shards sharded - 1 do
-        let pos, len = Pj_index.Sharded_index.range sharded s in
-        let mem_shard =
-          Pj_index.Inverted_index.build
-            (Pj_index.Corpus.sub corpus ~pos ~len)
-        in
-        let disk_shard = Pj_index.Sharded_index.shard sharded s in
-        for tok = 0 to Pj_text.Vocab.size vocab - 1 do
-          Alcotest.(check bool)
-            (Printf.sprintf "shard %d postings of tok %d" s tok)
-            true
-            (Pj_index.Posting_list.to_list
-               (Pj_index.Inverted_index.postings mem_shard tok)
-            = Pj_index.Posting_list.to_list
-                (Pj_index.Inverted_index.postings disk_shard tok));
+      Array.iteri
+        (fun s len ->
+          let pos = Array.fold_left ( + ) 0 (Array.sub counts 0 s) in
+          let mem_shard =
+            Pj_index.Inverted_index.build
+              (Pj_index.Corpus.sub corpus ~pos ~len)
+          in
+          let disk_shard = Mapped_index.shard_index mapped ~pos ~len in
+          for tok = 0 to Pj_text.Vocab.size vocab - 1 do
+            Alcotest.(check bool)
+              (Printf.sprintf "shard %d postings of tok %d" s tok)
+              true
+              (Pj_index.Posting_list.to_list
+                 (Pj_index.Inverted_index.postings mem_shard tok)
+              = Pj_index.Posting_list.to_list
+                  (Pj_index.Inverted_index.postings disk_shard tok));
+            Alcotest.(check int)
+              (Printf.sprintf "shard %d df of tok %d" s tok)
+              (Pj_index.Inverted_index.document_frequency mem_shard tok)
+              (Pj_index.Inverted_index.document_frequency disk_shard tok)
+          done;
+          let a = Pj_index.Inverted_index.stats mem_shard
+          and b = Pj_index.Inverted_index.stats disk_shard in
           Alcotest.(check int)
-            (Printf.sprintf "shard %d df of tok %d" s tok)
-            (Pj_index.Inverted_index.document_frequency mem_shard tok)
-            (Pj_index.Inverted_index.document_frequency disk_shard tok)
-        done;
-        let a = Pj_index.Inverted_index.stats mem_shard
-        and b = Pj_index.Inverted_index.stats disk_shard in
-        Alcotest.(check int)
-          (Printf.sprintf "shard %d postings count" s)
-          a.Pj_index.Inverted_index.n_postings
-          b.Pj_index.Inverted_index.n_postings;
-        Alcotest.(check int)
-          (Printf.sprintf "shard %d positions count" s)
-          a.Pj_index.Inverted_index.n_positions
-          b.Pj_index.Inverted_index.n_positions
-      done)
+            (Printf.sprintf "shard %d postings count" s)
+            a.Pj_index.Inverted_index.n_postings
+            b.Pj_index.Inverted_index.n_postings;
+          Alcotest.(check int)
+            (Printf.sprintf "shard %d positions count" s)
+            a.Pj_index.Inverted_index.n_positions
+            b.Pj_index.Inverted_index.n_positions)
+        counts)
 
 (* --- corruption -------------------------------------------------------- *)
 

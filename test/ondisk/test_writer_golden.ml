@@ -1,7 +1,6 @@
 (* Golden bytes: the v4 file written from the counting build equals the
    file written from the reference accumulate-then-sort build, byte for
-   byte — monolithic, with a shard layout, and through [write_sharded].
-   Rewriting a compacted file from its mapped index reproduces it too. *)
+   byte — monolithic and with a shard layout. Rewriting a compacted file from its mapped index reproduces it too. *)
 
 open Pj_ondisk
 
@@ -41,11 +40,6 @@ let test_golden () =
   let expected_sharded = bytes_of (Writer.write ~counts reference) in
   Alcotest.(check bool) "with a shard layout" true
     (bytes_of (Writer.write ~counts built) = expected_sharded);
-  Alcotest.(check bool) "write_sharded = write ~counts reference" true
-    (bytes_of
-       (Writer.write_sharded
-          (Pj_index.Sharded_index.build_with_counts corpus counts))
-     = expected_sharded);
   (* v4 -> v4: the compaction path that re-reads a compacted file. *)
   Alcotest.(check bool) "rewrite of the mapped file" true
     (with_temp (fun path ->

@@ -131,3 +131,14 @@ let build_index corpus =
                 if Pj_index.Posting_list.document_frequency pl > 0 then f tok pl)
               lists);
     }
+
+let balanced_counts ~shards n =
+  let shards = Stdlib.max 1 shards in
+  let base = n / shards and extra = n mod shards in
+  Array.init shards (fun i -> base + if i < extra then 1 else 0)
+
+let sharded ~shards corpus =
+  Pj_index.Sharded_index.of_prebuilt corpus
+    ~counts:(balanced_counts ~shards (Pj_index.Corpus.size corpus))
+    ~shard_of:(fun _ ~pos ~len ->
+      Pj_index.Inverted_index.build (Pj_index.Corpus.sub corpus ~pos ~len))

@@ -44,3 +44,15 @@ val build_index : Pj_index.Corpus.t -> Pj_index.Inverted_index.t
     through {!Pj_index.Inverted_index.of_provider}: one slot per
     vocabulary token, as {!Pj_index.Inverted_index.build}. Block
     sidecars are built lazily. *)
+
+(** {1 Shard layouts} *)
+
+val balanced_counts : shards:int -> int -> int array
+(** [max 1 shards] contiguous range sizes over [n] documents, differing
+    by at most one (the first [n mod shards] ranges get the extra
+    document); trailing ranges are empty when [shards > n]. *)
+
+val sharded : shards:int -> Pj_index.Corpus.t -> Pj_index.Sharded_index.t
+(** The corpus in {!balanced_counts} ranges, each range an
+    {!Pj_index.Inverted_index.build} over its {!Pj_index.Corpus.sub}
+    view: global doc ids, shared vocabulary. *)

@@ -63,19 +63,9 @@ let request conn line =
 
 let close conn = try Unix.close conn.fd with Unix.Unix_error _ -> ()
 
-(* [shards > 1] serves the same corpus through the scatter-gather
-   [Shard_searcher]; every test's expectations stay valid because the
-   sharded results are identical to the monolithic ones. *)
-let with_server ?config ?(shards = 1) f =
-  let corpus, searcher, graph = build () in
-  let search =
-    if shards <= 1 then Worker_pool.of_searcher searcher
-    else
-      Worker_pool.of_shard_searcher
-        (Pj_engine.Shard_searcher.create
-           (Pj_index.Sharded_index.build ~shards corpus))
-  in
-  let server = Server.start ?config ~graph search in
+let with_server ?config f =
+  let _, searcher, graph = build () in
+  let server = Server.start ?config ~graph (Worker_pool.of_searcher searcher) in
   Fun.protect ~finally:(fun () -> Server.stop server) (fun () -> f server searcher graph)
 
 let queries =
@@ -267,23 +257,6 @@ let test_stats_reports () =
           Alcotest.(check bool) "cache hit counted" true (has "cache_hits=1");
           Alcotest.(check bool) "pings counted" true (has "pings=1");
           Alcotest.(check bool) "latency percentiles" true (has "p99_ms=")))
-
-let test_sharded_server_matches_direct () =
-  (* The full query list over a 2-shard server must produce byte-for-
-     byte the responses the monolithic searcher computes directly. *)
-  with_server ~shards:2 (fun server searcher graph ->
-      let conn = connect (Server.port server) in
-      Fun.protect
-        ~finally:(fun () -> close conn)
-        (fun () ->
-          List.iter
-            (fun ((family, alpha, k, terms) as q) ->
-              Alcotest.(check string)
-                (Printf.sprintf "sharded response for %s" (search_line q))
-                (expected_response searcher graph ~family ~alpha ~k terms)
-                (request conn (search_line q)))
-            queries;
-          Alcotest.(check string) "quit" "BYE" (request conn "QUIT")))
 
 let test_overlong_line_fails_connection () =
   (* A line past Protocol.max_line_bytes must cost the server O(cap)
@@ -704,7 +677,6 @@ let suite =
     ("e2e: shared-form query honors deadline", `Quick, test_shared_form_deadline);
     ("e2e: malformed requests", `Quick, test_malformed_requests_keep_connection);
     ("e2e: stats", `Quick, test_stats_reports);
-    ("e2e: sharded server = direct search", `Quick, test_sharded_server_matches_direct);
     ("e2e: over-long line fails connection", `Quick, test_overlong_line_fails_connection);
     ("e2e: connection table drains", `Quick, test_connection_table_drains);
     ("e2e: live ingest over socket", `Quick, test_live_ingest_over_socket);

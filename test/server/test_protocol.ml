@@ -146,7 +146,7 @@ let test_renderers () =
     (Protocol.err "a\nb");
   Alcotest.(check string) "degraded wraps the hits line"
     "OK-DEGRADED shards=1,3 HITS 0"
-    (Protocol.ok_degraded ~failed_shards:[ 1; 3 ] [])
+    (Protocol.ok_degraded_ids ~failed_shards:[ 1; 3 ] [])
 
 let test_response_classes () =
   let cases =
@@ -175,26 +175,46 @@ let test_response_classes () =
         (Protocol.is_search_success r))
     cases
 
-(* A search function scripted by [k]: 1 answers HITS, 2 raises, 3
-   times out, 4 answers degraded with two failed shards after burning
-   0.3 s. *)
-let scripted ~scoring:_ ~k ~deadline:_ _query =
+(* A local search function scripted by [k]: 1 answers HITS, 2 raises,
+   3 times out — what the worker pool turns into [Hits], [Failed] and
+   [Timed_out]. *)
+let scripted_local ~scoring:_ ~k ~deadline:_ _query =
   match k with
   | 1 -> Ok ([], [])
   | 2 -> failwith "scripted failure"
-  | 3 -> Error `Timeout
-  | _ ->
-      Thread.delay 0.3;
-      Ok ([], [ 0; 1 ])
+  | _ -> Error `Timeout
 
-let test_stats_request_accounting () =
-  (* Regression for the STATS double-count: a failed SEARCH used to be
-     added to both [searches] and [errors], and [requests] summed the
-     two — so one request line counted twice. Replay a mixed workload
-     over the socket and hold the invariants STATS documents. *)
+(* A scatter-gather hook scripted by [k], as a router front sees its
+   legs: 1 answers HITS, 2 fails, 3 times out, 4 answers degraded with
+   two failed legs after burning 0.3 s (on its own thread: a hook must
+   not block the connection reader). *)
+let scripted_forward =
+  {
+    Server.search =
+      (fun sr ~deadline:_ reply ->
+        match sr.Protocol.k with
+        | 1 -> reply (Server.Forwarded_hits [])
+        | 2 -> reply (Server.Forwarded_error "scripted failure")
+        | 3 -> reply Server.Forwarded_timeout
+        | _ ->
+            ignore
+              (Thread.create
+                 (fun () ->
+                   Thread.delay 0.3;
+                   reply (Server.Forwarded_degraded ([], [ 0; 1 ])))
+                 ()));
+    on_epoch = ignore;
+  }
+
+let never_searches ~scoring:_ ~k:_ ~deadline:_ _query = Ok ([], [])
+
+(* Start a server, send it [lines] over one connection, and return its
+   STATS line. *)
+let stats_after ?forward search lines =
   let live = Pj_live.Live_index.create () in
   let server =
-    Server.start ~live ~graph:(Pj_ontology.Mini_wordnet.create ()) scripted
+    Server.start ~live ?forward ~graph:(Pj_ontology.Mini_wordnet.create ())
+      search
   in
   Fun.protect
     ~finally:(fun () ->
@@ -205,54 +225,78 @@ let test_stats_request_accounting () =
       Fun.protect
         ~finally:(fun () -> Test_e2e.close conn)
         (fun () ->
-          let send line = ignore (Test_e2e.request conn line) in
-          (* 4 searches: one served, one failing at evaluation, one
-             timing out, and one answered degraded (2 of its shard legs
-             failed). The degraded one is not [served], and its 0.3 s
-             stays out of the healthy latency histogram. *)
-          List.iter
-            (fun k -> send (Printf.sprintf "SEARCH win 0.2 %d exact:lenovo" k))
-            [ 1; 2; 3; 4 ];
+          List.iter (fun line -> ignore (Test_e2e.request conn line)) lines;
+          Test_e2e.request conn "STATS"))
+
+let searches ks =
+  List.map (fun k -> Printf.sprintf "SEARCH win 0.2 %d exact:lenovo" k) ks
+
+let test_stats_request_accounting () =
+  (* Regression for the STATS double-count: a failed SEARCH used to be
+     added to both [searches] and [errors], and [requests] summed the
+     two — so one request line counted twice. Replay a mixed workload
+     over the socket and hold the invariants STATS documents. *)
+  let s =
+    stats_after scripted_local
+      ((* 3 searches through the worker pool: one served, one failing
+          at evaluation, one timing out. *)
+       searches [ 1; 2; 3 ]
+      @ [
           (* 2 request lines that never parsed into a command. *)
-          send "BOGUS";
-          send "SEARCH";
-          send "PING";
+          "BOGUS";
+          "SEARCH";
+          "PING";
           (* 3 writes: a served ADDDOC, a DELDOC failing at evaluation,
              and a FLUSH. The failing DELDOC is already counted in
              [deletes], so its ingest error must not add a request. *)
-          send "ADDDOC lenovo nba";
-          send "DELDOC 999";
-          send "FLUSH";
-          (* ... and the STATS request itself. *)
-          let s = Test_e2e.request conn "STATS" in
-          let f = Test_e2e.int_field s in
-          Alcotest.(check int)
-            "requests = searches + pings + stats + parse errors + adds + \
-             deletes + flushes"
-            (f "searches" + f "pings" + f "stats" + f "parse_errors" + f "adds"
-           + f "deletes" + f "flushes")
-            (f "requests");
-          Alcotest.(check int) "exactly the 11 request lines" 11 (f "requests");
-          Alcotest.(check int) "searches" 4 (f "searches");
-          Alcotest.(check int) "parse errors" 2 (f "parse_errors");
-          Alcotest.(check int) "search errors" 1 (f "search_errors");
-          Alcotest.(check int) "timeouts" 1 (f "timeouts");
-          Alcotest.(check int) "adds" 1 (f "adds");
-          Alcotest.(check int) "deletes" 1 (f "deletes");
-          Alcotest.(check int) "flushes" 1 (f "flushes");
-          Alcotest.(check int) "ingest errors" 1 (f "ingest_errors");
-          Alcotest.(check int) "errors = parse + search + ingest errors"
-            (f "parse_errors" + f "search_errors" + f "ingest_errors")
-            (f "errors");
-          Alcotest.(check int) "served only counts HITS responses" 1 (f "served");
-          Alcotest.(check int) "degraded responses" 1 (f "degraded");
-          Alcotest.(check int) "failed shard legs" 2 (f "shard_failures");
-          let max_ms =
-            float_of_string (Option.get (Metrics.field s "max_ms"))
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "degraded latency kept out (max_ms=%g)" max_ms)
-            true (max_ms < 300.)))
+          "ADDDOC lenovo nba";
+          "DELDOC 999";
+          "FLUSH";
+        ])
+  in
+  (* ... and the STATS request itself. *)
+  let f = Test_e2e.int_field s in
+  Alcotest.(check int)
+    "requests = searches + pings + stats + parse errors + adds + deletes + \
+     flushes"
+    (f "searches" + f "pings" + f "stats" + f "parse_errors" + f "adds"
+   + f "deletes" + f "flushes")
+    (f "requests");
+  Alcotest.(check int) "exactly the 10 request lines" 10 (f "requests");
+  Alcotest.(check int) "searches" 3 (f "searches");
+  Alcotest.(check int) "parse errors" 2 (f "parse_errors");
+  Alcotest.(check int) "search errors" 1 (f "search_errors");
+  Alcotest.(check int) "timeouts" 1 (f "timeouts");
+  Alcotest.(check int) "adds" 1 (f "adds");
+  Alcotest.(check int) "deletes" 1 (f "deletes");
+  Alcotest.(check int) "flushes" 1 (f "flushes");
+  Alcotest.(check int) "ingest errors" 1 (f "ingest_errors");
+  Alcotest.(check int) "errors = parse + search + ingest errors"
+    (f "parse_errors" + f "search_errors" + f "ingest_errors")
+    (f "errors");
+  Alcotest.(check int) "served only counts HITS responses" 1 (f "served");
+  Alcotest.(check int) "a single server never degrades" 0 (f "degraded")
+
+let test_stats_forward_accounting () =
+  (* The same outcomes through a router front's hook, plus the degraded
+     answer only a router gives: it is not [served], and its 0.3 s
+     stays out of the healthy latency histogram. *)
+  let s =
+    stats_after ~forward:scripted_forward never_searches (searches [ 1; 2; 3; 4 ])
+  in
+  let f = Test_e2e.int_field s in
+  Alcotest.(check int) "requests = searches + stats" 5 (f "requests");
+  Alcotest.(check int) "searches" 4 (f "searches");
+  Alcotest.(check int) "search errors" 1 (f "search_errors");
+  Alcotest.(check int) "timeouts" 1 (f "timeouts");
+  Alcotest.(check int) "errors" 1 (f "errors");
+  Alcotest.(check int) "served only counts HITS responses" 1 (f "served");
+  Alcotest.(check int) "degraded responses" 1 (f "degraded");
+  Alcotest.(check int) "failed shard legs" 2 (f "shard_failures");
+  let max_ms = float_of_string (Option.get (Metrics.field s "max_ms")) in
+  Alcotest.(check bool)
+    (Printf.sprintf "degraded latency kept out (max_ms=%g)" max_ms)
+    true (max_ms < 300.)
 
 (* A total and its members must come from one read of the counters,
    and a group from one read of its source, even when a value changes
@@ -320,5 +364,6 @@ let suite =
     ("protocol: renderers", `Quick, test_renderers);
     ("protocol: response classes", `Quick, test_response_classes);
     ("protocol: stats request accounting", `Quick, test_stats_request_accounting);
+    ("protocol: stats forward accounting", `Quick, test_stats_forward_accounting);
     ("protocol: stats render is one read", `Quick, test_metrics_render_is_one_read);
   ]

@@ -39,7 +39,7 @@ let test_never_caches_partial_responses () =
       Protocol.timeout;
       Protocol.busy;
       Protocol.err "boom";
-      Protocol.ok_degraded ~failed_shards:[ 1; 3 ] [];
+      Protocol.ok_degraded_ids ~failed_shards:[ 1; 3 ] [];
       "OK-DEGRADED shards=0 HITS 1 7:0.5";
       "HITS";
       (* no trailing space: not a well-formed HITS line *)

@@ -137,16 +137,6 @@ let test_shutdown_respawns_for_queued_jobs () =
   Alcotest.(check int) "one respawn" 1 (Worker_pool.respawns pool);
   Alcotest.(check int) "pool fully retired" 0 (Worker_pool.live pool)
 
-let test_degraded_outcome_surfaced () =
-  let search ~scoring:_ ~k:_ ~deadline:_ _query = Ok ([], [ 1; 3 ]) in
-  let pool = Worker_pool.create ~domains:1 ~queue_capacity:4 search in
-  Fun.protect
-    ~finally:(fun () -> Worker_pool.shutdown pool)
-    (fun () ->
-      match run pool with
-      | `Done (Worker_pool.Degraded ([], [ 1; 3 ])) -> ()
-      | `Done _ | `Busy -> Alcotest.fail "expected Degraded ([], [1; 3])")
-
 let suite =
   [
     ("worker_pool: panic respawns", `Quick, test_panic_respawns_worker);
@@ -156,5 +146,4 @@ let suite =
     ( "worker_pool: shutdown respawns for queued jobs",
       `Quick,
       test_shutdown_respawns_for_queued_jobs );
-    ("worker_pool: degraded surfaced", `Quick, test_degraded_outcome_surfaced);
   ]

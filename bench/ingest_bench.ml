@@ -106,7 +106,6 @@ let durability_run ~wal docs =
       Pj_live.Live_index.memtable_capacity = 512;
       merge_threshold = 4;
       background_merge = true;
-      merge_parallelism = 1;
       wal;
       fsync_policy = Pj_live.Wal.Per_batch;
     }
@@ -156,11 +155,6 @@ let run ~quick ~repetitions =
       Pj_live.Live_index.memtable_capacity = 512;
       merge_threshold = 4;
       background_merge = true;
-      (* Parallel pair builds only pay off with spare cores; this box
-         reports [Domain.recommended_domain_count () = 1], where extra
-         build domains just time-slice against the measuring reader. *)
-      merge_parallelism =
-        max 1 (min 2 (Domain.recommended_domain_count () - 2));
     }
   in
   let live = Pj_live.Live_index.create ~config () in

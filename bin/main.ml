@@ -425,17 +425,15 @@ let check_front_flags cmd ~port ~cache ~deadline_ms ~drain_ms ~log_every =
   require cmd "--deadline-ms" (deadline_ms >= 0.) ">= 0";
   require cmd "--drain-ms" (drain_ms >= 0.) ">= 0";
   require cmd "--log-every"
-    (match log_every with Some s -> s >= 0. | None -> true)
-    ">= 0"
+    (match log_every with Some s -> s > 0. | None -> true)
+    "> 0 (omit it to disable the stats line)"
 
 let run_serve file index_path host port domains queue cache deadline_ms
-    drain_ms log_every live live_dir memtable mmap_segments merge_par wal
-    fsync_policy_s =
+    drain_ms log_every live live_dir memtable wal fsync_policy_s =
   check_front_flags "serve" ~port ~cache ~deadline_ms ~drain_ms ~log_every;
   require "serve" "--domains" (domains >= 1) ">= 1";
   require "serve" "--queue" (queue >= 1) ">= 1";
   require "serve" "--memtable" (memtable >= 1) ">= 1";
-  require "serve" "--merge-par" (merge_par >= 1) ">= 1";
   let graph = Pj_ontology.Mini_wordnet.create () in
   let fsync_policy =
     match Pj_live.Wal.fsync_policy_of_string fsync_policy_s with
@@ -465,8 +463,6 @@ let run_serve file index_path host port domains queue cache deadline_ms
             Pj_live.Live_index.default_config
               .Pj_live.Live_index.merge_threshold;
           background_merge = true;
-          mmap_segments;
-          merge_parallelism = merge_par;
           wal;
           fsync_policy;
         }
@@ -808,6 +804,15 @@ let host_arg =
 let port_arg ~default =
   Arg.(value & opt int default & info [ "port"; "p" ] ~docv:"PORT" ~doc:"TCP port.")
 
+let log_every_arg =
+  Arg.(
+    value
+    & opt (some float) None
+    & info [ "log-every" ] ~docv:"SECONDS"
+        ~doc:
+          "Print a stats line on stderr every SECONDS (> 0); omit to \
+           disable.")
+
 let serve_cmd =
   let domains =
     Arg.(
@@ -833,12 +838,6 @@ let serve_cmd =
           ~doc:
             "On SIGTERM/SIGINT, how long in-flight requests may finish \
              before connections are force-closed (ms).")
-  in
-  let log_every =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "log-every" ] ~docv:"SECONDS" ~doc:"Periodic stats line on stderr.")
   in
   let live =
     Arg.(
@@ -884,26 +883,6 @@ let serve_cmd =
              index whatever shard layout it persists. Mutually exclusive \
              with $(b,--live).")
   in
-  let mmap_segments =
-    Arg.(
-      value & flag
-      & info [ "mmap-segments" ]
-          ~doc:
-            "Live mode: serve sealed segments zero-copy off their own \
-             files' block-compressed postings instead of holding heap \
-             indexes (needs $(b,--live-dir)).")
-  in
-  let merge_par =
-    Arg.(
-      value
-      & opt int
-          Pj_live.Live_index.default_config
-            .Pj_live.Live_index.merge_parallelism
-      & info [ "merge-par" ] ~docv:"N"
-          ~doc:
-            "Live mode: merge up to N disjoint adjacent segment pairs \
-             concurrently per compaction step.")
-  in
   let wal =
     Arg.(
       value & flag
@@ -927,11 +906,10 @@ let serve_cmd =
              loss).")
   in
   let run file index host port domains queue cache deadline drain log_every
-      live live_dir memtable mmap_segments merge_par wal fsync_policy =
+      live live_dir memtable wal fsync_policy =
     wrap (fun () ->
         run_serve file index host port domains queue cache deadline drain
-          log_every live live_dir memtable mmap_segments merge_par wal
-          fsync_policy)
+          log_every live live_dir memtable wal fsync_policy)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -943,8 +921,7 @@ let serve_cmd =
       ret
         (const run $ opt_file_arg $ index_arg $ host_arg
        $ port_arg ~default:7070 $ domains $ queue $ cache $ deadline $ drain
-       $ log_every $ live $ live_dir $ memtable $ mmap_segments
-       $ merge_par $ wal $ fsync_policy))
+       $ log_every_arg $ live $ live_dir $ memtable $ wal $ fsync_policy))
 
 let serve_router_cmd =
   let backends =
@@ -984,12 +961,6 @@ let serve_router_cmd =
             "On SIGTERM/SIGINT, how long in-flight requests may finish \
              before connections are force-closed (ms).")
   in
-  let log_every =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "log-every" ] ~docv:"SECONDS" ~doc:"Periodic stats line on stderr.")
-  in
   let binary_inflight =
     Arg.(
       value & opt int 32
@@ -1015,7 +986,7 @@ let serve_router_cmd =
     Term.(
       ret
         (const run $ host_arg $ port_arg ~default:7080 $ backends $ replicas
-       $ cache $ deadline $ drain $ log_every $ binary_inflight))
+       $ cache $ deadline $ drain $ log_every_arg $ binary_inflight))
 
 let compact_cmd =
   let src =

@@ -19,8 +19,8 @@ type provider = {
   pr_iter : ((int -> Posting_list.t -> unit) -> unit) option;
       (* enumerate every (token, list) pair with postings, arbitrary
          order, each token once. [None] when the engine can't afford
-         enumeration (e.g. fully on-disk layouts) — [concat_adjacent]
-         then declines and compaction falls back to a rebuild. *)
+         enumeration (the on-disk layouts) — such an index cannot be
+         an input of [concat_adjacent]. *)
 }
 
 (* Three storage layouts share one read interface:
@@ -297,7 +297,7 @@ let concat_adjacent ?skip a b =
          by splicing [a]'s run first. *)
       iter_a add;
       iter_b add;
-      Some { corpus = a.corpus; store = Sparse acc }
-  | _ -> None
+      { corpus = a.corpus; store = Sparse acc }
+  | _ -> invalid_arg "Inverted_index.concat_adjacent: terms not enumerable"
 
 let corpus t = t.corpus

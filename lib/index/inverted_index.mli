@@ -44,8 +44,8 @@ type provider = {
   pr_iter : ((int -> Posting_list.t -> unit) -> unit) option;
       (** enumerate every (token, list) pair with postings — arbitrary
           order, each token once — or [None] when the engine cannot
-          afford enumeration (fully on-disk layouts); [concat_adjacent]
-          then declines *)
+          afford enumeration (the on-disk layouts); [concat_adjacent]
+          then refuses the index *)
 }
 (** The plug-in surface for external storage engines: an index whose
     postings live outside the OCaml heap (e.g. the block-compressed
@@ -94,13 +94,15 @@ val stats : t -> stats
 
 val corpus : t -> Corpus.t
 
-val concat_adjacent : ?skip:(int -> bool) -> t -> t -> t option
+val concat_adjacent : ?skip:(int -> bool) -> t -> t -> t
 (** Merge two indexes over adjacent, disjoint doc-id ranges — every
     document of the first strictly below every document of the second,
     over the same corpus — by per-term posting-list splicing:
     O(surviving postings) array appends, position arrays shared with
     the sources, instead of [build_docs]'s O(tokens) re-accumulation.
-    [skip id] drops that document's postings (tombstone purge). [None]
-    when either side cannot enumerate its terms (a provider without
-    [pr_iter]); the caller falls back to [build_docs]. The result is
-    byte-equivalent to [build_docs] over the union range. *)
+    [skip id] drops that document's postings (tombstone purge). The
+    result is byte-equivalent to [build_docs] over the union range.
+    Every heap index enumerates its terms ([build], [build_docs], a
+    [Postings_builder] view, an earlier [concat_adjacent]); raises
+    [Invalid_argument] when either side cannot (a provider without
+    [pr_iter]). *)

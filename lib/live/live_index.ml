@@ -8,16 +8,13 @@ type config = {
   memtable_capacity : int;
   merge_threshold : int;
   background_merge : bool;
-  mmap_segments : bool;
-  merge_parallelism : int;
   wal : bool;
   fsync_policy : Wal.fsync_policy;
 }
 
 let default_config =
   { dir = None; memtable_capacity = 256; merge_threshold = 4;
-    background_merge = true; mmap_segments = false; merge_parallelism = 2;
-    wal = false; fsync_policy = Wal.Per_batch }
+    background_merge = true; wal = false; fsync_policy = Wal.Per_batch }
 
 (* A sealed, immutable doc-id range with its own inverted index.
    [dead] holds the ids a compaction has already purged from the
@@ -116,15 +113,6 @@ let segment_filename id = Printf.sprintf "seg-%06d.seg" id
 let segment_file_id name =
   try Scanf.sscanf name "seg-%d.seg%!" (fun n -> Some n)
   with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
-
-(* With [mmap_segments], a sealed segment's searcher runs over the
-   block-compressed postings of its own file, mapped zero-copy
-   ([Pj_ondisk.Mapped_index.segment_index]) — byte-identical results to
-   the in-memory [build_docs] fragment, but the postings stay on disk.
-   The mapping outlives any later unlink of the file (a compaction
-   removing a replaced segment), so in-flight snapshots stay valid. *)
-let mmap_searcher ~corpus ~base mapped =
-  Searcher.create (Pj_ondisk.Mapped_index.segment_index mapped ~base corpus)
 
 (* Write one sealed segment ([Pj_ondisk.Segment]): dead documents are
    written empty, and the manifest entry records which they are, so
@@ -254,15 +242,6 @@ let flush_locked t =
             (write_segment_file t ~failpoint:"live.flush" ~dir
                ~dead:IntSet.empty docs)
     in
-    (* The sealed segment can drop the memtable's heap index and serve
-       off its own freshly written file. *)
-    let searcher =
-      match (file, t.config.dir) with
-      | Some name, Some dir when t.config.mmap_segments ->
-          mmap_searcher ~corpus:t.corpus ~base:s.mem_base
-            (Pj_ondisk.Mapped_index.open_file (Filename.concat dir name))
-      | _ -> searcher
-    in
     let seg =
       { seg_base = s.mem_base; seg_len = s.mem_len; dead = IntSet.empty;
         file; searcher }
@@ -282,7 +261,7 @@ let flush_locked t =
         tombstones = s.tombstones;
       };
     (* Only after the snapshot is safely published: the sealed segment
-       (in the non-mmap case) keeps serving off the now-frozen builder,
+       keeps serving off the now-frozen builder,
        and the next memtable starts empty. On any failure above the
        builder is untouched, so the flush can simply be retried. *)
     t.memtable <- Pj_index.Postings_builder.create ();
@@ -297,39 +276,11 @@ let flush t =
   notify t gen;
   gen
 
-let add_locked t tokens =
-  let s = Atomic.get t.snap in
-  (* Log before mutating: a failed append leaves the index untouched
-     and the caller sees the error before anything was acknowledged. *)
-  wal_append t (Wal.Add { id = Corpus.size t.corpus; tokens });
-  let d = Corpus.add_tokens t.corpus tokens in
-  Atomic.incr t.adds;
-  Pj_index.Postings_builder.add_doc t.memtable d;
-  let mem_len, mem = refresh_mem_locked t ~mem_base:s.mem_base in
-  let gen = s.generation + 1 in
-  Atomic.set t.snap { s with generation = gen; mem_len; mem };
-  let gen =
-    if mem_len >= t.config.memtable_capacity then flush_locked t
-    else begin
-      (* Durable before acknowledged: the record must reach the log
-         (and, per policy, the platter) before [add] returns. *)
-      wal_commit_locked t;
-      gen
-    end
-  in
-  (d.Pj_text.Document.id, gen)
-
-let add t tokens =
-  let id, gen = with_writer t (fun () -> add_locked t tokens) in
-  notify t gen;
-  id
-
-(* Bulk load: one snapshot publication per sealed chunk plus one for
-   the residue — but never an unbounded memtable. A batch larger than
-   [memtable_capacity] seals at every capacity boundary *inside* the
-   batch (the pre-fix code flushed only once at the end, so a big batch
-   grew the memtable arbitrarily). Returns the first assigned id; ids
-   are dense in list order. *)
+(* The one ingest path: one snapshot publication per sealed chunk plus
+   one for the residue — but never an unbounded memtable. A batch larger
+   than [memtable_capacity] seals at every capacity boundary *inside*
+   the batch. Returns the first assigned id; ids are dense in list
+   order. *)
 let add_batch t docs =
   match docs with
   | [] -> Corpus.size t.corpus
@@ -339,6 +290,9 @@ let add_batch t docs =
             let first = Corpus.size t.corpus in
             List.iter
               (fun tokens ->
+                (* Log before mutating: a failed append leaves the
+                   index untouched and the caller sees the error before
+                   anything was acknowledged. *)
                 wal_append t (Wal.Add { id = Corpus.size t.corpus; tokens });
                 let d = Corpus.add_tokens t.corpus tokens in
                 Atomic.incr t.adds;
@@ -348,8 +302,7 @@ let add_batch t docs =
                   Corpus.size t.corpus - s.mem_base
                   >= t.config.memtable_capacity
                 then begin
-                  (* Capacity reached mid-batch: publish the chunk and
-                     seal it, exactly as the per-add path would. *)
+                  (* Capacity reached: publish the chunk and seal it. *)
                   let mem_len, mem =
                     refresh_mem_locked t ~mem_base:s.mem_base
                   in
@@ -370,15 +323,19 @@ let add_batch t docs =
               end
               else s.generation
             in
-            (* Group commit: one WAL write + (per policy) one fsync
-               covers the whole batch — the ingest batcher's batch
-               boundary is the durability boundary. Chunks sealed
-               mid-batch were already rotated away by their flush. *)
+            (* Group commit, durable before acknowledged: one WAL write
+               + (per policy) one fsync covers the whole batch — the
+               ingest batcher's batch boundary is the durability
+               boundary. Chunks sealed in the batch were already
+               rotated away by their flush; committing an empty log
+               buffer is a no-op. *)
             wal_commit_locked t;
             (first, gen))
       in
       notify t gen;
       first
+
+let add t tokens = add_batch t [ tokens ]
 
 (* A document is gone when it was never added, is already tombstoned,
    or was compacted away by a merge. *)
@@ -418,220 +375,108 @@ let delete t id =
 
 (* --- merging ----------------------------------------------------------- *)
 
-(* Pick up to [limit] *disjoint* adjacent pairs once the sealed stack
-   exceeds the threshold — a tiered policy in miniature: repeatedly
-   folding the smallest neighbours keeps total merge work O(n log n) in
-   documents merged while preserving doc-id order. Cheapest pairs
-   first; never more pairs than the excess over the threshold (each
-   merge shrinks the stack by one). Returns left indexes ascending. *)
-let pick_merges s threshold ~limit =
+(* The cheapest adjacent pair, once the sealed stack exceeds the
+   threshold — a tiered policy in miniature: repeatedly folding the
+   smallest neighbours keeps total merge work O(n log n) in documents
+   merged while preserving doc-id order. Ties go to the lowest index.
+   Returns the pair's left index. *)
+let pick_merge s threshold =
   let n = Array.length s.segments in
-  let excess = n - threshold in
-  if excess <= 0 || limit <= 0 then []
+  if n <= threshold || n < 2 then None
   else begin
     let live i =
       s.segments.(i).seg_len - IntSet.cardinal s.segments.(i).dead
     in
-    let pairs = Array.init (n - 1) (fun i -> (live i + live (i + 1), i)) in
-    Array.sort compare pairs;
-    let taken = Array.make n false in
-    let out = ref [] and count = ref 0 in
-    Array.iter
-      (fun (_, i) ->
-        if
-          !count < limit && !count < excess
-          && (not taken.(i))
-          && not taken.(i + 1)
-        then begin
-          taken.(i) <- true;
-          taken.(i + 1) <- true;
-          out := i :: !out;
-          incr count
-        end)
-      pairs;
-    List.sort compare !out
+    let cost i = live i + live (i + 1) in
+    let best = ref 0 in
+    for i = 1 to n - 2 do
+      if cost i < cost !best then best := i
+    done;
+    Some !best
   end
 
 let merge_needed t =
-  pick_merges (Atomic.get t.snap) t.config.merge_threshold ~limit:1 <> []
+  pick_merge (Atomic.get t.snap) t.config.merge_threshold <> None
 
-type merge_plan = {
-  mp_index : int; (* left position of the pair at plan time *)
-  mp_base : int;
-  mp_len : int;
-  mp_dead : IntSet.t;
-  mp_tomb : IntSet.t; (* tombstones this merge makes durable *)
-  mp_docs : Pj_text.Document.t array;
-  mp_left : Searcher.t; (* the pair's searchers at plan time — the *)
-  mp_right : Searcher.t; (* splice inputs for [concat_adjacent] *)
-}
-
-(* One compaction step: plan under the writer lock, build and write the
-   merged segments outside every lock (queries and writers proceed
-   untouched), install under the writer lock. Up to
-   [merge_parallelism] *disjoint* adjacent pairs are planned together
-   and built concurrently on their own domains — each build touches
-   only its own doc range and writes its own file, and the single
-   installation publishes one manifest and one generation for the
-   whole round. Deletions that land in a range *during* the build stay
-   in the tombstone set — only the tombstones captured at plan time are
-   folded into [dead] and removed. Returns false when no merge is
-   needed. *)
+(* One compaction step, in the calling domain: plan the cheapest pair
+   under the writer lock, build and write the merged segment outside
+   every lock (queries and writers proceed untouched), install it under
+   the writer lock with one manifest write and one generation bump.
+   Deletions that land in the range *during* the build stay in the
+   tombstone set — only the tombstones captured at plan time are folded
+   into [dead] and removed. Returns false when no merge is needed. *)
 let merge_step t =
   with_lock t.merge_lock (fun () ->
-      let plans =
+      let plan =
         with_writer t (fun () ->
             let s = Atomic.get t.snap in
-            pick_merges s t.config.merge_threshold
-              ~limit:(max 1 t.config.merge_parallelism)
-            |> List.map (fun i ->
+            pick_merge s t.config.merge_threshold
+            |> Option.map (fun i ->
                    let a = s.segments.(i) and b = s.segments.(i + 1) in
-                   let base = a.seg_base in
-                   let len = a.seg_len + b.seg_len in
+                   let base = a.seg_base and len = a.seg_len + b.seg_len in
+                   (* The tombstones this merge purges and makes
+                      durable. *)
                    let tomb =
                      IntSet.filter
                        (fun id -> id >= base && id < base + len)
                        s.tombstones
                    in
-                   let dead =
-                     IntSet.union (IntSet.union a.dead b.dead) tomb
-                   in
-                   let docs = Corpus.docs_slice t.corpus ~pos:base ~len in
-                   { mp_index = i; mp_base = base; mp_len = len;
-                     mp_dead = dead; mp_tomb = tomb; mp_docs = docs;
-                     mp_left = a.searcher; mp_right = b.searcher }))
+                   (i, a, b, tomb, Corpus.docs_slice t.corpus ~pos:base ~len)))
       in
-      match plans with
-      | [] -> false
-      | first :: rest ->
+      match plan with
+      | None -> false
+      | Some (i, a, b, tomb, docs) ->
           Pj_util.Failpoint.hit "live.merge";
-          let build p =
-            let file =
-              match t.config.dir with
-              | None -> None
-              | Some dir ->
-                  Some
-                    (write_segment_file t ~failpoint:"live.merge" ~dir
-                       ~dead:p.mp_dead p.mp_docs)
-            in
-            let searcher =
-              match (file, t.config.dir) with
-              | Some name, Some dir when t.config.mmap_segments ->
-                  mmap_searcher ~corpus:t.corpus ~base:p.mp_base
-                    (Pj_ondisk.Mapped_index.open_file
-                       (Filename.concat dir name))
-              | _ ->
-                  (* Adjacent segments tile disjoint ascending doc-id
-                     ranges, so merging their indexes is a per-term
-                     splice of already-sorted postings — O(surviving
-                     postings), position arrays shared by reference —
-                     instead of re-tokenizing the whole range. Sources
-                     that cannot enumerate terms (mmap segments) fall
-                     back to the rebuild. The [skip] filter also purges
-                     postings of docs that died after the source
-                     segment was built. *)
-                  let skip =
-                    if IntSet.is_empty p.mp_dead then None
-                    else Some (fun id -> IntSet.mem id p.mp_dead)
-                  in
-                  let idx =
-                    match
-                      Inverted_index.concat_adjacent ?skip
-                        (Searcher.index p.mp_left)
-                        (Searcher.index p.mp_right)
-                    with
-                    | Some idx -> idx
-                    | None ->
-                        Inverted_index.build_docs
-                          ~skip:(fun id -> IntSet.mem id p.mp_dead)
-                          t.corpus p.mp_docs
-                  in
-                  Searcher.create idx
-            in
-            ( p,
-              { seg_base = p.mp_base; seg_len = p.mp_len; dead = p.mp_dead;
-                file; searcher } )
+          let dead = IntSet.union (IntSet.union a.dead b.dead) tomb in
+          let file =
+            match t.config.dir with
+            | None -> None
+            | Some dir ->
+                Some
+                  (write_segment_file t ~failpoint:"live.merge" ~dir ~dead
+                     docs)
           in
-          (* Result-wrap each build so every spawned domain is always
-             joined, even when a sibling fails (an unjoined domain
-             would leak); the first failure then cleans up whatever the
-             successful builds wrote and re-raises. *)
-          let wrap p = try Ok (build p) with e -> Error e in
-          let results =
-            match rest with
-            | [] -> [ wrap first ]
-            | _ ->
-                let handles =
-                  List.map (fun p -> Domain.spawn (fun () -> wrap p)) rest
-                in
-                let r0 = wrap first in
-                r0 :: List.map Domain.join handles
+          (* Adjacent segments tile disjoint ascending doc-id ranges, so
+             merging their indexes is a per-term splice of already-sorted
+             postings — O(surviving postings), position arrays shared by
+             reference — instead of re-tokenizing the whole range. Every
+             segment index (a memtable view, a splice result or a
+             recovery rebuild) enumerates its terms. The [skip] filter
+             also purges postings of docs that died after the source
+             segment was built. *)
+          let skip =
+            if IntSet.is_empty dead then None
+            else Some (fun id -> IntSet.mem id dead)
           in
-          (match
-             List.find_opt
-               (function Error _ -> true | Ok _ -> false)
-               results
-           with
-          | Some (Error e) ->
-              (match t.config.dir with
-              | Some dir ->
-                  List.iter
-                    (function
-                      | Ok (_, sg) ->
-                          Option.iter
-                            (fun f ->
-                              try Sys.remove (Filename.concat dir f)
-                              with Sys_error _ -> ())
-                            sg.file
-                      | Error _ -> ())
-                    results
-              | None -> ());
-              raise e
-          | Some (Ok _) | None -> ());
           let merged =
-            List.map (function Ok r -> r | Error _ -> assert false) results
+            { seg_base = a.seg_base; seg_len = a.seg_len + b.seg_len; dead;
+              file;
+              searcher =
+                Searcher.create
+                  (Inverted_index.concat_adjacent ?skip
+                     (Searcher.index a.searcher)
+                     (Searcher.index b.searcher)) }
           in
-          let old_files, gen =
+          let gen =
             with_writer t (fun () ->
                 let s = Atomic.get t.snap in
-                let by_index = Hashtbl.create 8 in
-                List.iter
-                  (fun (p, sg) -> Hashtbl.replace by_index p.mp_index (p, sg))
-                  merged;
                 (* Only the merger replaces sealed segments and we hold
                    the merge lock; flush only appends, so the planned
-                   positions still name the planned (disjoint) pairs. *)
-                let out = Pj_util.Vec.create () in
-                let replaced = ref [] in
+                   position still holds the planned pair. *)
+                assert (s.segments.(i) == a && s.segments.(i + 1) == b);
                 let n = Array.length s.segments in
-                let j = ref 0 in
-                while !j < n do
-                  (match Hashtbl.find_opt by_index !j with
-                  | Some (p, sg) ->
-                      let a = s.segments.(!j) and b = s.segments.(!j + 1) in
-                      assert (
-                        a.seg_base = p.mp_base
-                        && a.seg_len + b.seg_len = p.mp_len);
-                      replaced := b :: a :: !replaced;
-                      Pj_util.Vec.push out sg;
-                      j := !j + 2
-                  | None ->
-                      Pj_util.Vec.push out s.segments.(!j);
-                      incr j)
-                done;
-                let segments = Pj_util.Vec.to_array out in
-                let tomb_all =
-                  List.fold_left
-                    (fun acc (p, _) -> IntSet.union acc p.mp_tomb)
-                    IntSet.empty merged
+                let segments =
+                  Array.concat
+                    [ Array.sub s.segments 0 i; [| merged |];
+                      Array.sub s.segments (i + 2) (n - i - 2) ]
                 in
-                let tombstones = IntSet.diff s.tombstones tomb_all in
+                let tombstones = IntSet.diff s.tombstones tomb in
                 let gen = s.generation + 1 in
                 write_manifest_locked t ~generation:gen ~segments ~tombstones;
                 Atomic.set t.snap
                   { s with generation = gen; segments; tombstones };
-                List.iter (fun _ -> Atomic.incr t.merges) merged;
-                (List.filter_map (fun sg -> sg.file) !replaced, gen))
+                Atomic.incr t.merges;
+                gen)
           in
           (* The replaced files are no longer named by any manifest. *)
           (match t.config.dir with
@@ -639,7 +484,7 @@ let merge_step t =
               List.iter
                 (fun f ->
                   try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-                old_files
+                (List.filter_map (fun sg -> sg.file) [ a; b ])
           | None -> ());
           notify t gen;
           true)
@@ -842,29 +687,15 @@ let open_with_manifest config dir (m : Manifest.t) =
             | Some n -> if n > !max_file then max_file := n
             | None -> ());
             let dead = IntSet.of_list e.Manifest.dead in
+            (* The file's documents, re-interned into the live corpus,
+               are rebuilt into a heap index; the mapping is dropped. *)
             let searcher =
-              (* The mmap attempt is best-effort: an I/O error or an
-                 injected fault ([live.mmap_open]) must not abort
-                 recovery. *Any* exception falls back to the heap
-                 rebuild, which only needs the already-recovered
-                 documents. *)
-              match
-                if config.mmap_segments then begin
-                  Pj_util.Failpoint.hit "live.mmap_open";
-                  Some (mmap_searcher ~corpus ~base:e.Manifest.base mapped)
-                end
-                else None
-              with
-              | Some sr -> sr
-              | None | (exception _) ->
-                  let docs =
-                    Corpus.docs_slice corpus ~pos:e.Manifest.base
-                      ~len:e.Manifest.len
-                  in
-                  Searcher.create
-                    (Inverted_index.build_docs
-                       ~skip:(fun id -> IntSet.mem id dead)
-                       corpus docs)
+              Searcher.create
+                (Inverted_index.build_docs
+                   ~skip:(fun id -> IntSet.mem id dead)
+                   corpus
+                   (Corpus.docs_slice corpus ~pos:e.Manifest.base
+                      ~len:e.Manifest.len))
             in
             {
               seg_base = e.Manifest.base;

@@ -11,10 +11,11 @@
     and publishes an O(1) doc-id-clamped view of them; a {e flush}
     seals the memtable into an immutable {e segment} — an
     {!Pj_index.Inverted_index} over a contiguous doc-id range, exactly
-    like a {!Pj_index.Sharded_index} shard. Deletes only mark a
-    {e tombstone}; a background {e merger} domain compacts disjoint
-    adjacent small segments (up to [merge_parallelism] pairs per step,
-    concurrently) and purges the tombstones it folded in.
+    like a {!Pj_index.Sharded_index} shard. Every sealed segment is
+    served from a heap index. Deletes only mark a {e tombstone}; a
+    background {e merger} domain compacts the cheapest adjacent pair of
+    segments, one pair per step, and purges the tombstones it folded
+    in.
 
     {2 Memory model}
 
@@ -35,11 +36,13 @@
     an ordinary PJX4 file ({!Pj_ondisk.Writer}, segment-local
     vocabulary and doc ids) and publishes a [MANIFEST] naming every
     segment file with its base and compacted-away ids, the tombstones,
-    and the generation — each write is
+    and the generation. The file is only read back at recovery: the
+    sealed segment keeps serving from its heap index. Each write is
     tmp+fsync+rename ({!Pj_util.Bytecodec.write_file_atomic}), so a
     crash (or an armed [live.flush] / [live.merge] / [live.manifest]
     failpoint) at any moment leaves the previous manifest and segments
-    intact. Recovery ({!open_dir}) replays the manifest. Without a
+    intact. Recovery ({!open_dir}) replays the manifest, rebuilding
+    each segment's heap index from the file's documents. Without a
     WAL, memtable documents added after the last flush are lost (by
     design — [FLUSH] is the durability barrier) and deletes become
     durable at the next flush or merge.
@@ -69,21 +72,6 @@ type config = {
       (** compact while more than this many sealed segments exist *)
   background_merge : bool;
       (** spawn the merger domain (disable for deterministic tests) *)
-  mmap_segments : bool;
-      (** serve sealed segments zero-copy off their own files'
-          block-compressed postings
-          ([Pj_ondisk.Mapped_index.segment_index]) instead of
-          rebuilding heap indexes at flush/merge/recovery —
-          byte-identical results, postings stay on disk. Requires
-          [dir]; ignored (heap indexes) for a memory-only index. A
-          segment whose view cannot be set up at recovery (an injected
-          [live.mmap_open] fault, say) falls back to the heap
-          rebuild. *)
-  merge_parallelism : int;
-      (** how many disjoint adjacent segment pairs one compaction step
-          may merge concurrently (each on its own domain); clamped to
-          at least 1. The pairs never overlap, so results are
-          independent of the parallelism. *)
   wal : bool;
       (** write-ahead-log every add/delete before acknowledging it, and
           replay the log on {!open_dir} — see {2:durability}. Requires
@@ -100,8 +88,7 @@ type config = {
 
 val default_config : config
 (** [dir = None], [memtable_capacity = 256], [merge_threshold = 4],
-    [background_merge = true], [mmap_segments = false],
-    [merge_parallelism = 2], [wal = false],
+    [background_merge = true], [wal = false],
     [fsync_policy = Wal.Per_batch]. *)
 
 val create : ?config:config -> unit -> t
@@ -112,7 +99,7 @@ val open_dir : ?config:config -> string -> t
     recovering to the last durable state: the manifest is replayed
     (segment files mapped and CRC-checked, their words re-interned in
     document order, reproducing the original doc and token ids, and
-    each served off its map or by a rebuilt heap index), then — with
+    each served by a rebuilt heap index), then — with
     [wal] — the write-ahead log's intact records
     are re-applied into the memtable and its torn tail discarded.
     Orphan segment files and stale [.tmp] files from interrupted
@@ -134,9 +121,9 @@ val close : t -> unit
 
 val add : t -> string array -> int
 (** Append one document (pre-tokenized words), returning its global
-    doc id. Visible to queries immediately; durable before returning
-    with a [Per_batch] WAL, otherwise at the next flush. Auto-flushes
-    when the memtable reaches capacity. *)
+    doc id: [add_batch t [tokens]]. Visible to queries immediately;
+    durable before returning with a [Per_batch] WAL, otherwise at the
+    next flush. Auto-flushes when the memtable reaches capacity. *)
 
 val add_batch : t -> string array list -> int
 (** Append many documents under one writer-lock acquisition, returning
@@ -167,11 +154,11 @@ val flush : t -> int
 
 val merge_now : t -> bool
 (** Run one compaction step in the caller (serialized with the
-    background merger): up to [merge_parallelism] disjoint cheapest
-    adjacent segment pairs are merged concurrently, their tombstones
-    purged, and the results installed under one manifest write and one
-    generation bump. False when the segment stack is within
-    [merge_threshold]. *)
+    background merger): the cheapest adjacent segment pair (fewest
+    live documents, lowest position on a tie) is merged, its
+    tombstones purged, and the result installed under one manifest
+    write and one generation bump. False when the segment stack is
+    within [merge_threshold]. *)
 
 val quiesce : t -> unit
 (** Run compactions until the merge policy is satisfied and no

@@ -68,9 +68,9 @@ let encode out (posts : Pj_index.Posting.t array) =
 
 (* --- decoding ---------------------------------------------------------- *)
 
-type reader = { buf : Layout.buf; blob : int; df : int; base : int }
+type reader = { buf : Layout.buf; blob : int; df : int }
 
-let skip_last r b = r.base + Layout.u32le r.buf (r.blob + (b * skip_entry_size))
+let skip_last r b = Layout.u32le r.buf (r.blob + (b * skip_entry_size))
 let skip_off r b = Layout.u32le r.buf (r.blob + (b * skip_entry_size) + 4)
 let skip_qmax r b = Layout.u8 r.buf (r.blob + (b * skip_entry_size) + 8)
 let blocks_start r = r.blob + (n_blocks ~df:r.df * skip_entry_size)
@@ -119,7 +119,7 @@ let enter_block c b =
     c.block <- b;
     c.off := blocks_start c.r + skip_off c.r b;
     c.remaining <- block_doc_count c.r b;
-    c.doc <- (if b = 0 then c.r.base - 1 else skip_last c.r (b - 1));
+    c.doc <- (if b = 0 then -1 else skip_last c.r (b - 1));
     read_posting c
   end
 
@@ -232,7 +232,7 @@ let cursor_in_range r ~lo ~hi =
     let b = c.block in
     if !qb = b then !qmax
     else begin
-      let first_floor = if b = 0 then c.r.base else skip_last c.r (b - 1) + 1 in
+      let first_floor = if b = 0 then 0 else skip_last c.r (b - 1) + 1 in
       let v =
         if first_floor >= lo && skip_last c.r b < hi then state_block_max c
         else begin
@@ -284,7 +284,7 @@ let count_in_range r ~lo ~hi =
     while (not !stop) && !b < nb do
       let last = skip_last r !b in
       (* The block's first document is at least [prev_last + 1]. *)
-      let first_floor = if !b = 0 then r.base else skip_last r (!b - 1) + 1 in
+      let first_floor = if !b = 0 then 0 else skip_last r (!b - 1) + 1 in
       if last < lo then () (* wholly before the range *)
       else if first_floor >= hi then stop := true
       else if first_floor >= lo && last < hi then
@@ -340,7 +340,7 @@ let check_blob r =
     let c = state_create r in
     enter_block c b;
     let qmax = skip_qmax r b and seen_max = ref 0 in
-    let prev = ref (if b = 0 then r.base - 1 else skip_last r (b - 1)) in
+    let prev = ref (if b = 0 then -1 else skip_last r (b - 1)) in
     let walk () =
       if c.doc <= !prev then
         failwith "Ondisk: doc ids not strictly increasing in block";

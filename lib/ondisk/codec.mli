@@ -56,15 +56,9 @@ type reader = {
   buf : Layout.buf;
   blob : int;  (** file offset of the term blob (its skip table) *)
   df : int;
-  base : int;
-      (** doc-id offset added to every stored id: 0 for a whole v4
-          file, the segment's first id for a live segment written with
-          local ids [0 .. len-1] *)
 }
 (** A term blob in a mapped file. All decoding is lazy: constructing a
-    reader or cursor touches only skip entries, never whole blocks.
-    Every id a reader reports — postings, skip entries, ranges — is
-    [base] plus the stored id. *)
+    reader or cursor touches only skip entries, never whole blocks. *)
 
 val cursor : reader -> Pj_index.Posting_list.cursor
 (** A fresh streaming cursor over the blob, positioned on the first

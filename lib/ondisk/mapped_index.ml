@@ -134,7 +134,7 @@ let corpus t = Lazy.force t.corpus
 
 (* --- dictionary -------------------------------------------------------- *)
 
-let dict_entry t ~base tok =
+let term_reader t tok =
   if tok < 0 || tok >= t.n_words then None
   else begin
     let off = t.dict_off + (File_format.dict_entry_size * tok) in
@@ -142,12 +142,11 @@ let dict_entry t ~base tok =
     if blob = 0 then None
     else begin
       let df = Layout.u32le t.buf (off + 8) in
-      Some { Codec.buf = t.buf; blob; df; base }
+      Some { Codec.buf = t.buf; blob; df }
     end
   end
 
 let vocab t = t.vocab
-let term_reader t tok = dict_entry t ~base:0 tok
 
 (* --- providers --------------------------------------------------------- *)
 
@@ -165,49 +164,28 @@ let positions_of_cursor c ~doc_id =
       p.Pj_index.Posting.positions
   | Some _ | None -> [||]
 
-(* The one provider over a whole mapped file, whether it is a compacted
-   index or a live segment. [local_of] resolves a query token to the
-   file's own token id and [global_of] maps back (for merge
-   enumeration), each answering -1 for a token the other side lacks;
-   [base] is the doc id of the file's document 0. *)
-let full_provider t ~base ~local_of ~global_of =
-  let reader tok = dict_entry t ~base (local_of tok) in
+let full_provider t =
   {
     Pj_index.Inverted_index.pr_postings =
       (fun tok ->
-        match reader tok with
+        match term_reader t tok with
         | None -> Pj_index.Posting_list.empty
         | Some r -> Codec.decode r);
     pr_cursor =
       (fun tok ->
-        match reader tok with
+        match term_reader t tok with
         | None -> Pj_index.Posting_list.cursor Pj_index.Posting_list.empty
         | Some r -> Codec.cursor r);
     pr_positions =
       (fun ~token ~doc_id ->
-        match reader token with
+        match term_reader t token with
         | None -> [||]
         | Some r -> positions_of_cursor (Codec.cursor r) ~doc_id);
     pr_document_frequency =
-      (fun tok -> match reader tok with None -> 0 | Some r -> r.Codec.df);
+      (fun tok -> match term_reader t tok with None -> 0 | Some r -> r.Codec.df);
     pr_n_tokens = t.n_words;
     pr_stats = (fun () -> stats t);
-    pr_iter =
-      (* Segment-merge enumeration: one term at a time, decoded off the
-         dictionary in file token order — never the whole index at
-         once, so [concat_adjacent] can splice an mmap-backed segment
-         into a merge instead of forcing a full re-tokenization
-         rebuild. A term with no query token is unreachable by any
-         query and is skipped. *)
-      Some
-        (fun f ->
-          for l = 0 to t.n_words - 1 do
-            let tok = global_of l in
-            if tok >= 0 then
-              match dict_entry t ~base l with
-              | None -> ()
-              | Some r -> f tok (Codec.decode r)
-          done);
+    pr_iter = None (* postings stay on disk; no whole-index decode *);
   }
 
 let range_provider t ~lo ~hi =
@@ -279,26 +257,7 @@ let range_provider t ~lo ~hi =
   }
 
 let index t =
-  Pj_index.Inverted_index.of_provider (corpus t)
-    (full_provider t ~base:0 ~local_of:Fun.id ~global_of:Fun.id)
-
-(* A live segment: the file's documents [0, n_docs) served at
-   [base, base + n_docs), keyed by the live corpus's global token ids.
-   Those are resolved through the word at every lookup, because the
-   global vocabulary keeps growing after the segment was written;
-   words it learned since simply have no postings here. *)
-let segment_index t ~base corpus =
-  let global = Pj_index.Corpus.vocab corpus in
-  let find vocab word =
-    match Pj_text.Vocab.find vocab word with Some id -> id | None -> -1
-  in
-  let local_of tok =
-    if tok < 0 || tok >= Pj_text.Vocab.size global then -1
-    else find t.vocab (Pj_text.Vocab.word global tok)
-  in
-  let global_of l = find global (Pj_text.Vocab.word t.vocab l) in
-  Pj_index.Inverted_index.of_provider corpus
-    (full_provider t ~base ~local_of ~global_of)
+  Pj_index.Inverted_index.of_provider (corpus t) (full_provider t)
 
 let shard_index t ~pos ~len =
   Pj_index.Inverted_index.of_provider (corpus t)

@@ -32,18 +32,8 @@ val corpus : t -> Pj_index.Corpus.t
     from the mapping on each access. *)
 
 val index : t -> Pj_index.Inverted_index.t
-(** The whole file as one provider-backed index. *)
-
-val segment_index : t -> base:int -> Pj_index.Corpus.t -> Pj_index.Inverted_index.t
-(** The whole file as one sealed live segment: its documents
-    [0, n_docs) served at [base, base + n_docs), keyed by the
-    {e global} token ids of [corpus]'s vocabulary and resolved through
-    the word on each lookup. Observationally an
-    [Inverted_index.build_docs ~skip:dead] over the segment's documents
-    (dead ones are written as empty documents). The vocabulary may keep
-    growing while the index is in use; words it learns have no postings
-    here. Same provider as {!index}, with another token resolution and
-    base. *)
+(** The whole file as one provider-backed index. Its terms are not
+    enumerable ([pr_iter = None]): postings stay on disk. *)
 
 val counts : t -> int array
 (** The persisted shard layout (defaults to one shard). Searches ignore

@@ -8,9 +8,9 @@
     the live manifest does. [inspect --deep] audits a segment file like
     any other v4 index.
 
-    The segment format is owned here and by
-    {!Mapped_index.segment_index}, which serves such a file at its base
-    keyed by the live corpus's global token ids. *)
+    A live index serves a sealed segment from a heap index; the file is
+    read back only by {!recover}, at restart, whose documents the live
+    index rebuilds with [Inverted_index.build_docs ~skip:dead]. *)
 
 val write :
   ?failpoint:string ->

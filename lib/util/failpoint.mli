@@ -25,8 +25,7 @@
 
     Sites wired into serving code: [ondisk.save.write],
     [ondisk.save.rename], [worker.job], [server.conn], [live.flush],
-    [live.merge], [live.mmap_open],
-    [live.manifest], [live.wal.append], [live.wal.fsync],
+    [live.merge], [live.manifest], [live.wal.append], [live.wal.fsync],
     [live.wal.rotate], and the router tier's
     [router.connect] (before every backend (re)connect),
     [router.leg.N] (before leg [N]'s scatter submit) and

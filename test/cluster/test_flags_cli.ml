@@ -3,8 +3,9 @@
    option), against the built CLI. Each case either refuses with one
    output line and a non-zero exit, or starts a server that answers
    PING; an uncaught exception is neither. Which cases must refuse is
-   pinned: 0 is a valid port (ephemeral) and a valid duration, every
-   other case is out of range. *)
+   pinned: 0 is a valid port (ephemeral) and a valid deadline or drain
+   duration, every other case is out of range — a stats period of 0
+   included (omitting --log-every is how to disable the stats line). *)
 
 module E = Test_cluster_e2e
 module P = Test_cluster_proc
@@ -13,13 +14,13 @@ module S = Test_stats_keys
 let serve_flags =
   [
     "port"; "domains"; "queue"; "cache"; "deadline-ms"; "drain-ms";
-    "log-every"; "memtable"; "merge-par";
+    "log-every"; "memtable";
   ]
 
 let router_flags =
   [ "port"; "cache"; "deadline-ms"; "drain-ms"; "log-every"; "binary-inflight" ]
 
-let zero_is_valid = [ "port"; "deadline-ms"; "drain-ms"; "log-every" ]
+let zero_is_valid = [ "port"; "deadline-ms"; "drain-ms" ]
 
 (* Run one case to its verdict. A server is killed as soon as it has
    answered; [with_procs] reaps whatever is left. *)

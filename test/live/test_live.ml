@@ -84,37 +84,51 @@ let test_add_batch_seals_at_capacity () =
   check_invariant live;
   Live_index.close live
 
-(* One merge_now over a deep segment stack compacts several disjoint
-   adjacent pairs in the same step (concurrently), installing them
-   under a single generation bump. *)
-let test_parallel_merge () =
+(* One merge_now over a deep segment stack folds exactly one adjacent
+   pair — the cheapest, the lowest position on a tie — under one
+   generation bump. The manifest shows which pair: over eight singleton
+   segments the first step folds positions 0 and 1, the second the
+   now-cheapest singletons 1 and 2. *)
+let test_merge_one_pair () =
+  let dir = Filename.temp_dir "pj_live_merge" "" in
   let config =
-    { config with Live_index.memtable_capacity = 1; merge_parallelism = 4 }
+    { config with Live_index.dir = Some dir; memtable_capacity = 1 }
   in
-  let live = Live_index.create ~config () in
+  let live = Live_index.open_dir ~config dir in
   for i = 0 to 7 do
     ignore (Live_index.add live [| "aa"; "bb"; Printf.sprintf "w%d" i |])
   done;
-  let st = Live_index.stats live in
-  Alcotest.(check int) "eight singleton segments" 8 st.Live_index.segments;
+  let lens () =
+    match Manifest.read ~dir with
+    | Some m -> List.map (fun e -> e.Manifest.len) m.Manifest.segments
+    | None -> Alcotest.fail "no manifest"
+  in
+  Alcotest.(check (list int)) "eight singleton segments"
+    [ 1; 1; 1; 1; 1; 1; 1; 1 ] (lens ());
   let gen_before = Live_index.generation live in
   Alcotest.(check bool) "one step ran" true (Live_index.merge_now live);
   let st = Live_index.stats live in
-  (* excess = 8 - 2 = 6, parallelism 4 → four disjoint pairs folded. *)
-  Alcotest.(check int) "four pairs merged in one step" 4 st.Live_index.segments;
-  Alcotest.(check int) "merges counted per pair" 4 st.Live_index.merges;
-  Alcotest.(check int) "one generation bump for the whole step"
-    (gen_before + 1)
+  Alcotest.(check (list int)) "first pair folded" [ 2; 1; 1; 1; 1; 1; 1 ]
+    (lens ());
+  Alcotest.(check int) "seven segments" 7 st.Live_index.segments;
+  Alcotest.(check int) "one merge counted" 1 st.Live_index.merges;
+  Alcotest.(check int) "one generation bump" (gen_before + 1)
     (Live_index.generation live);
   Alcotest.(check (list int)) "all docs survive" (List.init 8 Fun.id)
     (doc_ids live);
+  Alcotest.(check bool) "second step ran" true (Live_index.merge_now live);
+  Alcotest.(check (list int)) "cheapest pair folded next" [ 2; 2; 1; 1; 1; 1 ]
+    (lens ());
   Live_index.quiesce live;
   let st = Live_index.stats live in
-  Alcotest.(check bool) "policy satisfied" true (st.Live_index.segments <= 2);
+  Alcotest.(check int) "policy satisfied" 2 st.Live_index.segments;
+  Alcotest.(check int) "one merge per folded segment" 6 st.Live_index.merges;
   Alcotest.(check (list int)) "quiesced results intact" (List.init 8 Fun.id)
     (doc_ids live);
   check_invariant live;
-  Live_index.close live
+  Live_index.close live;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
 
 let test_delete () =
   let live = Live_index.create ~config () in
@@ -215,8 +229,8 @@ let suite =
     Alcotest.test_case "add_batch" `Quick test_add_batch;
     Alcotest.test_case "add_batch seals at capacity" `Quick
       test_add_batch_seals_at_capacity;
-    Alcotest.test_case "parallel merge_now compacts disjoint pairs" `Quick
-      test_parallel_merge;
+    Alcotest.test_case "merge_now folds one cheapest pair" `Quick
+      test_merge_one_pair;
     Alcotest.test_case "delete semantics" `Quick test_delete;
     Alcotest.test_case "auto-flush at capacity" `Quick test_auto_flush;
     Alcotest.test_case "flush is idempotent" `Quick test_flush_idempotent;

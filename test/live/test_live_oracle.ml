@@ -70,8 +70,8 @@ let hit_line (h : Pj_engine.Searcher.hit) =
     (Array.length h.Pj_engine.Searcher.matchset)
 
 (* The live search runs block-max skips over every snapshot shape
-   (memtable prefix cursors, sealed and mmap segments, tombstone accept
-   filters). *)
+   (memtable prefix cursors, sealed and spliced segments, tombstone
+   accept filters). *)
 let check_equal ~ctx live docs deleted =
   let scratch = scratch_index (List.rev docs) deleted in
   List.iter
@@ -104,26 +104,24 @@ let fresh_dir =
         (Sys.readdir dir);
     dir
 
-(* [mmap] runs the same op sequence against a persistent index whose
-   sealed segments serve off their own mapped files — the live-segment
-   arm of the on-disk/in-memory equivalence oracle. [heavy] skews the
+(* [persistent] runs the same op sequence against an index with a
+   directory: every flush and merge writes a segment file and a
+   manifest, and the final state is reopened from them and checked
+   again — the recovered = acknowledged arm of the oracle. [heavy] skews the
    op mix toward deletions, so snapshots are tombstone-heavy: most
    postings the cursors walk belong to dead documents, stressing the
    interaction of block-max skips with the [accept] filter (a skipped
    region must never resurrect a tombstoned doc, a surviving doc must
    never be lost to a bound computed over mostly-dead blocks). *)
-let run_seed ?(mmap = false) ?(heavy = false) seed =
+let run_seed ?(persistent = false) ?(heavy = false) seed =
   Printf.printf "live oracle seed %d (replay: LIVE_SEED=%d)%s%s\n%!" seed seed
-    (if mmap then " [mmap segments]" else "")
+    (if persistent then " [persistent]" else "")
     (if heavy then " [tombstone-heavy]" else "");
   let rng = Pj_util.Prng.create seed in
-  let dir = if mmap then Some (fresh_dir ()) else None in
-  let mmap_config =
-    { config with Live_index.dir = dir; mmap_segments = true }
-  in
+  let dir = if persistent then Some (fresh_dir ()) else None in
   let live =
     match dir with
-    | Some dir -> Live_index.open_dir ~config:mmap_config dir
+    | Some dir -> Live_index.open_dir ~config dir
     | None -> Live_index.create ~config ()
   in
   let docs = ref [] (* reverse id order *) and total = ref 0 in
@@ -182,12 +180,12 @@ let run_seed ?(mmap = false) ?(heavy = false) seed =
   Alcotest.(check int) "stats.total_docs" !total s.Live_index.total_docs;
   Alcotest.(check int) "memtable flushed" 0 s.Live_index.memtable_docs;
   Live_index.close live;
-  (* The mmap arm's sealed segments are PJX4 files placed by the
+  (* The persistent arm's sealed segments are PJX4 files placed by the
      manifest: a reopen recovers every document from them and serves
      the same hits. *)
   Option.iter
     (fun dir ->
-      let reopened = Live_index.open_dir ~config:mmap_config dir in
+      let reopened = Live_index.open_dir ~config dir in
       check_equal ~ctx:(Printf.sprintf "seed %d (recovered)" seed) reopened
         !docs !deleted;
       Live_index.close reopened)
@@ -199,17 +197,18 @@ let seeds () =
   | None -> [ 11; 42; 2024 ]
 
 let test_oracle () = List.iter run_seed (seeds ())
-let test_oracle_mmap () = List.iter (run_seed ~mmap:true) (seeds ())
+let test_oracle_persistent () =
+  List.iter (run_seed ~persistent:true) (seeds ())
 
 let test_oracle_heavy () =
   List.iter (run_seed ~heavy:true) (seeds ());
-  List.iter (run_seed ~mmap:true ~heavy:true) (seeds ())
+  List.iter (run_seed ~persistent:true ~heavy:true) (seeds ())
 
 let suite =
   [
     Alcotest.test_case "random ops = from-scratch build" `Quick test_oracle;
-    Alcotest.test_case "random ops = from-scratch build (mmap segments)"
-      `Quick test_oracle_mmap;
+    Alcotest.test_case "random ops = from-scratch build (persistent)" `Quick
+      test_oracle_persistent;
     Alcotest.test_case "tombstone-heavy ops = from-scratch build" `Quick
       test_oracle_heavy;
   ]

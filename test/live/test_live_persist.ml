@@ -27,14 +27,12 @@ let fresh_dir () =
       (Sys.readdir dir);
   dir
 
-let config ?(mmap = false) ?(wal = false) dir =
+let config ?(wal = false) dir =
   {
     Live_index.dir = Some dir;
     memtable_capacity = 4;
     merge_threshold = 2;
     background_merge = false;
-    mmap_segments = mmap;
-    merge_parallelism = 2;
     wal;
     fsync_policy = Wal.Per_batch;
   }
@@ -111,37 +109,6 @@ let test_deletes_durable_via_manifest_only_flush () =
     (List.map (fun h -> h.Pj_engine.Searcher.doc_id) (hits reopened));
   Live_index.close reopened
 
-(* A writer with heap-served segments and a reader serving them off
-   mmap (and vice versa) must agree hit-for-hit: the segment file is
-   one format, the serving mode a pure runtime choice. *)
-let test_mmap_recovery_identical () =
-  let dir = fresh_dir () in
-  let live = Live_index.open_dir ~config:(config dir) dir in
-  for i = 0 to 9 do
-    ignore (Live_index.add live [| "aa"; Printf.sprintf "w%d" i; "bb" |])
-  done;
-  (match Live_index.delete live 3 with
-  | Ok () -> ()
-  | Error `Not_found -> Alcotest.fail "delete failed");
-  ignore (Live_index.flush live);
-  Live_index.quiesce live;
-  let want = hits live in
-  Live_index.close live;
-  let mapped = Live_index.open_dir ~config:(config ~mmap:true dir) dir in
-  Alcotest.(check bool) "mmap-served recovery identical" true
-    (hits mapped = want);
-  (* Keeps working: adds land in the heap memtable, flushes seal into
-     mapped segments. *)
-  ignore (Live_index.add mapped [| "aa"; "bb"; "fresh" |]);
-  ignore (Live_index.flush mapped);
-  Live_index.quiesce mapped;
-  let want_more = hits mapped in
-  Live_index.close mapped;
-  let plain = Live_index.open_dir ~config:(config dir) dir in
-  Alcotest.(check bool) "heap-served recovery identical" true
-    (hits plain = want_more);
-  Live_index.close plain
-
 (* A directory written before live segments became PJX4 files — a
    manifest v1 naming PJSG segments, plus a WAL — is refused with one
    [Failure] naming the manifest and its format, and nothing in it is
@@ -184,8 +151,8 @@ let test_parent_dir_refused () =
   write_file (Filename.concat dir "seg-000098.seg.tmp") "stale";
   let before = dir_contents dir in
   List.iter
-    (fun (mmap, wal) ->
-      match Live_index.open_dir ~config:(config ~mmap ~wal dir) dir with
+    (fun wal ->
+      match Live_index.open_dir ~config:(config ~wal dir) dir with
       | live ->
           Live_index.close live;
           Alcotest.fail "a manifest v1 directory was opened"
@@ -195,9 +162,9 @@ let test_parent_dir_refused () =
             Alcotest.failf "error %S does not name %s and its format" msg
               manifest;
           Alcotest.(check (list (pair string string)))
-            (Printf.sprintf "directory byte-identical (mmap=%b wal=%b)" mmap wal)
+            (Printf.sprintf "directory byte-identical (wal=%b)" wal)
             before (dir_contents dir))
-    [ (false, true); (true, true); (false, false) ]
+    [ true; false ]
 
 (* The manifest entry is the only record of which of a segment's empty
    documents are dead, so a dead id outside the segment or out of order
@@ -288,39 +255,6 @@ let test_manifest_overflowing_counts_rejected () =
       (varints [ 1; 0; 0 ] ^ overflow, "an overflowing tombstone count");
     ]
 
-(* Satellite regression: recovery used to catch only [Failure _] around
-   the mmap attempt, so any other exception (a [Unix.Unix_error] from a
-   truncated map, a fault-injected [Failpoint.Injected], ...) crashed
-   [open_dir] even though the segment file's document log was intact
-   and a heap rebuild would have served fine. The [live.mmap_open]
-   failpoint raises exactly such a non-[Failure] exception. *)
-let test_mmap_open_failure_falls_back () =
-  let dir = fresh_dir () in
-  let live = Live_index.open_dir ~config:(config ~mmap:true dir) dir in
-  for i = 0 to 9 do
-    ignore (Live_index.add live [| "aa"; Printf.sprintf "w%d" i; "bb" |])
-  done;
-  ignore (Live_index.flush live);
-  Live_index.quiesce live;
-  let want = hits live in
-  Live_index.close live;
-  Fun.protect
-    ~finally:(fun () -> Pj_util.Failpoint.clear ())
-    (fun () ->
-      Pj_util.Failpoint.arm "live.mmap_open" Pj_util.Failpoint.Fail;
-      let reopened = Live_index.open_dir ~config:(config ~mmap:true dir) dir in
-      Alcotest.(check bool) "every mmap attempt was injected" true
-        (Pj_util.Failpoint.fired "live.mmap_open" > 0);
-      Alcotest.(check bool) "heap-rebuild fallback identical" true
-        (hits reopened = want);
-      (* The degraded index keeps accepting writes. *)
-      let id = Live_index.add reopened [| "aa"; "bb"; "fresh" |] in
-      Alcotest.(check bool) "new doc searchable" true
-        (List.exists
-           (fun h -> h.Pj_engine.Searcher.doc_id = id)
-           (hits reopened));
-      Live_index.close reopened)
-
 let test_orphan_cleanup () =
   let dir = fresh_dir () in
   let live = Live_index.open_dir ~config:(config dir) dir in
@@ -363,6 +297,141 @@ let doc_word live id =
   match Array.find_opt (fun w -> w <> "aa" && w <> "bb") words with
   | Some w -> w
   | None -> Alcotest.failf "doc %d has no distinctive word" id
+
+let add_docs live ids =
+  List.iter
+    (fun i ->
+      ignore (Live_index.add live [| "aa"; Printf.sprintf "w%d" i; "bb" |]))
+    ids
+
+let doc_ids_of hits =
+  List.sort compare (List.map (fun h -> h.Pj_engine.Searcher.doc_id) hits)
+
+(* Recovery is not a terminal state: a reopened index seals new
+   segments, compacts them into the recovered ones, and a second
+   restart serves all of it identically. *)
+let test_recovered_index_recovers_again () =
+  let dir = fresh_dir () in
+  let live = Live_index.open_dir ~config:(config dir) dir in
+  add_docs live (List.init 10 Fun.id);
+  (match Live_index.delete live 3 with
+  | Ok () -> ()
+  | Error `Not_found -> Alcotest.fail "delete failed");
+  ignore (Live_index.flush live);
+  Live_index.quiesce live;
+  Live_index.close live;
+  let reopened = Live_index.open_dir ~config:(config dir) dir in
+  add_docs reopened (List.init 6 (fun i -> 10 + i));
+  (match Live_index.delete reopened 12 with
+  | Ok () -> ()
+  | Error `Not_found -> Alcotest.fail "delete failed");
+  ignore (Live_index.flush reopened);
+  Live_index.quiesce reopened;
+  let want = hits reopened in
+  let want_stats = Live_index.stats reopened in
+  Alcotest.(check bool) "new segments merged into recovered ones" true
+    (want_stats.Live_index.merges > 0);
+  Alcotest.(check int) "merge policy satisfied" 2
+    want_stats.Live_index.segments;
+  Live_index.close reopened;
+  let again = Live_index.open_dir ~config:(config dir) dir in
+  Alcotest.(check bool) "identical hits after the second recovery" true
+    (hits again = want);
+  Alcotest.(check (list int)) "every surviving doc served"
+    (List.filter (fun i -> i <> 3 && i <> 12) (List.init 16 Fun.id))
+    (doc_ids_of (hits again));
+  Alcotest.(check string) "recovered doc keeps its words" "w15"
+    (doc_word again 15);
+  Live_index.close again
+
+(* A sealed segment file stores its documents at local ids [0, len);
+   only its manifest entry places it at its base. The second file of
+   a directory still starts at 0, and a restart serves its documents
+   at their global ids. *)
+let test_segment_files_hold_local_ids () =
+  let dir = fresh_dir () in
+  let live = Live_index.open_dir ~config:(config dir) dir in
+  (* Capacity 4: the fifth add seals [0, 4), the flush seals [4, 6). *)
+  add_docs live (List.init 6 Fun.id);
+  ignore (Live_index.flush live);
+  Live_index.close live;
+  let entries =
+    match Manifest.read ~dir with
+    | Some m -> m.Manifest.segments
+    | None -> Alcotest.fail "no manifest"
+  in
+  Alcotest.(check (list (pair int int))) "segments at their bases"
+    [ (0, 4); (4, 2) ]
+    (List.map (fun e -> (e.Manifest.base, e.Manifest.len)) entries);
+  List.iter
+    (fun (e : Manifest.entry) ->
+      let mapped =
+        Pj_ondisk.Mapped_index.open_file (Filename.concat dir e.Manifest.file)
+      in
+      Pj_ondisk.Mapped_index.check mapped;
+      let index = Pj_ondisk.Mapped_index.index mapped in
+      Alcotest.(check (array int))
+        (Printf.sprintf "%s postings are local" e.Manifest.file)
+        (Array.init e.Manifest.len Fun.id)
+        (Pj_index.Posting_list.doc_ids
+           (Pj_index.Inverted_index.postings_of_word index "aa")))
+    entries;
+  let reopened = Live_index.open_dir ~config:(config dir) dir in
+  Alcotest.(check (list int)) "served at global ids" (List.init 6 Fun.id)
+    (doc_ids_of (hits reopened));
+  List.iter
+    (fun i ->
+      Alcotest.(check string) "word at its global id" (Printf.sprintf "w%d" i)
+        (doc_word reopened i))
+    (List.init 6 Fun.id);
+  Live_index.close reopened
+
+(* Recovery serves a sealed segment one way, with no fallback: a
+   segment file that no longer matches its manifest entry — truncated,
+   or swapped for another segment's bytes — fails [open_dir] with one
+   [Failure] naming the problem, and leaves every file in place. *)
+let test_damaged_segment_refused () =
+  let damage =
+    [
+      ( "truncated",
+        fun ~first ~second:_ ->
+          let s = read_file first in
+          write_file first (String.sub s 0 (String.length s / 2)) );
+      ( "swapped for a shorter segment",
+        fun ~first ~second -> write_file first (read_file second) );
+    ]
+  in
+  List.iter
+    (fun (what, spoil) ->
+      let dir = fresh_dir () in
+      let live = Live_index.open_dir ~config:(config dir) dir in
+      add_docs live (List.init 6 Fun.id);
+      ignore (Live_index.flush live);
+      Live_index.close live;
+      let files =
+        match Manifest.read ~dir with
+        | Some m ->
+            List.map
+              (fun e -> Filename.concat dir e.Manifest.file)
+              m.Manifest.segments
+        | None -> Alcotest.fail "no manifest"
+      in
+      (match files with
+      | [ first; second ] -> spoil ~first ~second
+      | _ -> Alcotest.fail "expected two segments");
+      let before = dir_contents dir in
+      (match Live_index.open_dir ~config:(config dir) dir with
+      | reopened ->
+          Live_index.close reopened;
+          Alcotest.failf "a %s segment was served" what
+      | exception Failure _ -> ()
+      | exception e ->
+          Alcotest.failf "%s segment: %s, not a Failure" what
+            (Printexc.to_string e));
+      Alcotest.(check (list (pair string string)))
+        (Printf.sprintf "directory untouched (%s)" what)
+        before (dir_contents dir))
+    damage
 
 let test_wal_recovers_unflushed () =
   let dir = fresh_dir () in
@@ -736,16 +805,18 @@ let suite =
       test_deletes_durable_via_manifest_only_flush;
     Alcotest.test_case "orphan files cleaned at open" `Quick
       test_orphan_cleanup;
-    Alcotest.test_case "mmap-served segments recover identically" `Quick
-      test_mmap_recovery_identical;
     Alcotest.test_case "parent live dir refused untouched" `Quick
       test_parent_dir_refused;
     Alcotest.test_case "manifest dead ids checked" `Quick
       test_manifest_dead_ids_checked;
     Alcotest.test_case "manifest with overflowing counts rejected" `Quick
       test_manifest_overflowing_counts_rejected;
-    Alcotest.test_case "mmap open failure falls back to heap rebuild" `Quick
-      test_mmap_open_failure_falls_back;
+    Alcotest.test_case "recovered index recovers again" `Quick
+      test_recovered_index_recovers_again;
+    Alcotest.test_case "segment files hold local ids" `Quick
+      test_segment_files_hold_local_ids;
+    Alcotest.test_case "damaged segment refused untouched" `Quick
+      test_damaged_segment_refused;
     Alcotest.test_case "wal recovers unflushed writes" `Quick
       test_wal_recovers_unflushed;
     Alcotest.test_case "wal rotates across flushes" `Quick

@@ -41,7 +41,7 @@ let postings_arb = QCheck.make ~print:postings_print postings_gen
 
 (* Encode into a buffer and hand back a reader as if the blob had been
    mapped from disk (a bigstring copy of the encoded bytes). *)
-let reader_of ?(base = 0) posts =
+let reader_of posts =
   let buf = Buffer.create 256 in
   Codec.encode buf posts;
   let s = Buffer.contents buf in
@@ -49,7 +49,7 @@ let reader_of ?(base = 0) posts =
     Bigarray.Array1.init Bigarray.char Bigarray.c_layout (String.length s)
       (String.get s)
   in
-  { Codec.buf = big; blob = 0; df = Array.length posts; base }
+  { Codec.buf = big; blob = 0; df = Array.length posts }
 
 let decode_all r =
   Array.of_list (Pj_index.Posting_list.to_list (Codec.decode r))
@@ -67,41 +67,6 @@ let roundtrip =
          let back = decode_all (reader_of posts) in
          Array.length back = Array.length posts
          && Array.for_all2 posting_equal posts back))
-
-(* A reader with a doc-id base serves the stored (local) ids shifted by
-   it everywhere: decoding, seeks, skip entries, range counts and the
-   deep check — a live segment's postings at their absolute ids. *)
-let base_shifts_every_id =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:300 ~name:"doc-id base shifts every id"
-       QCheck.(pair postings_arb (int_range 0 100_000))
-       (fun (posts, base) ->
-         let r = reader_of ~base posts in
-         let shifted =
-           Array.map
-             (fun p ->
-               Pj_index.Posting.of_sorted
-                 ~doc_id:(base + p.Pj_index.Posting.doc_id)
-                 ~positions:p.Pj_index.Posting.positions)
-             posts
-         in
-         let back = decode_all r in
-         Codec.check_blob r;
-         let lasts = ref [] in
-         Codec.iter_blocks r (fun ~block:_ ~last_doc ~doc_count:_ ~qmax:_ ->
-             lasts := last_doc :: !lasts);
-         let n = Array.length posts in
-         Array.length back = n
-         && Array.for_all2 posting_equal shifted back
-         && (n = 0
-            || List.hd !lasts = shifted.(n - 1).Pj_index.Posting.doc_id
-               && Codec.count_in_range r ~lo:base ~hi:max_int = n
-               && Codec.count_in_range r ~lo:0 ~hi:base = 0
-               &&
-               let target = shifted.(n / 2).Pj_index.Posting.doc_id in
-               let c = Codec.cursor r in
-               Pj_index.Posting_list.seek c target;
-               Pj_index.Posting_list.current_doc c = target)))
 
 let test_empty_list () =
   let r = reader_of [||] in
@@ -466,7 +431,7 @@ let ondisk_failure f =
 let test_corrupt_position_runs () =
   List.iter
     (fun (name, df, bytes) ->
-      let r = { Codec.buf = Layout.of_string bytes; blob = 0; df; base = 0 } in
+      let r = { Codec.buf = Layout.of_string bytes; blob = 0; df } in
       let walk () =
         let c = Codec.cursor r in
         while Pj_index.Posting_list.current_doc c >= 0 do
@@ -482,7 +447,6 @@ let test_corrupt_position_runs () =
 let suite =
   [
     roundtrip;
-    base_shifts_every_id;
     ("codec: empty list", `Quick, test_empty_list);
     ("codec: single posting blocks", `Quick, test_single_posting_blocks);
     ("codec: u32 doc-id ceiling", `Quick, test_u32_ceiling_enforced);

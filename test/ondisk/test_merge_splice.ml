@@ -1,10 +1,10 @@
-(* Splice merges across storage layouts: [Inverted_index.concat_adjacent]
-   over any heap × mmap pairing of two adjacent document ranges must
-   (a) succeed — the on-disk providers now enumerate their terms via
-   the dictionary + [Codec.decode], so no pairing forces the
-   re-tokenization fallback — and (b) produce postings byte-identical
-   to a from-scratch [build_docs] over the union range, tombstone
-   filter included. *)
+(* Splice merges: [Inverted_index.concat_adjacent] over two adjacent
+   document ranges, each held in one of the layouts a live merge meets
+   — a memtable view ([Postings_builder]), a recovery rebuild
+   ([build_docs]) or an earlier splice — must produce postings
+   byte-identical to a from-scratch [build_docs] over the union range,
+   tombstone filter included. An index that cannot enumerate its terms
+   (the mapped v4 layout) is refused. *)
 
 open Pj_ondisk
 
@@ -16,16 +16,26 @@ let random_docs rng n =
         (1 + Pj_util.Prng.int rng 10)
         (fun _ -> Pj_util.Prng.choose rng alphabet))
 
-(* An mmap-backed index over documents [pos, pos+len) of [corpus]: a
-   PJX4 segment written by [Segment.write] to a temp file and served
-   off its map at [pos] — exactly a live index's sealed-segment
-   searcher. *)
-let mmap_range corpus ~pos ~len path =
-  Test_segment.segment_view corpus ~pos ~len ~dead:(fun _ -> false) path
-
-let heap_range corpus ~pos ~len =
+let rebuilt corpus ~pos ~len =
   Pj_index.Inverted_index.build_docs corpus
     (Pj_index.Corpus.docs_slice corpus ~pos ~len)
+
+let memtable corpus ~pos ~len =
+  let b = Pj_index.Postings_builder.create () in
+  Array.iter
+    (Pj_index.Postings_builder.add_doc b)
+    (Pj_index.Corpus.docs_slice corpus ~pos ~len);
+  Pj_index.Postings_builder.index b corpus ~max_doc:(pos + len - 1)
+
+(* Two halves of the range, spliced. *)
+let spliced corpus ~pos ~len =
+  let half = len / 2 in
+  Pj_index.Inverted_index.concat_adjacent
+    (rebuilt corpus ~pos ~len:half)
+    (memtable corpus ~pos:(pos + half) ~len:(len - half))
+
+let layouts =
+  [ ("memtable", memtable); ("rebuilt", rebuilt); ("spliced", spliced) ]
 
 (* Byte-identity of two indexes over the same corpus: same postings
    (doc ids and positions) for every vocabulary token. *)
@@ -41,18 +51,7 @@ let indexes_equal a b =
   done;
   !ok
 
-let check_pair ~ctx corpus ~cut ~n ~skip left right =
-  let reference =
-    Pj_index.Inverted_index.build_docs ?skip corpus
-      (Pj_index.Corpus.docs_slice corpus ~pos:0 ~len:n)
-  in
-  match Pj_index.Inverted_index.concat_adjacent ?skip left right with
-  | None -> Alcotest.failf "%s (cut %d): concat_adjacent declined" ctx cut
-  | Some merged ->
-      if not (indexes_equal merged reference) then
-        Alcotest.failf "%s (cut %d): splice differs from rebuild" ctx cut
-
-let test_heap_mmap_pairs () =
+let test_layout_pairs () =
   let rng = Pj_util.Prng.create 4242 in
   for trial = 1 to 8 do
     let n = 20 + Pj_util.Prng.int rng 300 in
@@ -60,51 +59,57 @@ let test_heap_mmap_pairs () =
     Array.iter
       (fun d -> ignore (Pj_index.Corpus.add_tokens corpus d))
       (random_docs rng n);
-    let cut = 1 + Pj_util.Prng.int rng (n - 1) in
+    let cut = 2 + Pj_util.Prng.int rng (n - 3) in
     (* Every other doc of one trial in three dies, so the [skip] purge
-       runs through the spliced mmap postings too. *)
+       runs through every layout's postings too. *)
     let skip =
       if trial mod 3 = 0 then Some (fun id -> id mod 2 = 0) else None
     in
-    Test_segment.with_seg_file (fun left_path ->
-        Test_segment.with_seg_file (fun right_path ->
-            let heap_l = heap_range corpus ~pos:0 ~len:cut
-            and heap_r = heap_range corpus ~pos:cut ~len:(n - cut)
-            and mmap_l = mmap_range corpus ~pos:0 ~len:cut left_path
-            and mmap_r = mmap_range corpus ~pos:cut ~len:(n - cut) right_path in
-            check_pair ~ctx:"heap+mmap" corpus ~cut ~n ~skip heap_l mmap_r;
-            check_pair ~ctx:"mmap+heap" corpus ~cut ~n ~skip mmap_l heap_r;
-            check_pair ~ctx:"mmap+mmap" corpus ~cut ~n ~skip mmap_l mmap_r;
-            check_pair ~ctx:"heap+heap" corpus ~cut ~n ~skip heap_l heap_r))
+    let reference =
+      Pj_index.Inverted_index.build_docs ?skip corpus
+        (Pj_index.Corpus.docs_slice corpus ~pos:0 ~len:n)
+    in
+    List.iter
+      (fun (lname, left) ->
+        List.iter
+          (fun (rname, right) ->
+            let merged =
+              Pj_index.Inverted_index.concat_adjacent ?skip
+                (left corpus ~pos:0 ~len:cut)
+                (right corpus ~pos:cut ~len:(n - cut))
+            in
+            if not (indexes_equal merged reference) then
+              Alcotest.failf "%s+%s (cut %d): splice differs from rebuild"
+                lname rname cut)
+          layouts)
+      layouts
   done
 
-(* The compacted v4 whole-corpus index enumerates too (its provider is
-   the other on-disk layout a merge can meet): concat of an empty heap
-   prefix with the full mapped index must reproduce every list. *)
-let test_mapped_index_enumerates () =
+let test_mapped_index_refused () =
   let rng = Pj_util.Prng.create 99 in
   let corpus = Pj_index.Corpus.create () in
   Array.iter
     (fun d -> ignore (Pj_index.Corpus.add_tokens corpus d))
-    (random_docs rng 150);
-  let idx = Pj_index.Inverted_index.build corpus in
+    (random_docs rng 50);
   let path = Filename.temp_file "proxjoin_splice" ".pjx4" in
   Fun.protect
     ~finally:(fun () ->
       if Sys.file_exists path then Sys.remove path;
       if Sys.file_exists (path ^ ".tmp") then Sys.remove (path ^ ".tmp"))
     (fun () ->
-      Writer.write idx path;
+      Writer.write (Pj_index.Inverted_index.build corpus) path;
       let mapped = Mapped_index.index (Mapped_index.open_file path) in
-      let empty_prefix = heap_range corpus ~pos:0 ~len:0 in
-      match Pj_index.Inverted_index.concat_adjacent empty_prefix mapped with
-      | None -> Alcotest.fail "mapped full_provider cannot enumerate"
-      | Some merged ->
-          if not (indexes_equal merged idx) then
-            Alcotest.fail "mapped enumeration differs from heap build")
+      Alcotest.check_raises "mapped index refused"
+        (Invalid_argument
+           "Inverted_index.concat_adjacent: terms not enumerable")
+        (fun () ->
+          ignore
+            (Pj_index.Inverted_index.concat_adjacent
+               (rebuilt corpus ~pos:0 ~len:0)
+               mapped)))
 
 let suite =
   [
-    ("splice = rebuild for every heap/mmap pairing", `Quick, test_heap_mmap_pairs);
-    ("compacted v4 index enumerates its terms", `Quick, test_mapped_index_enumerates);
+    ("splice = rebuild for every merge input pairing", `Quick, test_layout_pairs);
+    ("mapped v4 index refused by the splice", `Quick, test_mapped_index_refused);
   ]

@@ -1,11 +1,10 @@
 (* A sealed live segment ([Segment.write]) is an ordinary PJX4 file
    over a segment-local vocabulary and local doc ids [0, len), dead
-   documents written empty. Served through [Mapped_index.segment_index]
-   at its base, keyed by the live corpus's global token ids, it must be
-   observationally [Inverted_index.build_docs ~skip:dead] over the same
-   documents — even after the global vocabulary has grown past the
-   segment's words — and [Segment.recover] must give back the very
-   documents and token ids it was written from. *)
+   documents written empty. [Segment.recover] must give back the very
+   documents and token ids it was written from — even after the global
+   vocabulary has grown past the segment's words — so the heap index a
+   live restart rebuilds from them ([Inverted_index.build_docs
+   ~skip:dead]) is observationally the one the writer served. *)
 
 open Pj_ondisk
 module Corpus = Pj_index.Corpus
@@ -20,12 +19,6 @@ let with_seg_file f =
       if Sys.file_exists (path ^ ".tmp") then Sys.remove (path ^ ".tmp"))
     (fun () -> f path)
 
-(* The segment [pos, pos + len) of [corpus], written to [path] and
-   served off its map at [pos]. *)
-let segment_view corpus ~pos ~len ~dead path =
-  Segment.write ~skip:dead corpus (Corpus.docs_slice corpus ~pos ~len) path;
-  Mapped_index.segment_index (Mapped_index.open_file path) ~base:pos corpus
-
 let cursor_docs c =
   let out = ref [] in
   while Posting_list.current_doc c >= 0 do
@@ -34,7 +27,7 @@ let cursor_docs c =
   done;
   List.rev !out
 
-(* Every global token id (and one past the vocabulary): same postings,
+(* Every token id (and one past the vocabulary): same postings,
    document frequency, cursor walk and positions; same size stats. *)
 let views_differ ~base ~len view reference =
   let n = Pj_text.Vocab.size (Corpus.vocab (Inverted_index.corpus reference)) in
@@ -116,24 +109,51 @@ let corpus_of_case c =
 
 let case_arb = QCheck.make ~print:case_print case_gen
 
-let segment_equals_build_docs =
+(* A fresh corpus holding [corpus]'s current vocabulary in id order —
+   what a live restart replays from the manifest first. *)
+let replay_vocab corpus =
+  let vocab = Corpus.vocab corpus in
+  let replay = Corpus.create () in
+  for tok = 0 to Pj_text.Vocab.size vocab - 1 do
+    ignore
+      (Pj_text.Vocab.intern (Corpus.vocab replay) (Pj_text.Vocab.word vocab tok))
+  done;
+  replay
+
+(* Restart as the live index does it: vocabulary replayed, the earlier
+   segments' documents (here the one-word prefix) recovered, then this
+   segment's file; its index rebuilt from the recovered documents must
+   match the one built from the originals. *)
+let recovered_rebuild_equals_original =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:150
-       ~name:"segment view = build_docs ~skip:dead, vocabulary growing"
+       ~name:"recovered segment rebuild = original build_docs ~skip:dead, \
+              vocabulary growing"
        case_arb
        (fun c ->
          let corpus, len, dead = corpus_of_case c in
          with_seg_file (fun path ->
-             let view = segment_view corpus ~pos:c.base ~len ~dead path in
+             Segment.write ~skip:dead corpus
+               (Corpus.docs_slice corpus ~pos:c.base ~len)
+               path;
+             let mapped = Mapped_index.open_file path in
+             Mapped_index.check mapped;
              (* Written: now the vocabulary grows, and documents land
                 after the segment's range. *)
              List.iter (fun d -> ignore (Corpus.add_tokens corpus d)) c.later;
-             let reference =
+             let replay = replay_vocab corpus in
+             for i = 0 to c.base - 1 do
+               ignore
+                 (Corpus.add_ids replay (Corpus.document corpus i).Pj_text.Document.tokens)
+             done;
+             Segment.recover mapped replay;
+             let build corpus =
                Inverted_index.build_docs ~skip:dead corpus
                  (Corpus.docs_slice corpus ~pos:c.base ~len)
              in
-             Mapped_index.check (Mapped_index.open_file path);
-             match views_differ ~base:c.base ~len view reference with
+             match
+               views_differ ~base:c.base ~len (build replay) (build corpus)
+             with
              | None -> true
              | Some m -> QCheck.Test.fail_report m)))
 
@@ -151,12 +171,7 @@ let recover_returns_documents =
              Segment.write ~skip:dead corpus docs path;
              List.iter (fun d -> ignore (Corpus.add_tokens corpus d)) c.later;
              let vocab = Corpus.vocab corpus in
-             let replay = Corpus.create () in
-             for tok = 0 to Pj_text.Vocab.size vocab - 1 do
-               ignore
-                 (Pj_text.Vocab.intern (Corpus.vocab replay)
-                    (Pj_text.Vocab.word vocab tok))
-             done;
+             let replay = replay_vocab corpus in
              Segment.recover (Mapped_index.open_file path) replay;
              Corpus.size replay = len
              && Array.for_all
@@ -168,4 +183,4 @@ let recover_returns_documents =
              && Pj_text.Vocab.size (Corpus.vocab replay)
                 = Pj_text.Vocab.size vocab)))
 
-let suite = [ segment_equals_build_docs; recover_returns_documents ]
+let suite = [ recovered_rebuild_equals_original; recover_returns_documents ]

@@ -148,11 +148,14 @@ let run ~quick ~repetitions =
   (* Capacity 64 dated from the rebuild-per-add era, when a large
      memtable made every add slower; with O(doc) appends a deeper
      memtable just means fewer seals and less background merge churn,
-     so the bench measures a production-shaped setting. *)
+     so the bench measures a production-shaped setting. At --quick
+     scale 400 documents would never fill it: each phase would seal one
+     segment at its final flush and nothing would merge, so quick runs
+     use 64, which seals 7 segments a phase and merges. *)
   let config =
     {
       Pj_live.Live_index.default_config with
-      Pj_live.Live_index.memtable_capacity = 512;
+      Pj_live.Live_index.memtable_capacity = (if quick then 64 else 512);
       merge_threshold = 4;
       background_merge = true;
     }

@@ -13,6 +13,10 @@
    - query latency (p50/p99) for the same query stream against the
      in-memory index and the mapped one — the tax, paid per posting
      block decoded, that the footprint and open-time wins cost.
+   - decode cost beneath that tax: a full cursor walk over the query's
+     forms in ns per posting, and a seek at fixed doc strides (4, 16,
+     64) in ns per seek, on both indexes — the per-posting price of
+     the codec against the heap array cursor.
 
    A sanity assertion checks the mapped index returns structurally
    identical hits to the in-memory index before any timing is trusted.
@@ -74,6 +78,60 @@ let observe sr =
   ignore (search_searcher sr);
   Pj_util.Timing.monotonic_now () -. t0
 
+(* --- decode: cursor walk and seek cost -------------------------------- *)
+
+(* The query's six forms; the three dense degraded forms carry most of
+   the postings a search decodes. *)
+let decode_words = [ "alpha"; "bravo"; "charlie"; "alfa"; "brav"; "charli" ]
+let seek_strides = [ 4; 16; 64 ]
+
+(* One pass over fresh cursors of every form: [step c] moves the cursor
+   and counts the units (postings walked, seeks made). *)
+let cursor_pass idx step =
+  List.fold_left
+    (fun units w ->
+      let c = Pj_index.Inverted_index.cursor_of_word idx w in
+      units + step c)
+    0 decode_words
+
+let walk c =
+  let n = ref 0 in
+  while Pj_index.Posting_list.current_doc c >= 0 do
+    incr n;
+    Pj_index.Posting_list.next c
+  done;
+  !n
+
+let seek_by stride c =
+  let n = ref 0 and target = ref 0 in
+  while Pj_index.Posting_list.current_doc c >= 0 do
+    target := !target + stride;
+    Pj_index.Posting_list.seek c !target;
+    incr n
+  done;
+  !n
+
+(* Median over [reps] timed passes of ns per unit. *)
+let ns_per_unit ~reps idx step =
+  ignore (cursor_pass idx step);
+  Pj_util.Stats.median
+    (Array.init reps (fun _ ->
+         let t0 = Pj_util.Timing.monotonic_now () in
+         let units = cursor_pass idx step in
+         1e9 *. (Pj_util.Timing.monotonic_now () -. t0) /. float_of_int units))
+
+type decode_result = {
+  walk_ns : float;  (* per posting *)
+  seek_ns : (int * float) list;  (* per seek, by doc stride *)
+}
+
+let decode_costs ~reps idx =
+  {
+    walk_ns = ns_per_unit ~reps idx walk;
+    seek_ns =
+      List.map (fun s -> (s, ns_per_unit ~reps idx (seek_by s))) seek_strides;
+  }
+
 type scale_result = {
   sc_docs : int;
   sc_v4_bytes : int;
@@ -86,9 +144,11 @@ type scale_result = {
   sc_mem_p99 : float;
   sc_mmap_p50 : float;
   sc_mmap_p99 : float;
+  sc_mmap_decode : decode_result;
+  sc_mem_decode : decode_result;
 }
 
-let run_scale ~n_docs ~searches =
+let run_scale ~n_docs ~searches ~decode_reps =
   let rng = Pj_util.Prng.create 1009 in
   let corpus = Pj_index.Corpus.create () in
   for i = 0 to n_docs - 1 do
@@ -115,9 +175,8 @@ let run_scale ~n_docs ~searches =
         1000. *. (Pj_util.Timing.monotonic_now () -. t0) /. float_of_int opens
       in
       let info = Pj_ondisk.Mapped_index.info mapped in
-      let mmap_searcher =
-        Pj_engine.Searcher.create (Pj_ondisk.Mapped_index.index mapped)
-      in
+      let mmap_index = Pj_ondisk.Mapped_index.index mapped in
+      let mmap_searcher = Pj_engine.Searcher.create mmap_index in
       (* --- sanity: identical hits before timing anything ------------- *)
       let mem_searcher = Pj_engine.Searcher.create idx in
       assert (search_searcher mmap_searcher = search_searcher mem_searcher);
@@ -130,6 +189,8 @@ let run_scale ~n_docs ~searches =
       ignore (observe mem_searcher);
       let mem_lat = Array.init searches (fun _ -> observe mem_searcher) in
       let rss_mem = rss_kb () - rss1 in
+      let mmap_decode = decode_costs ~reps:decode_reps mmap_index in
+      let mem_decode = decode_costs ~reps:decode_reps idx in
       Runs.print_header
         (Printf.sprintf "bench-storage: %d docs (index build %.2f s)" n_docs
            build_s)
@@ -156,6 +217,15 @@ let run_scale ~n_docs ~searches =
           Printf.sprintf "%.3f ms" (percentile_ms mmap_lat 99.);
           Printf.sprintf "%d kB" rss_mmap;
         ];
+      Runs.print_header "bench-storage: cursor decode (ns)"
+        ("walk/post"
+        :: List.map (fun s -> Printf.sprintf "seek/%d" s) seek_strides);
+      List.iter
+        (fun (label, d) ->
+          Runs.print_row label
+            (Printf.sprintf "%.1f" d.walk_ns
+            :: List.map (fun (_, ns) -> Printf.sprintf "%.1f" ns) d.seek_ns))
+        [ ("in-memory", mem_decode); ("mmap", mmap_decode) ];
       {
         sc_docs = n_docs;
         sc_v4_bytes = v4_bytes;
@@ -169,6 +239,8 @@ let run_scale ~n_docs ~searches =
         sc_mem_p99 = percentile_ms mem_lat 99.;
         sc_mmap_p50 = percentile_ms mmap_lat 50.;
         sc_mmap_p99 = percentile_ms mmap_lat 99.;
+        sc_mmap_decode = mmap_decode;
+        sc_mem_decode = mem_decode;
       })
 
 let json_of_scale r =
@@ -186,19 +258,37 @@ let json_of_scale r =
     \      \"mem_p99_ms\": %.6f,\n\
     \      \"mmap_p50_ms\": %.6f,\n\
     \      \"mmap_p99_ms\": %.6f,\n\
-    \      \"mmap_p99_over_mem_p99\": %.3f\n\
+    \      \"mmap_p99_over_mem_p99\": %.3f,\n\
+    \      \"mmap_walk_ns_per_posting\": %.2f,\n\
+    \      \"mem_walk_ns_per_posting\": %.2f,\n\
+    %s\n\
     \    }"
     r.sc_docs r.sc_v4_bytes r.sc_postings_bytes r.sc_mem_postings_bytes
     (float_of_int r.sc_mem_postings_bytes /. float_of_int r.sc_postings_bytes)
     r.sc_open_ms r.sc_rss_mmap_kb r.sc_rss_mem_kb r.sc_mem_p50 r.sc_mem_p99
     r.sc_mmap_p50 r.sc_mmap_p99
     (r.sc_mmap_p99 /. r.sc_mem_p99)
+    r.sc_mmap_decode.walk_ns r.sc_mem_decode.walk_ns
+    (String.concat ",\n"
+       (List.concat_map
+          (fun (side, d) ->
+            List.map
+              (fun (stride, ns) ->
+                Printf.sprintf "      \"%s_seek_ns_stride%d\": %.2f" side
+                  stride ns)
+              d.seek_ns)
+          [ ("mmap", r.sc_mmap_decode); ("mem", r.sc_mem_decode) ]))
 
 let run ~quick ~repetitions =
   ignore repetitions;
-  let scales = if quick then [ (400, 100) ] else [ (2000, 500); (100_000, 200) ] in
+  let scales =
+    if quick then [ (400, 100, 5) ] else [ (2000, 500, 21); (100_000, 200, 7) ]
+  in
   let results =
-    List.map (fun (n_docs, searches) -> run_scale ~n_docs ~searches) scales
+    List.map
+      (fun (n_docs, searches, decode_reps) ->
+        run_scale ~n_docs ~searches ~decode_reps)
+      scales
   in
   let path = "BENCH_storage.json" in
   let oc = open_out path in

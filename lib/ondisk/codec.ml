@@ -93,9 +93,17 @@ type state = {
   mutable pos_off : int;  (* absolute offset of the current positions run *)
 }
 
-(* Decode the posting at [c.off] into the cursor fields; positions are
-   only located (their offset recorded) and skipped, not decoded. *)
-let read_posting c =
+(* Byte [p] of a range the caller has bounds-checked; typed like
+   [Layout.byte] so the load compiles inline. *)
+let byte (buf : Layout.buf) p = Char.code (Bigarray.Array1.unsafe_get buf p)
+
+(* [Layout.read_varint]'s limit, kept by the unchecked loops below: a
+   9th byte above [0x3f] overflows a 63-bit [int]. *)
+let overflow () = failwith "Ondisk: varint overflow"
+
+(* The posting at [c.off], decoded with [Layout]'s checked accessors:
+   any byte may be the last of the buffer. *)
+let read_posting_checked c =
   let buf = c.r.buf and pos = c.off in
   let delta = Layout.read_varint buf ~pos in
   if delta <= 0 then failwith "Ondisk: corrupt posting block (zero doc delta)";
@@ -106,6 +114,45 @@ let read_posting c =
   c.pos_off <- !pos;
   Layout.skip_varints buf ~pos c.tf;
   c.remaining <- c.remaining - 1
+
+(* Decode the posting at [c.off] into the cursor fields; positions are
+   only located (their offset recorded) and skipped, not decoded.
+
+   Nearly every posting has a one-byte doc delta and a one-byte tf.
+   Such a posting takes one bounds check, sized for its [tf] position
+   varints at their 9-byte maximum, and is then read unchecked; the
+   position skip keeps the overflow check, so it accepts exactly what
+   [Layout.skip_varints] accepts. Anything else (a multi-byte varint,
+   a zero delta, a posting near the end of the buffer) takes the
+   checked path. *)
+let read_posting c =
+  let buf = c.r.buf and p = !(c.off) in
+  let len = Layout.length buf in
+  if p + 3 > len then read_posting_checked c
+  else begin
+    let delta = byte buf p and tf = byte buf (p + 2) in
+    if delta = 0 || delta >= 0x80 || tf >= 0x80 || p + 3 + (9 * tf) > len then
+      read_posting_checked c
+    else begin
+      c.doc <- c.doc + delta;
+      c.qscore <- byte buf (p + 1);
+      c.tf <- tf;
+      c.pos_off <- p + 3;
+      let q = ref (p + 3) and left = ref tf and run = ref 0 in
+      while !left > 0 do
+        let v = byte buf !q in
+        if !run = 8 && v > 0x3f then overflow ();
+        incr q;
+        if v < 0x80 then begin
+          decr left;
+          run := 0
+        end
+        else incr run
+      done;
+      c.off := !q;
+      c.remaining <- c.remaining - 1
+    end
+  end
 
 let exhaust c =
   c.block <- c.nb;
@@ -144,13 +191,35 @@ let state_next c =
   if c.doc >= 0 then
     if c.remaining > 0 then read_posting c else enter_block c (c.block + 1)
 
+(* The current posting's positions. [read_posting] has already
+   skipped the run, so it ends inside the buffer; when the run fits at
+   9 bytes a varint it is decoded with that one check. *)
 let state_positions c =
-  let pos = ref c.pos_off in
-  let a = Array.make c.tf 0 and prev = ref (-1) in
-  for i = 0 to c.tf - 1 do
-    prev := !prev + Layout.read_varint c.r.buf ~pos;
-    a.(i) <- !prev
-  done;
+  let buf = c.r.buf and tf = c.tf in
+  let a = Array.make tf 0 and prev = ref (-1) in
+  if c.pos_off + (9 * tf) <= Layout.length buf then begin
+    let p = ref c.pos_off in
+    for i = 0 to tf - 1 do
+      let v = ref 0 and shift = ref 0 and b = ref (byte buf !p) in
+      while !b >= 0x80 do
+        v := !v lor ((!b land 0x7f) lsl !shift);
+        shift := !shift + 7;
+        incr p;
+        b := byte buf !p;
+        if !shift = 56 && !b > 0x3f then overflow ()
+      done;
+      incr p;
+      prev := !prev + (!v lor (!b lsl !shift));
+      a.(i) <- !prev
+    done
+  end
+  else begin
+    let pos = ref c.pos_off in
+    for i = 0 to tf - 1 do
+      prev := !prev + Layout.read_varint buf ~pos;
+      a.(i) <- !prev
+    done
+  end;
   a
 
 let state_current c =

@@ -63,7 +63,14 @@ type reader = {
 val cursor : reader -> Pj_index.Posting_list.cursor
 (** A fresh streaming cursor over the blob, positioned on the first
     posting (exhausted when [df = 0]). Decoding failures — a truncated
-    or corrupt blob — raise [Failure "Ondisk: ..."]. *)
+    or corrupt blob, a varint that overflows a 63-bit [int] — raise
+    [Failure "Ondisk: ..."].
+
+    A posting with a one-byte doc delta and a one-byte tf, whose bytes
+    fit in the buffer even at 9 bytes a position varint, is decoded
+    after one bounds check; [current] decodes a position run the same
+    way. Every other posting takes the checked [Layout] accessors. The
+    two paths accept the same bytes and raise the same failures. *)
 
 val cursor_in_range : reader -> lo:int -> hi:int -> Pj_index.Posting_list.cursor
 (** The blob restricted to documents [lo, hi) — the per-shard view of

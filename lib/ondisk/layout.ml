@@ -28,8 +28,10 @@ let u8 b pos =
   check b pos 1 "byte";
   Char.code (Bigarray.Array1.unsafe_get b pos)
 
-(* Byte [pos] of an already bounds-checked range. *)
-let byte b pos = Char.code (Bigarray.Array1.unsafe_get b pos)
+(* Byte [pos] of an already bounds-checked range. The [buf] annotation
+   lets the compiler inline the load; with the element kind unknown,
+   every read would be a C call. *)
+let byte (b : buf) pos = Char.code (Bigarray.Array1.unsafe_get b pos)
 
 (* No local closure: skip-table probes call this on every seek. *)
 let u32le b pos =
@@ -46,12 +48,15 @@ let u64le b pos =
   g 0 lor (g 1 lsl 8) lor (g 2 lsl 16) lor (g 3 lsl 24) lor (g 4 lsl 32)
   lor (g 5 lsl 40) lor (g 6 lsl 48) lor (g 7 lsl 56)
 
+(* A varint's 9th byte holds bits 56-62 of the value: above [0x3f] it
+   would set the sign bit or continue past 63 bits — the same rule as
+   [Pj_util.Bytecodec.read_varint]. *)
 let read_varint b ~pos =
   let value = ref 0 and shift = ref 0 and continue = ref true in
   while !continue do
     if !pos >= length b then failwith "Ondisk: truncated varint";
-    if !shift > 56 then failwith "Ondisk: varint overflow";
     let byte = Char.code (Bigarray.Array1.unsafe_get b !pos) in
+    if !shift = 56 && byte > 0x3f then failwith "Ondisk: varint overflow";
     incr pos;
     value := !value lor ((byte land 0x7f) lsl !shift);
     shift := !shift + 7;
@@ -59,16 +64,16 @@ let read_varint b ~pos =
   done;
   !value
 
-(* The same limits as [read_varint] (a truncated varint, one longer
-   than 9 bytes), found by counting terminator bytes instead of
-   decoding the values. *)
+(* Exactly what [read_varint] accepts (a truncated varint fails, and so
+   does a 9th byte above [0x3f]), found by counting terminator bytes
+   instead of decoding the values. *)
 let skip_varints b ~pos count =
   let len = length b in
   let p = ref !pos and left = ref count and run = ref 0 in
   while !left > 0 do
     if !p >= len then failwith "Ondisk: truncated varint";
-    if !run > 8 then failwith "Ondisk: varint overflow";
     let v = byte b !p in
+    if !run = 8 && v > 0x3f then failwith "Ondisk: varint overflow";
     incr p;
     if v land 0x80 = 0 then begin
       decr left;

@@ -34,15 +34,17 @@ val u64le : buf -> int -> int
     a word is corruption). *)
 
 val read_varint : buf -> pos:int ref -> int
-(** LEB128 at [!pos], advancing it — same encoding as
-    [Pj_util.Bytecodec.read_varint]. Raises [Failure] on truncation or
-    overflow. *)
+(** LEB128 at [!pos], advancing it — same encoding and limits as
+    [Pj_util.Bytecodec.read_varint]: at most 9 bytes, the 9th at most
+    [0x3f], so the value is a non-negative 63-bit [int]. Raises
+    [Failure "Ondisk: truncated varint"] when the buffer ends first and
+    [Failure "Ondisk: varint overflow"] on a 9th byte above [0x3f]. *)
 
 val skip_varints : buf -> pos:int ref -> int -> unit
 (** [skip_varints b ~pos n] advances [!pos] past [n] LEB128 varints
-    without decoding them — by counting terminator bytes. Raises the
-    same [Failure]s as {!read_varint}: on truncation, and on a varint
-    longer than 9 bytes. *)
+    without decoding them — by counting terminator bytes. Accepts
+    exactly what {!read_varint} accepts and raises the same
+    [Failure]s. *)
 
 val sub_string : buf -> pos:int -> len:int -> string
 (** Copy a range onto the heap (for vocabulary words). *)

@@ -5,18 +5,43 @@ open Pj_ondisk
 
 (* --- generators -------------------------------------------------------- *)
 
-(* A sorted postings array: random positive doc-id gaps (occasionally
-   huge, up to the u32 ceiling) and random position lists. Sizes cross
-   the 128-doc block boundary so multi-block lists are routine. *)
+(* A sorted postings array: random positive doc-id gaps (now and then
+   exactly 127 or 128, the last one-byte delta and the first two-byte
+   one) and random position lists. Most postings have a one-byte tf and
+   one-byte position gaps, the shape the cursor's fast path decodes;
+   some have a tf of 120-300 (a two-byte tf from 128 on) or position
+   gaps of 2^14 and more (three-byte varints). Sizes cross the 128-doc
+   block boundary so multi-block lists are routine. *)
 let postings_gen =
   QCheck.Gen.(
+    let of_gaps gaps =
+      let prev = ref (-1) in
+      Array.of_list
+        (List.map
+           (fun gap ->
+             prev := !prev + gap;
+             !prev)
+           gaps)
+    in
     let posting_positions =
-      list_size (int_range 1 6) (int_range 0 5_000) >|= fun l ->
-      Array.of_list (List.sort_uniq compare l)
+      frequency
+        [
+          (8, list_size (int_range 1 6) (int_range 1 1_000));
+          (1, list_size (int_range 120 300) (int_range 1 3));
+          (1, list_size (int_range 1 4) (int_range (1 lsl 14) (1 lsl 22)));
+        ]
+      >|= of_gaps
     in
     let* df = oneof [ int_range 0 4; int_range 120 140; int_range 250 300 ] in
     let* gaps =
-      list_repeat df (oneof [ int_range 1 3; int_range 1 10_000 ])
+      list_repeat df
+        (frequency
+           [
+             (4, int_range 1 3);
+             (4, int_range 1 10_000);
+             (1, return 127);
+             (1, return 128);
+           ])
     in
     let* positions = list_repeat df posting_positions in
     let doc = ref (-1) in
@@ -39,17 +64,33 @@ let postings_print posts =
 
 let postings_arb = QCheck.make ~print:postings_print postings_gen
 
-(* Encode into a buffer and hand back a reader as if the blob had been
-   mapped from disk (a bigstring copy of the encoded bytes). *)
-let reader_of posts =
+(* Bytes after a blob's end. [0xff] never ends a varint, so a decoder
+   that reads past the blob fails or decodes garbage instead of
+   succeeding by accident. 2 KiB covers the fast path's bound for any
+   one-byte tf. *)
+let padding = String.make 2048 '\xff'
+
+(* A reader over [bytes] as if mapped from disk: the blob ends flush
+   with the buffer (so the final postings take the cursor's checked
+   path), or [~padded] sits before trailing bytes (so they take the
+   fast path, like every blob but the last of a real file). *)
+let reader_of_bytes ~padded ~df bytes =
+  let buf = Layout.of_string (if padded then bytes ^ padding else bytes) in
+  { Codec.buf; blob = 0; df }
+
+let encoded posts =
   let buf = Buffer.create 256 in
   Codec.encode buf posts;
-  let s = Buffer.contents buf in
-  let big =
-    Bigarray.Array1.init Bigarray.char Bigarray.c_layout (String.length s)
-      (String.get s)
-  in
-  { Codec.buf = big; blob = 0; df = Array.length posts }
+  Buffer.contents buf
+
+let reader_of posts =
+  reader_of_bytes ~padded:false ~df:(Array.length posts) (encoded posts)
+
+(* A property of a reader holds for both buffer shapes. *)
+let both_readers posts prop =
+  let bytes = encoded posts and df = Array.length posts in
+  prop (reader_of_bytes ~padded:false ~df bytes)
+  && prop (reader_of_bytes ~padded:true ~df bytes)
 
 let decode_all r =
   Array.of_list (Pj_index.Posting_list.to_list (Codec.decode r))
@@ -64,9 +105,10 @@ let roundtrip =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:500 ~name:"encode/decode round trip" postings_arb
        (fun posts ->
-         let back = decode_all (reader_of posts) in
-         Array.length back = Array.length posts
-         && Array.for_all2 posting_equal posts back))
+         both_readers posts (fun r ->
+             let back = decode_all r in
+             Array.length back = Array.length posts
+             && Array.for_all2 posting_equal posts back)))
 
 let test_empty_list () =
   let r = reader_of [||] in
@@ -184,7 +226,7 @@ let cursor_agrees =
     (QCheck.Test.make ~count:300 ~name:"codec cursor = array cursor"
        QCheck.(pair postings_arb (small_list (int_bound 30)))
        (fun (posts, steps) ->
-         let r = reader_of posts in
+         both_readers posts @@ fun r ->
          let mem =
            Pj_index.Posting_list.cursor
              (Pj_index.Posting_list.of_postings (Array.to_list posts))
@@ -263,7 +305,7 @@ let count_in_range_agrees =
        QCheck.(pair postings_arb (pair (int_bound 60_000) (int_bound 60_000)))
        (fun (posts, (a, b)) ->
          let lo, hi = (Stdlib.min a b, Stdlib.max a b) in
-         let r = reader_of posts in
+         both_readers posts @@ fun r ->
          let naive =
            Array.fold_left
              (fun acc p ->
@@ -281,7 +323,7 @@ let range_cursor_agrees =
        QCheck.(pair postings_arb (pair (int_bound 60_000) (int_bound 60_000)))
        (fun (posts, (a, b)) ->
          let lo, hi = (Stdlib.min a b, Stdlib.max a b) in
-         let r = reader_of posts in
+         both_readers posts @@ fun r ->
          let c = Codec.cursor_in_range r ~lo ~hi in
          let expect =
            Array.to_list posts
@@ -315,7 +357,7 @@ let range_block_max_admissible =
        QCheck.(pair postings_arb (pair (int_bound 60_000) (int_bound 60_000)))
        (fun (posts, (a, b)) ->
          let lo, hi = (Stdlib.min a b, Stdlib.max a b) in
-         let r = reader_of posts in
+         both_readers posts @@ fun r ->
          let c = Codec.cursor_in_range r ~lo ~hi in
          let index_of doc =
            let i = ref (-1) in
@@ -353,8 +395,9 @@ let check_blob_accepts =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:200 ~name:"check_blob accepts every encoding"
        postings_arb (fun posts ->
-         Codec.check_blob (reader_of posts);
-         true))
+         both_readers posts (fun r ->
+             Codec.check_blob r;
+             true)))
 
 (* --- hot-path allocation and corrupt position runs ------------------ *)
 
@@ -431,18 +474,148 @@ let ondisk_failure f =
 let test_corrupt_position_runs () =
   List.iter
     (fun (name, df, bytes) ->
-      let r = { Codec.buf = Layout.of_string bytes; blob = 0; df } in
-      let walk () =
-        let c = Codec.cursor r in
-        while Pj_index.Posting_list.current_doc c >= 0 do
-          Pj_index.Posting_list.next c
-        done
-      in
-      if ondisk_failure walk = None then
-        Alcotest.failf "%s: cursor walk did not fail" name;
-      if ondisk_failure (fun () -> ignore (Codec.decode r)) = None then
-        Alcotest.failf "%s: decode did not fail" name)
+      List.iter
+        (fun padded ->
+          let r = reader_of_bytes ~padded ~df bytes in
+          let name = if padded then name ^ " (padded)" else name in
+          let walk () =
+            let c = Codec.cursor r in
+            while Pj_index.Posting_list.current_doc c >= 0 do
+              Pj_index.Posting_list.next c
+            done
+          in
+          if ondisk_failure walk = None then
+            Alcotest.failf "%s: cursor walk did not fail" name;
+          if ondisk_failure (fun () -> ignore (Codec.decode r)) = None then
+            Alcotest.failf "%s: decode did not fail" name)
+        [ false; true ])
     corrupt_blobs
+
+(* --- varint limits ----------------------------------------------------- *)
+
+let string_of_bytes bytes = String.of_seq (Seq.map Char.chr (List.to_seq bytes))
+
+(* Nine bytes whose last is above 0x3f: bits past the 63rd, which would
+   decode to -1. *)
+let overflowing = List.init 8 (fun _ -> 0xff) @ [ 0x7f ]
+
+(* One-posting blobs (doc 0) carrying that varint as the tf and as a
+   position gap. The position blob has tf 2, so flush with the buffer
+   it fails the fast path's bound and takes the checked path. *)
+let overflow_blobs =
+  [
+    ("tf", blob ~last:0 ([ 0x01; 0x80 ] @ overflowing));
+    ( "position gap",
+      blob ~last:0 ([ 0x01; 0x80; 0x02 ] @ overflowing @ [ 0x01 ]) );
+  ]
+
+let test_varint_overflow () =
+  let overflow = Failure "Ondisk: varint overflow" in
+  let buf = Layout.of_string (string_of_bytes overflowing) in
+  Alcotest.check_raises "read_varint" overflow (fun () ->
+      ignore (Layout.read_varint buf ~pos:(ref 0)));
+  Alcotest.check_raises "skip_varints" overflow (fun () ->
+      Layout.skip_varints buf ~pos:(ref 0) 1);
+  (* The largest 9-byte varint still reads. *)
+  let widest =
+    Layout.of_string (string_of_bytes (List.init 8 (fun _ -> 0xff) @ [ 0x3f ]))
+  in
+  let pos = ref 0 in
+  Alcotest.(check int) "ff x8 3f" max_int (Layout.read_varint widest ~pos);
+  Alcotest.(check int) "read 9 bytes" 9 !pos;
+  let pos = ref 0 in
+  Layout.skip_varints widest ~pos 1;
+  Alcotest.(check int) "skipped 9 bytes" 9 !pos;
+  List.iter
+    (fun (name, bytes) ->
+      List.iter
+        (fun padded ->
+          let r = reader_of_bytes ~padded ~df:1 bytes in
+          let name = if padded then name ^ " (padded)" else name in
+          Alcotest.check_raises (name ^ ": cursor current") overflow (fun () ->
+              ignore (Pj_index.Posting_list.current (Codec.cursor r)));
+          Alcotest.check_raises (name ^ ": check_blob") overflow (fun () ->
+              Codec.check_blob r);
+          Alcotest.check_raises (name ^ ": decode") overflow (fun () ->
+              ignore (Codec.decode r)))
+        [ false; true ])
+    overflow_blobs
+
+(* Bytes near the varint limits: terminators, continuation bytes, and
+   0x3f / 0x40, the largest and smallest 9th byte. *)
+let limit_bytes_gen =
+  QCheck.Gen.(
+    list_size (int_range 0 24)
+      (oneofl [ 0x00; 0x01; 0x3f; 0x40; 0x7f; 0x80; 0xbf; 0xff ]))
+
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception Failure msg -> (
+      match String.index_opt msg ':' with
+      | Some i -> Error (String.sub msg (i + 1) (String.length msg - i - 1))
+      | None -> Error msg)
+
+(* [Layout]'s varint reader and skipper accept exactly the varints
+   [Bytecodec] accepts, with the same value, length and failure. *)
+let varints_agree_with_bytecodec =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:2000 ~name:"layout varints = bytecodec varints"
+       (QCheck.make limit_bytes_gen) (fun bytes ->
+         let s = string_of_bytes bytes in
+         let buf = Layout.of_string s in
+         let read f =
+           outcome (fun () ->
+               let pos = ref 0 in
+               let v = f pos in
+               (v, !pos))
+         in
+         let expect = read (fun pos -> Pj_util.Bytecodec.read_varint s ~pos) in
+         read (fun pos -> Layout.read_varint buf ~pos) = expect
+         && read (fun pos -> Layout.skip_varints buf ~pos 1; 0)
+            = Result.map (fun (_, len) -> (0, len)) expect))
+
+(* One posting (doc 0) whose position run is arbitrary bytes: the
+   cursor, through the fast path (padded) or the checked path (flush,
+   when the run is shorter than 9 bytes a position), decodes the run
+   exactly as [Layout.read_varint] does, or fails like it. *)
+let position_run_paths_agree =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:2000 ~name:"position run: fast path = checked path"
+       QCheck.(pair (int_range 1 3) (make limit_bytes_gen))
+       (fun (tf, bytes) ->
+         let run = Layout.of_string (string_of_bytes bytes) in
+         let expect =
+           outcome (fun () ->
+               let pos = ref 0 and prev = ref (-1) in
+               Array.init tf (fun _ ->
+                   prev := !prev + Layout.read_varint run ~pos;
+                   !prev))
+         in
+         (* [Posting.of_sorted] refuses a zero gap; that is not the
+            codec's check. *)
+         QCheck.assume
+           (match expect with
+           | Ok a ->
+               Array.for_all2 ( < )
+                 (Array.sub a 0 (tf - 1))
+                 (Array.sub a 1 (tf - 1))
+           | Error _ -> true);
+         let bytes = blob ~last:0 ([ 0x01; 0x80; tf ] @ bytes) in
+         List.for_all
+           (fun padded ->
+             let r = reader_of_bytes ~padded ~df:1 bytes in
+             let got =
+               outcome (fun () ->
+                   match Pj_index.Posting_list.current (Codec.cursor r) with
+                   | Some p -> p.Pj_index.Posting.positions
+                   | None -> [||])
+             in
+             match (expect, got) with
+             | Ok a, Ok b -> a = b
+             | Error _, Error _ -> true
+             | _ -> false)
+           [ false; true ]))
 
 let suite =
   [
@@ -466,4 +639,7 @@ let suite =
     ("codec: cursor walk allocates nothing per posting", `Quick,
      test_cursor_walk_noalloc);
     ("codec: corrupt position run fails", `Quick, test_corrupt_position_runs);
+    ("codec: varint overflow fails", `Quick, test_varint_overflow);
+    varints_agree_with_bytecodec;
+    position_run_paths_agree;
   ]

@@ -60,15 +60,16 @@ let old_search ~k idx scoring q =
     match Pj_util.Heap.peek heap with
     | None -> true
     | Some weakest ->
-        let best_scores =
-          Array.map
-            (fun list ->
-              Array.fold_left
-                (fun acc m -> Float.max acc m.Pj_core.Match0.score)
-                0. list)
+        let best_values =
+          Array.mapi
+            (fun j list ->
+              Pj_core.Scoring.g scoring j
+                (Array.fold_left
+                   (fun acc m -> Float.max acc m.Pj_core.Match0.score)
+                   0. list))
             problem
         in
-        let bound = Pj_core.Scoring.upper_bound scoring best_scores in
+        let bound = Pj_core.Scoring.upper_bound scoring best_values in
         bound > weakest.score
         || (bound = weakest.score && doc_id < weakest.doc_id)
   in

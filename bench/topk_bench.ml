@@ -19,7 +19,14 @@
      skip metadata records.
 
    The pruned hits are checked byte-identical to the exhaustive
-   reference ([Pj_reference]) before anything is timed. Results land in
+   reference ([Pj_reference]) before anything is timed.
+
+   A second row times one best-join solve: [Best_join.solve ~dedup:true]
+   (the call the reference searcher and perfbench's traced layer
+   decomposition make) for each served instance — [win_exponential],
+   [med_exponential], [max_sum] — over the match-list problems of real
+   candidates of 2-, 3- and 4-term queries on the uniform corpus,
+   in ns and allocated bytes per solve. Results land in
    BENCH_topk.json. *)
 
 open Pj_workload
@@ -98,16 +105,25 @@ type point = {
   alloc_bytes : float;
 }
 
+(* Bytes [f] allocates. On OCaml 5.1 [Gc.allocated_bytes] leaves out
+   most of what the minor heap took since its last collection (1,000
+   ten-float arrays read as 11 KB, not 88 KB), so a short call
+   under-reports; [Gc.minor_words] reads the allocation pointer itself.
+   Blocks allocated straight into the major heap are added from the
+   counters. *)
+let allocated_bytes f =
+  let _, p0, ma0 = Gc.counters () and w0 = Gc.minor_words () in
+  f ();
+  let _, p1, ma1 = Gc.counters () and w1 = Gc.minor_words () in
+  (w1 -. w0 +. (ma1 -. ma0 -. (p1 -. p0))) *. float_of_int (Sys.word_size / 8)
+
 (* Single queries are sub-millisecond; scale the repetition count up
    and warm up first (see bench-shard). *)
 let measure_point ~repetitions f =
   f ();
   let repetitions = repetitions * 20 in
   let m = Runs.log_cov (Pj_util.Timing.measure ~repetitions f) in
-  let a0 = Gc.allocated_bytes () in
-  f ();
-  let alloc_bytes = Gc.allocated_bytes () -. a0 in
-  { mean_s = m.Pj_util.Timing.mean_s; alloc_bytes }
+  { mean_s = m.Pj_util.Timing.mean_s; alloc_bytes = allocated_bytes f }
 
 let json_point { mean_s; alloc_bytes } =
   Printf.sprintf "{\"mean_s\": %.9f, \"alloc_bytes\": %.0f}" mean_s alloc_bytes
@@ -165,6 +181,85 @@ let run_layout ~repetitions ~n_docs ~name layout =
      \"aligned_ratio\": %.4f}"
     name (json_point blockmax) conjunctive aligned aligned_ratio
 
+(* --- per-solve row ------------------------------------------------------ *)
+
+(* A fourth term over filler tokens ("zza", "zzb" are two of the 400
+   filler words), so the solve row also sees 4-term problems. *)
+let t4 = Pj_matching.Matcher.of_table ~name:"t4" [ ("zza", 0.6); ("zzb", 0.3) ]
+
+let solve_queries =
+  let m = query.Pj_matching.Query.matchers in
+  List.map
+    (fun ms -> Pj_matching.Query.make "solve" ms)
+    [ [ m.(0); m.(1) ]; [ m.(0); m.(1); m.(2) ]; [ m.(0); m.(1); m.(2); t4 ] ]
+
+(* Up to [per_query] candidates of each query, spread over its
+   candidate list, as match-list problems. *)
+let solve_problems index ~per_query =
+  let searcher = Pj_engine.Searcher.create index in
+  List.concat_map
+    (fun q ->
+      let c = Pj_engine.Searcher.candidates searcher q in
+      let step = Stdlib.max 1 (Array.length c / per_query) in
+      List.filter_map
+        (fun i ->
+          if i mod step = 0 && i / step < per_query then
+            Some (Pj_matching.Match_builder.from_index index ~doc_id:c.(i) q)
+          else None)
+        (List.init (Array.length c) Fun.id))
+    solve_queries
+  |> Array.of_list
+
+(* The median of [rounds] timed passes over every problem, and the
+   bytes one pass allocates, per solve. *)
+let time_solves ~rounds scoring problems =
+  let pass () =
+    Array.iter
+      (fun p ->
+        ignore
+          (Sys.opaque_identity (Pj_core.Best_join.solve ~dedup:true scoring p)))
+      problems
+  in
+  pass ();
+  let times =
+    Array.init rounds (fun _ -> snd (Pj_util.Timing.time pass))
+  in
+  Array.sort compare times;
+  let n = float_of_int (Array.length problems) in
+  (times.(rounds / 2) *. 1e9 /. n, allocated_bytes pass /. n)
+
+let run_solves ~quick index =
+  let problems = solve_problems index ~per_query:(if quick then 100 else 300) in
+  let rounds = if quick then 9 else 21 in
+  let terms = Array.map Array.length problems in
+  Runs.print_header
+    (Printf.sprintf
+       "bench-topk (solve): one Best_join.solve ~dedup:true, %d problems of \
+        %d-%d terms"
+       (Array.length problems)
+       (Array.fold_left Stdlib.min max_int terms)
+       (Array.fold_left Stdlib.max 0 terms))
+    [ "ns/solve"; "B/solve" ];
+  let rows =
+    List.map
+      (fun (name, scoring) ->
+        let ns, bytes = time_solves ~rounds scoring problems in
+        Runs.print_row
+          (Pj_core.Scoring.name scoring)
+          [ Printf.sprintf "%.0f" ns; Printf.sprintf "%.0f" bytes ];
+        Printf.sprintf
+          "      %S: {\"ns_per_solve\": %.1f, \"bytes_per_solve\": %.1f}" name
+          ns bytes)
+      [
+        ("win_exponential", Pj_core.Scoring.Win (Pj_core.Scoring.win_exponential ~alpha:0.1));
+        ("med_exponential", Pj_core.Scoring.Med (Pj_core.Scoring.med_exponential ~alpha:0.1));
+        ("max_sum", Pj_core.Scoring.Max (Pj_core.Scoring.max_sum ~alpha:0.1));
+      ]
+  in
+  Printf.sprintf
+    "  \"solve\": {\n    \"problems\": %d,\n    \"families\": {\n%s\n    }\n  }"
+    (Array.length problems) (String.concat ",\n" rows)
+
 let run ~quick ~repetitions =
   let n_docs = if quick then 2000 else 10_000 in
   let layouts =
@@ -176,6 +271,11 @@ let run ~quick ~repetitions =
         ("impact_skewed", `Impact_skewed);
       ]
   in
+  let solves =
+    run_solves ~quick
+      (Pj_index.Inverted_index.build
+         (build_corpus ~n_docs ~layout:`Uniform (Pj_util.Prng.create 2024)))
+  in
   let path = "BENCH_topk.json" in
   let oc = open_out path in
   Printf.fprintf oc
@@ -184,9 +284,11 @@ let run ~quick ~repetitions =
     \  \"k\": %d,\n\
     \  \"layouts\": {\n\
      %s\n\
-    \  }\n\
+    \  },\n\
+     %s\n\
      }\n"
     n_docs k
-    (String.concat ",\n" layouts);
+    (String.concat ",\n" layouts)
+    solves;
   close_out oc;
   Printf.printf "[bench-topk] wrote %s\n" path

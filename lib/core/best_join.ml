@@ -7,18 +7,26 @@ let switch_to_naive (p : Match_list.problem) =
   let larger = Array.fold_left (fun n l -> if Array.length l > 1 then n + 1 else n) 0 p in
   larger <= 1
 
-let fast_solver scoring =
-  match scoring with
-  | Scoring.Win w -> Win.best w
-  | Scoring.Med d -> Med.best d
-  | Scoring.Max x -> Max_join.best x
+let run (t : Flat.t) =
+  match t.Flat.scoring with
+  | Scoring.Win w -> Win.run w t
+  | Scoring.Med d -> Med.run d t
+  | Scoring.Max x -> Max_join.run x t
+
+(* One workspace for every duplicate-unaware solve of one problem (the
+   Section VI handler re-solves it with matches removed). *)
+let fast_solver scoring (p : Match_list.problem) =
+  let t = Flat.create scoring ~n_terms:(Array.length p) in
+  fun p ->
+    Flat.load t p;
+    if run t then Some (Flat.result t) else None
 
 let pick_solver algorithm scoring p =
   match algorithm with
-  | Fast -> fast_solver scoring
+  | Fast -> fast_solver scoring p
   | Naive_alg -> Naive.best scoring
   | Auto ->
-      if switch_to_naive p then Naive.best scoring else fast_solver scoring
+      if switch_to_naive p then Naive.best scoring else fast_solver scoring p
 
 let solve ?(algorithm = Fast) ?(dedup = false) scoring p =
   let solver = pick_solver algorithm scoring p in

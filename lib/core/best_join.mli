@@ -23,6 +23,11 @@ val solve :
     [dedup] is true (default: false). [None] when a list is empty or,
     with [dedup], when no valid matchset exists. *)
 
+val run : Flat.t -> bool
+(** The fast duplicate-unaware solve of the problem loaded in a
+    workspace, for the workspace's scoring ({!Win.run}, {!Med.run},
+    {!Max_join.run}). *)
+
 val solve_with_stats :
   ?algorithm:algorithm ->
   Scoring.t ->

@@ -154,32 +154,21 @@ let max_ (x : Scoring.max) (p : Match_list.problem) =
   Match_list.validate p;
   if Match_list.has_empty_list p then []
   else begin
-    let n = Array.length p in
-    let contribution ~term : Envelope.contribution =
-     fun m l -> Scoring.max_contribution x ~term m ~at:l
-    in
-    let cursors =
-      Array.init n (fun j ->
-          Envelope.cursor (contribution ~term:j)
-            (Envelope.dominating_list (contribution ~term:j) p.(j)))
-    in
+    let t = Flat.of_problem (Scoring.Max x) p in
+    let e = Flat.prepare_envelope t in
     let entries = ref [] in
     Array.iter
       (fun l ->
-        let matchset = Array.make n (Match0.make ~loc:0 ~score:0. ()) in
         let total = ref 0. in
-        let feasible = ref true in
-        for j = 0 to n - 1 do
-          match Envelope.query cursors.(j) l with
-          | None -> feasible := false
-          | Some pick ->
-              matchset.(j) <- pick.Envelope.chosen;
-              total := !total +. pick.Envelope.value
-        done;
-        if !feasible then
-          entries :=
-            { anchor = l; matchset; score = x.Scoring.max_f !total }
-            :: !entries)
+        let matchset =
+          Array.init t.Flat.n (fun j ->
+              Envelope.advance e j l;
+              total := !total +. e.Envelope.height.(j);
+              Flat.match_at t e.Envelope.chosen.(j))
+        in
+        entries :=
+          { anchor = l; matchset; score = Scoring.apply x.Scoring.max_f !total }
+          :: !entries)
       (Match_list.locations p);
     List.rev !entries
   end

@@ -99,7 +99,7 @@ let disambiguate (p : Match_list.problem) =
 (* Branch-and-bound below a root whose duplicate-unaware result [root]
    reuses a location: exactly the loop's state after it popped and
    solved the root node, so the search is the one it always was. *)
-let search solve (p : Match_list.problem) (root : Naive.result) =
+let resume solve (p : Match_list.problem) ~(root : Naive.result) =
   let invocations = ref 1 in
   let best : Naive.result option ref = ref None in
   let visited = Hashtbl.create 64 in
@@ -187,4 +187,4 @@ let best_valid solve (p : Match_list.problem) =
   | None -> (None, { invocations = 1 })
   | Some r when Matchset.is_valid r.Naive.matchset ->
       (Some r, { invocations = 1 })
-  | Some r -> search solve p r
+  | Some r -> resume solve p ~root:r

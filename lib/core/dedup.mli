@@ -25,3 +25,10 @@ val best_valid :
 (** Best valid matchset under the wrapped solver's scoring, or [None]
     when no valid matchset exists (e.g. some list is empty, or the only
     candidates reuse tokens). *)
+
+val resume :
+  solver -> Match_list.problem -> root:Naive.result ->
+  Naive.result option * stats
+(** [best_valid] after its root solve, for a caller that solved the
+    root itself and found its matchset [root] reusing a location: the
+    branch-and-bound below it. [invocations] counts the root solve. *)

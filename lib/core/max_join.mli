@@ -21,6 +21,12 @@ val best : Scoring.max -> Match_list.problem -> Naive.result option
     equals the naive NMAX score on the same input (for
     maximized-at-match scoring functions). *)
 
+val run : Scoring.max -> Flat.t -> bool
+(** [best] on the problem loaded in a workspace created for
+    [Scoring.Max x]: false when a list is empty; otherwise the best
+    matchset into [best] and its score into [result.(0)]. Allocates
+    nothing. *)
+
 val best_general : Scoring.max -> Match_list.problem -> Naive.result option
 (** General envelope-sum approach over the full integer location range
     of the problem. *)

@@ -59,7 +59,7 @@ let emit t (p : pending) =
       {
         Anchored.anchor = p.anchor;
         matchset;
-        score = t.scoring.Scoring.max_f total;
+        score = Scoring.apply t.scoring.Scoring.max_f total;
       }
   end
 
@@ -156,7 +156,7 @@ let default_decay x (p : Match_list.problem) =
   fun d ->
     let best = ref neg_infinity in
     for j = 0 to n - 1 do
-      best := Float.max !best (x.Scoring.max_g j !s_max d)
+      best := Float.max !best (Scoring.max_g x j !s_max d)
     done;
     !best
 

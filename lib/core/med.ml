@@ -1,8 +1,4 @@
-let contribution (d : Scoring.med) ~term : Envelope.contribution =
- fun m l -> Scoring.med_contribution d ~term m ~at:l
-
-let dominating_lists d (p : Match_list.problem) =
-  Array.mapi (fun j l -> Envelope.dominating_list (contribution d ~term:j) l) p
+let dominating_lists d p = Flat.dominating_lists (Scoring.Med d) p
 
 (* Algorithm 2 checks that the current match is the median of the
    assembled candidate before considering it; that check is brittle under
@@ -27,32 +23,58 @@ let dominating_lists d (p : Match_list.problem) =
    Hence score_MED (C(l0)) reaches the optimum, every candidate scores at
    most the optimum, and the best candidate over all match locations is
    an overall best matchset. *)
-let best (d : Scoring.med) (p : Match_list.problem) =
-  Match_list.validate p;
-  if Match_list.has_empty_list p then None
+let run (d : Scoring.med) (t : Flat.t) =
+  if Flat.has_empty_term t then false
   else begin
-    let n = Array.length p in
-    let doms = dominating_lists d p in
-    let cursors =
-      Array.init n (fun j -> Envelope.cursor (contribution d ~term:j) doms.(j))
-    in
-    let best = ref None in
-    let candidate = Array.make n (Match0.make ~loc:0 ~score:0. ()) in
+    let n = t.Flat.n in
+    let e = Flat.prepare_envelope t and ranks = t.Flat.ranks in
+    let have_best = ref false and best_score = ref 0. in
     let last_location = ref min_int in
-    let consider ~term:_ m =
-      let l = m.Match0.loc in
+    Flat.merge_start t;
+    let next = ref (Flat.merge_next t) in
+    while !next >= 0 do
+      let l = t.Flat.loc.(!next) in
       if l <> !last_location then begin
         last_location := l;
+        (* The candidate C(l), scored definitionally: its median is
+           the floor((n+1)/2)-th largest member location (footnote 2),
+           found by insertion into [ranks]. *)
         for j = 0 to n - 1 do
-          ignore (Envelope.value_at cursors.(j) l : float);
-          candidate.(j) <- Envelope.chosen cursors.(j)
+          Envelope.advance e j l;
+          let v = t.Flat.loc.(e.Envelope.chosen.(j)) in
+          let k = ref j in
+          while !k > 0 && ranks.(!k - 1) < v do
+            ranks.(!k) <- ranks.(!k - 1);
+            decr k
+          done;
+          ranks.(!k) <- v
         done;
-        let s = Scoring.score_med d candidate in
-        match !best with
-        | Some r when r.Naive.score >= s -> ()
-        | _ -> best := Some { Naive.matchset = Array.copy candidate; score = s }
-      end
-    in
-    Match_list.iter_in_location_order p consider;
-    !best
+        let median = ranks.(((n + 1) / 2) - 1) in
+        let sum = ref 0. in
+        for j = 0 to n - 1 do
+          let c = e.Envelope.chosen.(j) in
+          sum :=
+            !sum
+            +. (t.Flat.value.(c) -. float_of_int (abs (t.Flat.loc.(c) - median)))
+        done;
+        let r = t.Flat.result in
+        r.(1) <- !sum;
+        Scoring.apply_at d.Scoring.med_f r 1;
+        let s = r.(1) in
+        if not (!have_best && !best_score >= s) then begin
+          have_best := true;
+          best_score := s;
+          for j = 0 to n - 1 do
+            t.Flat.best.(j) <- e.Envelope.chosen.(j)
+          done
+        end
+      end;
+      next := Flat.merge_next t
+    done;
+    if !have_best then t.Flat.result.(0) <- !best_score;
+    !have_best
   end
+
+let best (d : Scoring.med) (p : Match_list.problem) =
+  let t = Flat.of_problem (Scoring.Med d) p in
+  if run d t then Some (Flat.result t) else None

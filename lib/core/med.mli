@@ -16,6 +16,12 @@ val best : Scoring.med -> Match_list.problem -> Naive.result option
 (** Overall best matchset, or [None] when a list is empty. The score of
     the result equals the naive NMED score on the same input. *)
 
+val run : Scoring.med -> Flat.t -> bool
+(** [best] on the problem loaded in a workspace created for
+    [Scoring.Med d]: false when a list is empty; otherwise the best
+    matchset into [best] and its score into [result.(0)]. Allocates
+    nothing. *)
+
 val dominating_lists : Scoring.med -> Match_list.problem -> Match0.t array array
 (** The precomputed per-term dominating-match lists [V_j] (exposed for
     tests and diagnostics). *)

@@ -1,35 +1,61 @@
+type outer =
+  | Identity
+  | Exp_scaled of float
+  | Outer of (float -> float)
+
+let[@inline] apply o x =
+  match o with
+  | Identity -> x
+  | Exp_scaled a -> exp (a *. x)
+  | Outer f -> f x
+
+let apply_at o a i = a.(i) <- apply o a.(i)
+
 type win = {
   win_g : int -> float -> float;
-  win_f : float -> int -> float;
-  win_key : float -> int -> float;
+  win_form : win_form;
   win_name : string;
 }
+
+and win_form =
+  | Window_penalty of { beta : float; outer : outer }
+  | Win_closures of {
+      key : float -> int -> float;
+      f : float -> int -> float;
+    }
+
+let win_key w x y =
+  match w.win_form with
+  | Window_penalty { beta; _ } -> x -. (beta *. float_of_int y)
+  | Win_closures { key; _ } -> key x y
+
+let win_f w x y =
+  match w.win_form with
+  | Window_penalty { beta; outer } -> apply outer (x -. (beta *. float_of_int y))
+  | Win_closures { f; _ } -> f x y
 
 let score_win w (m : Matchset.t) =
   let gsum = ref 0. in
   Array.iteri (fun j x -> gsum := !gsum +. w.win_g j x.Match0.score) m;
-  w.win_f !gsum (Matchset.window m)
+  win_f w !gsum (Matchset.window m)
 
 let win_exponential ~alpha =
   {
     win_g = (fun _ x -> log x);
-    win_f = (fun x y -> exp (x -. (alpha *. float_of_int y)));
-    win_key = (fun x y -> x -. (alpha *. float_of_int y));
+    win_form = Window_penalty { beta = alpha; outer = Exp_scaled 1. };
     win_name = Printf.sprintf "WIN-exp(%.2g)" alpha;
   }
 
 let win_linear =
-  let f x y = x -. float_of_int y in
   {
     win_g = (fun _ x -> x /. 0.3);
-    win_f = f;
-    win_key = f;
+    win_form = Window_penalty { beta = 1.; outer = Identity };
     win_name = "WIN-linear";
   }
 
 type med = {
   med_g : int -> float -> float;
-  med_f : float -> float;
+  med_f : outer;
   med_name : string;
 }
 
@@ -42,35 +68,40 @@ let score_med d (m : Matchset.t) =
   for j = 0 to Array.length m - 1 do
     sum := !sum +. med_contribution d ~term:j m.(j) ~at:median
   done;
-  d.med_f !sum
+  apply d.med_f !sum
 
 let med_exponential ~alpha =
   {
     med_g = (fun _ x -> log x /. alpha);
-    med_f = (fun x -> exp (alpha *. x));
+    med_f = Exp_scaled alpha;
     med_name = Printf.sprintf "MED-exp(%.2g)" alpha;
   }
 
 let med_linear =
-  {
-    med_g = (fun _ x -> x /. 0.3);
-    med_f = (fun x -> x);
-    med_name = "MED-linear";
-  }
+  { med_g = (fun _ x -> x /. 0.3); med_f = Identity; med_name = "MED-linear" }
 
 type max = {
-  max_g : int -> float -> int -> float;
-  max_f : float -> float;
+  max_form : max_form;
+  max_f : outer;
   max_name : string;
 }
 
+and max_form =
+  | Decay of { g : int -> float -> float; alpha : float }
+  | Contribution of (int -> float -> int -> float)
+
+let max_g x j score d =
+  match x.max_form with
+  | Decay { g; alpha } -> g j score *. exp (-.alpha *. float_of_int d)
+  | Contribution c -> c j score d
+
 let max_contribution x ~term m ~at =
-  x.max_g term m.Match0.score (abs (m.Match0.loc - at))
+  max_g x term m.Match0.score (abs (m.Match0.loc - at))
 
 let score_max_at x (m : Matchset.t) ~at =
   let sum = ref 0. in
   Array.iteri (fun j mm -> sum := !sum +. max_contribution x ~term:j mm ~at) m;
-  x.max_f !sum
+  apply x.max_f !sum
 
 let score_max x (m : Matchset.t) =
   (* Maximized-at-match (Definition 8): the optimum reference point is at
@@ -86,25 +117,27 @@ let score_max x (m : Matchset.t) =
 
 let max_product ~alpha =
   {
-    max_g = (fun _ x d -> log x -. (alpha *. float_of_int d));
-    max_f = exp;
+    max_form =
+      Contribution (fun _ x d -> log x -. (alpha *. float_of_int d));
+    max_f = Exp_scaled 1.;
     max_name = Printf.sprintf "MAX-prod(%.2g)" alpha;
   }
 
 let max_sum ~alpha =
   {
-    max_g = (fun _ x d -> x *. exp (-.alpha *. float_of_int d));
-    max_f = (fun x -> x);
+    max_form = Decay { g = (fun _ x -> x); alpha };
+    max_f = Identity;
     max_name = Printf.sprintf "MAX-sum(%.2g)" alpha;
   }
 
 let max_gaussian_sum ~alpha =
   {
-    max_g =
-      (fun _ x d ->
-        let d = float_of_int d in
-        x *. exp (-.alpha *. d *. d));
-    max_f = (fun x -> x);
+    max_form =
+      Contribution
+        (fun _ x d ->
+          let d = float_of_int d in
+          x *. exp (-.alpha *. d *. d));
+    max_f = Identity;
     max_name = Printf.sprintf "MAX-gauss(%.2g)" alpha;
   }
 
@@ -126,30 +159,42 @@ let name = function
   | Med d -> d.med_name
   | Max x -> x.max_name
 
+let g t j score =
+  match t with
+  | Win w -> w.win_g j score
+  | Med d -> d.med_g j score
+  | Max { max_form = Decay { g; _ }; _ } -> g j score
+  | Max { max_form = Contribution _; _ } -> score
+
 let score t m =
   match t with
   | Win w -> score_win w m
   | Med d -> score_med d m
   | Max x -> score_max x m
 
-(* Plain loops, no closure or captured accumulator: the searcher takes
-   this bound for every candidate. *)
-let upper_bound t best_scores =
-  let n = Array.length best_scores in
+(* Plain loops over the per-term values, no closure call for the data
+   forms: the searcher takes this bound for every candidate. *)
+let upper_bound t values =
+  let n = Array.length values in
   let acc = ref 0. in
   match t with
   | Win w ->
       for j = 0 to n - 1 do
-        acc := !acc +. w.win_g j best_scores.(j)
+        acc := !acc +. values.(j)
       done;
-      w.win_f !acc 0
+      win_f w !acc 0
   | Med d ->
       for j = 0 to n - 1 do
-        acc := !acc +. d.med_g j best_scores.(j)
+        acc := !acc +. values.(j)
       done;
-      d.med_f !acc
-  | Max x ->
+      apply d.med_f !acc
+  | Max ({ max_form = Decay { alpha; _ }; _ } as x) ->
       for j = 0 to n - 1 do
-        acc := !acc +. x.max_g j best_scores.(j) 0
+        acc := !acc +. (values.(j) *. exp (-.alpha *. float_of_int 0))
       done;
-      x.max_f !acc
+      apply x.max_f !acc
+  | Max ({ max_form = Contribution c; _ } as x) ->
+      for j = 0 to n - 1 do
+        acc := !acc +. c j values.(j) 0
+      done;
+      apply x.max_f !acc

@@ -1,9 +1,30 @@
 (** Matchset scoring functions (Definitions 3, 5 and 7).
 
-    Each family is represented by first-class records holding the [f]
-    and [g_j] components, so that the join algorithms work for any
-    function in the family while the concrete instances of the paper are
-    provided ready-made. *)
+    A family instance is data its solver reads directly. The per-term
+    transform [g_j] of the individual match score is applied once per
+    match, when a problem is built ({!g}); the rest of the function is
+    a first-order form — WIN's comparison key [g-sum - beta * window],
+    MED's contribution [g - |loc - at|], MAX's [g * exp (-alpha * d)]
+    — under an {!outer} function [f]. The solvers evaluate these forms
+    inline, with no closure call per comparison. An instance outside
+    its family's form keeps its closures, which the same solver loops
+    call instead. The paper's instances are provided ready-made. *)
+
+(** {1 Outer functions} *)
+
+(** A monotonically increasing [f] applied to a summed score. *)
+type outer =
+  | Identity  (** [f x = x] *)
+  | Exp_scaled of float
+      (** [f x = exp (a *. x)]; [a = 1.] is [exp] exactly. *)
+  | Outer of (float -> float)  (** any other monotone [f] *)
+
+val apply : outer -> float -> float
+
+val apply_at : outer -> float array -> int -> unit
+(** [apply_at o a i] replaces [a.(i)] by [apply o a.(i)]: for the
+    solvers' loops, which keep their floats unboxed in arrays — a call
+    passing or returning a float boxes it. *)
 
 (** {1 Window-length (WIN), Definition 3} *)
 
@@ -11,19 +32,31 @@ type win = {
   win_g : int -> float -> float;
       (** [win_g j score]: the monotonically increasing per-term
           transform g_j of the individual match score. *)
-  win_f : float -> int -> float;
-      (** [win_f gsum window]: monotonically increasing in the first
-          argument, decreasing in the second, and satisfying the optimal
-          substructure property of Definition 3. *)
-  win_key : float -> int -> float;
-      (** A strictly increasing transform of [win_f], used for score
-          comparisons in the inner loops of Algorithm 1 — e.g. for
-          Eq. (1)'s [exp (x - alpha y)] the key is [x - alpha y], which
-          avoids an exponential per comparison. Must order pairs exactly
-          as [win_f] does; defaults to [win_f] in the provided
-          constructors when no cheaper form exists. *)
+  win_form : win_form;
   win_name : string;
 }
+
+and win_form =
+  | Window_penalty of { beta : float; outer : outer }
+      (** [f (x, y) = outer (x -. beta *. y)], compared on its key
+          [x -. beta *. y]: Eq. (1) ([beta = alpha], [outer = exp]) and
+          footnote 9's linear instance ([beta = 1], identity). *)
+  | Win_closures of {
+      key : float -> int -> float;
+          (** a strictly increasing transform of [f], used for
+              comparisons in the inner loop of Algorithm 1: it must
+              order pairs exactly as [f] does *)
+      f : float -> int -> float;
+          (** [f gsum window]: increasing in the first argument,
+              decreasing in the second, with the optimal substructure
+              property of Definition 3 *)
+    }
+
+val win_key : win -> float -> int -> float
+(** The comparison key [key gsum window] of either form. *)
+
+val win_f : win -> float -> int -> float
+(** [win_f w gsum window]: the instance's [f]. *)
 
 val score_win : win -> Matchset.t -> float
 (** Definitional WIN score: [f (sum_j g_j score_j) (window M)]. *)
@@ -40,7 +73,7 @@ val win_linear : win
 
 type med = {
   med_g : int -> float -> float;  (** monotonically increasing g_j *)
-  med_f : float -> float;         (** monotonically increasing f *)
+  med_f : outer;                  (** monotonically increasing f *)
   med_name : string;
 }
 
@@ -61,12 +94,20 @@ val med_linear : med
 (** {1 Maximize-over-location (MAX), Definition 7} *)
 
 type max = {
-  max_g : int -> float -> int -> float;
-      (** [max_g j score dist]: g_j, increasing in the score and
-          decreasing in the distance. *)
-  max_f : float -> float;  (** monotonically increasing f *)
+  max_form : max_form;
+  max_f : outer;  (** monotonically increasing f *)
   max_name : string;
 }
+
+and max_form =
+  | Decay of { g : int -> float -> float; alpha : float }
+      (** [c_j (m, d) = g_j (score m) *. exp (-.alpha *. d)] *)
+  | Contribution of (int -> float -> int -> float)
+      (** [c j score d]: any g_j increasing in the score and decreasing
+          in the distance [d] *)
+
+val max_g : max -> int -> float -> int -> float
+(** [max_g x j score d]: the contribution g_j (score, d) of either form. *)
 
 val max_contribution : max -> term:int -> Match0.t -> at:int -> float
 (** Contribution [c_j (m, l) = g_j (score m) |loc m - l|]. *)
@@ -113,12 +154,17 @@ type t =
 
 val name : t -> string
 
+val g : t -> int -> float -> float
+(** [g scoring j score]: the per-match value the family's solver reads,
+    computed once per match — [g_j score], or the score itself for a
+    MAX instance given by its {!Contribution} closure. *)
+
 val score : t -> Matchset.t -> float
 (** Definitional score under any family. *)
 
 val upper_bound : t -> float array -> float
-(** [upper_bound scoring best_scores] bounds the score of any matchset
-    whose member for term [j] has individual score at most
-    [best_scores.(j)]: the proximity penalty is dropped (window 0 /
-    distance 0), leaving [f] of the summed per-term maxima. Used for
-    candidate pruning in top-k document search. *)
+(** [upper_bound scoring values] bounds the score of any matchset whose
+    member for term [j] has individual score at most [s_j], where
+    [values.(j) = g scoring j s_j]: the proximity penalty is dropped
+    (window 0 / distance 0), leaving [f] of the summed per-term
+    maxima. Used for candidate pruning in top-k document search. *)

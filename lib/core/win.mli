@@ -10,6 +10,12 @@ val best : Scoring.win -> Match_list.problem -> Naive.result option
 (** Overall best matchset, or [None] when a list is empty. The score of
     the result equals the naive NWIN score on the same input. *)
 
+val run : Scoring.win -> Flat.t -> bool
+(** [best] on the problem loaded in a workspace created for
+    [Scoring.Win w]: false when a list is empty; otherwise the best
+    matchset into [best] and its score into [result.(0)]. Allocates
+    nothing. *)
+
 val best_ordered : Scoring.win -> Match_list.problem -> Naive.result option
 (** Extension: the overall best matchset whose member locations respect
     the query-term order ([loc m_1 <= loc m_2 <= ...]) — the "order

@@ -57,7 +57,7 @@ let rebuild n chain =
 (* Fold one match into the DP at its location (Algorithm 1's update). *)
 let update t ~term m =
   let w = t.scoring in
-  let key = w.Scoring.win_key in
+  let key = Scoring.win_key w in
   let g = w.Scoring.win_g term m.Match0.score in
   let l = m.Match0.loc in
   Pj_util.Subset.iter_by_decreasing_size t.n_terms (fun s ->
@@ -117,7 +117,7 @@ let close_group t =
           match candidate with
           | None -> ()
           | Some (g_sum, window, ch) -> begin
-              let k = w.Scoring.win_key g_sum window in
+              let k = Scoring.win_key w g_sum window in
               match !best with
               | Some (k', _, _, _) when k' >= k -> ()
               | _ -> best := Some (k, g_sum, window, ch)
@@ -130,7 +130,7 @@ let close_group t =
             {
               Anchored.anchor = l;
               matchset = rebuild t.n_terms ch;
-              score = w.Scoring.win_f g_sum window;
+              score = Scoring.win_f w g_sum window;
             }
 
 let feed t ~term m =

@@ -71,7 +71,7 @@ let best_k ~k (w : Scoring.win) (p : Match_list.problem) =
     let process ~term m =
       let g = w.Scoring.win_g term m.Match0.score in
       let l = m.Match0.loc in
-      let key_at e = w.Scoring.win_key e.g_sum (l - e.l_min) in
+      let key_at e = Scoring.win_key w e.g_sum (l - e.l_min) in
       Pj_util.Subset.iter_by_decreasing_size n (fun s ->
           if Pj_util.Subset.mem term s then begin
             if Pj_util.Subset.equal s (Pj_util.Subset.singleton term) then begin
@@ -101,7 +101,7 @@ let best_k ~k (w : Scoring.win) (p : Match_list.problem) =
          re-record lower values, filtered by the max-keeping table. *)
       List.iter
         (fun e ->
-          let score = w.Scoring.win_f e.g_sum (l - e.l_min) in
+          let score = Scoring.win_f w e.g_sum (l - e.l_min) in
           match Hashtbl.find_opt candidates e.key_id with
           | Some (s, _) when s >= score -> ()
           | _ -> Hashtbl.replace candidates e.key_id (score, e.members))

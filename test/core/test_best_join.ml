@@ -54,6 +54,74 @@ let test_by_location_dispatch () =
         (Best_join.by_location scoring p <> []))
     scorings
 
+(* A searcher run's solve path: one workspace for the run; per
+   candidate, the problem rebuilt in it from its expansion forms'
+   positions, the family's solver, and a matchset built only for a hit
+   the top-k admits. Every candidate here carries the same 3-term
+   problem (term 0 interleaving two forms), so only the first [k] are
+   admitted and later ties lose. The loop allocates within a constant
+   plus those matchsets, however many candidates it solves. *)
+let served_solve_allocation scoring () =
+  let scores = [| 1.0; 0.4 |] and payloads = [| 7; 8 |] in
+  let values = Array.init 3 (fun j -> Array.map (Scoring.g scoring j) scores) in
+  let forms = [| [| [| 3; 40 |]; [| 7; 41 |] |]; [| [| 5 |] |]; [| [| 9; 12 |] |] |] in
+  let problem =
+    Array.map
+      (fun term_forms ->
+        Match_list.of_unsorted
+          (Array.concat
+             (Array.to_list
+                (Array.mapi
+                   (fun form positions ->
+                     Array.map
+                       (fun loc ->
+                         Match0.make ~payload:payloads.(form) ~loc
+                           ~score:scores.(form) ())
+                       positions)
+                   term_forms))))
+      forms
+  in
+  let expected =
+    match Best_join.solve ~dedup:true scoring problem with
+    | Some r -> r
+    | None -> Alcotest.fail "no matchset"
+  in
+  let t = Flat.create scoring ~n_terms:3 in
+  let k = 10 and candidates = 5_000 in
+  let admitted = ref [] and n_admitted = ref 0 and solved = ref 0 in
+  let words0 = Gc.minor_words () in
+  for _ = 1 to candidates do
+    Flat.clear t;
+    for j = 0 to 2 do
+      for form = 0 to Array.length forms.(j) - 1 do
+        Flat.add_form t forms.(j).(form) ~form ~scores ~values:values.(j)
+          ~payloads
+      done;
+      Flat.close_term t
+    done;
+    if Best_join.run t && Flat.best_is_valid t then begin
+      incr solved;
+      if !n_admitted < k then begin
+        incr n_admitted;
+        admitted := Flat.matchset t :: !admitted
+      end
+    end
+  done;
+  let words = Gc.minor_words () -. words0 in
+  Alcotest.(check int) "every candidate solved" candidates !solved;
+  Alcotest.(check bool) "the solve's score" true
+    (Int64.bits_of_float t.Flat.result.(0)
+    = Int64.bits_of_float expected.Naive.score);
+  List.iter
+    (fun ms ->
+      Alcotest.(check bool) "the solve's matchset" true
+        (Matchset.equal ms expected.Naive.matchset))
+    !admitted;
+  let budget = 256. +. (64. *. float_of_int !n_admitted) in
+  if words > budget then
+    Alcotest.failf "%s: %.0f words for %d candidates (budget %.0f)"
+      (Scoring.name scoring) words candidates budget
+
 let suite =
   [
     ("best_join: switch heuristic", `Quick, test_switch_heuristic);
@@ -62,3 +130,10 @@ let suite =
   ]
   @ List.map solve_agrees_across_algorithms scorings
   @ List.map dedup_flag_gives_valid scorings
+  @ List.map
+      (fun scoring ->
+        ( Printf.sprintf "best_join: served solve allocates per admitted hit only [%s]"
+            (Scoring.name scoring),
+          `Quick,
+          served_solve_allocation scoring ))
+      scorings

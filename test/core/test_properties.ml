@@ -55,7 +55,7 @@ let win_instance_properties w =
       let x1 = w.Scoring.win_g 0 s1 and x2 = w.Scoring.win_g 0 s2 in
       let lo_x = Float.min x1 x2 and hi_x = Float.max x1 x2 in
       let lo_y = Stdlib.min y1 y2 and hi_y = Stdlib.max y1 y2 in
-      let f = w.Scoring.win_f in
+      let f = Scoring.win_f w in
       (* monotone in x, antitone in y *)
       f hi_x lo_y >= f lo_x lo_y
       && f lo_x hi_y <= f lo_x lo_y
@@ -70,7 +70,7 @@ let win_instance_properties w =
          end
       (* the comparison key orders pairs exactly like f *)
       && begin
-           let k = w.Scoring.win_key in
+           let k = Scoring.win_key w in
            compare (f lo_x lo_y) (f hi_x hi_y)
            = compare (k lo_x lo_y) (k hi_x hi_y)
          end)
@@ -202,7 +202,9 @@ let upper_bound_dominates scoring =
             Array.fold_left (fun acc m -> Float.max acc m.Match0.score) 0. l)
           p
       in
-      let bound = Scoring.upper_bound scoring best_scores in
+      let bound =
+        Scoring.upper_bound scoring (Array.mapi (Scoring.g scoring) best_scores)
+      in
       let ok = ref true in
       Naive.iter_matchsets p (fun ms ->
           if Scoring.score scoring ms > bound +. 1e-9 then ok := false);

@@ -98,6 +98,92 @@ let test_fig2_med_distinguishes () =
   Alcotest.(check bool) "med prefers clustered" true
     (Scoring.score_med d clustered > Scoring.score_med d spread)
 
+(* --- data forms against closures ------------------------------------ *)
+
+(* Each served instance as its data form and as the reference closures
+   over the same equation. *)
+let served =
+  [
+    ( "WIN",
+      fun alpha ->
+        ( Scoring.Win (Scoring.win_exponential ~alpha),
+          Scoring.Win (Pj_reference.win_exponential ~alpha) ) );
+    ( "MED",
+      fun alpha ->
+        ( Scoring.Med (Scoring.med_exponential ~alpha),
+          Scoring.Med (Pj_reference.med_exponential ~alpha) ) );
+    ( "MAX",
+      fun alpha ->
+        ( Scoring.Max (Scoring.max_sum ~alpha),
+          Scoring.Max (Pj_reference.max_sum ~alpha) ) );
+  ]
+
+let bits x = Int64.bits_of_float x
+
+let same_result a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (x : Naive.result), Some (y : Naive.result) ->
+      bits x.score = bits y.score && Matchset.equal x.matchset y.matchset
+  | _ -> false
+
+(* The protocol's alphas (the benchmark draws from these) or any other
+   in (0, 2]. *)
+let alpha_gen =
+  QCheck.Gen.(oneof [ oneofl [ 0.05; 0.1; 0.2 ]; float_range 0.01 2. ])
+
+(* On problems with score ties and co-located matches (within and
+   across lists), the data form scores every matchset, solves (with and
+   without the duplicate handler), and bounds exactly as the closures
+   do; and its bound is at least the score of every valid matchset. *)
+let data_form_is_closures (family, instances) =
+  Gen.qtest ~count:300
+    ~name:(Printf.sprintf "data form = closures, bit for bit [%s]" family)
+    (QCheck.make
+       ~print:(fun (alpha, p) -> Printf.sprintf "alpha %h\n%s" alpha (Gen.pp_problem p))
+       QCheck.Gen.(
+         pair alpha_gen (Gen.problem_gen ~max_terms:4 ~max_len:4 ~max_loc:8 ())))
+    (fun (alpha, p) ->
+      let data, closures = instances alpha in
+      let every_matchset = ref true in
+      Naive.iter_matchsets p (fun ms ->
+          if bits (Scoring.score data ms) <> bits (Scoring.score closures ms)
+          then every_matchset := false);
+      let values scoring =
+        Array.mapi
+          (fun j l ->
+            Scoring.g scoring j
+              (Array.fold_left (fun acc m -> Float.max acc m.Match0.score) 0. l))
+          p
+      in
+      let bound = Scoring.upper_bound data (values data) in
+      let dominated = ref true in
+      Naive.iter_matchsets p (fun ms ->
+          if Matchset.is_valid ms && Scoring.score data ms > bound then
+            dominated := false);
+      let fast = Best_join.solve data p in
+      let definitional =
+        match (fast, Naive.best closures p) with
+        | None, None -> true
+        | Some f, Some o ->
+            (* MED's solver scores its candidate definitionally; WIN and
+               MAX sum in another order *)
+            let exact = match data with Scoring.Med _ -> true | _ -> false in
+            let s = Scoring.score closures f.Naive.matchset in
+            (if exact then bits f.Naive.score = bits s
+             else Gen.float_close f.Naive.score s)
+            && Gen.float_close f.Naive.score o.Naive.score
+        | _ -> false
+      in
+      !every_matchset && definitional
+      && same_result (Naive.best data p) (Naive.best closures p)
+      && same_result fast (Best_join.solve closures p)
+      && same_result
+           (Best_join.solve ~dedup:true data p)
+           (Best_join.solve ~dedup:true closures p)
+      && bits bound = bits (Scoring.upper_bound closures (values closures))
+      && !dominated)
+
 let suite =
   [
     ("matchset: window", `Quick, test_window);
@@ -115,3 +201,4 @@ let suite =
     ("scoring: MAX anchors near heavy match", `Quick, test_max_anchor_prefers_heavy);
     ("scoring: Fig 2 MED vs WIN", `Quick, test_fig2_med_distinguishes);
   ]
+  @ List.map data_form_is_closures served

@@ -37,6 +37,36 @@ let search ~k idx scoring q =
   in
   List.filteri (fun i _ -> i < k) (List.sort compare_hits hits)
 
+(* --- scoring closures ------------------------------------------------- *)
+
+let win_exponential ~alpha =
+  {
+    Pj_core.Scoring.win_g = (fun _ x -> log x);
+    win_form =
+      Pj_core.Scoring.Win_closures
+        {
+          key = (fun x y -> x -. (alpha *. float_of_int y));
+          f = (fun x y -> exp (x -. (alpha *. float_of_int y)));
+        };
+    win_name = Printf.sprintf "WIN-exp(%.2g) closures" alpha;
+  }
+
+let med_exponential ~alpha =
+  {
+    Pj_core.Scoring.med_g = (fun _ x -> log x /. alpha);
+    med_f = Pj_core.Scoring.Outer (fun x -> exp (alpha *. x));
+    med_name = Printf.sprintf "MED-exp(%.2g) closures" alpha;
+  }
+
+let max_sum ~alpha =
+  {
+    Pj_core.Scoring.max_form =
+      Pj_core.Scoring.Contribution
+        (fun _ x d -> x *. exp (-.alpha *. float_of_int d));
+    max_f = Pj_core.Scoring.Outer (fun x -> x);
+    max_name = Printf.sprintf "MAX-sum(%.2g) closures" alpha;
+  }
+
 (* --- index build ------------------------------------------------------- *)
 
 (* The accumulate-then-sort build the counting builder replaced: one Vec

@@ -24,6 +24,18 @@ val search :
     ties toward smaller doc ids — {!Pj_engine.Searcher.search}'s
     contract. *)
 
+(** {1 Scoring closures}
+
+    The three served instances (Eq. (1), Eq. (3), Eq. (5)) as plain
+    closures over their equations — the form any instance outside the
+    data forms takes. The data forms of {!Pj_core.Scoring.win_exponential},
+    {!Pj_core.Scoring.med_exponential} and {!Pj_core.Scoring.max_sum}
+    must score, solve and bound exactly as these do, bit for bit. *)
+
+val win_exponential : alpha:float -> Pj_core.Scoring.win
+val med_exponential : alpha:float -> Pj_core.Scoring.med
+val max_sum : alpha:float -> Pj_core.Scoring.max
+
 (** {1 Index build}
 
     The accumulate-then-sort build: per token, a growable vector of

@@ -13,9 +13,13 @@ let mem j s = s land (1 lsl j) <> 0
 let add j s = s lor (1 lsl j)
 let remove j s = s land lnot (1 lsl j)
 
+(* Bit counts of pairs, nibbles and bytes, summed by one multiply: a
+   subset of at most 30 terms fits the 32 bits this covers. *)
 let cardinal s =
-  let rec loop s acc = if s = 0 then acc else loop (s lsr 1) (acc + (s land 1)) in
-  loop s 0
+  let s = s - ((s lsr 1) land 0x55555555) in
+  let s = (s land 0x33333333) + ((s lsr 2) land 0x33333333) in
+  let s = (s + (s lsr 4)) land 0x0f0f0f0f in
+  ((s * 0x01010101) lsr 24) land 0xff
 
 let is_empty s = s = 0
 let equal (a : t) b = a = b

@@ -41,6 +41,22 @@ let test_singleton () =
   Alcotest.(check int) "cardinal" 1 (Subset.cardinal (Subset.singleton 7));
   Alcotest.(check bool) "mem" true (Subset.mem 7 (Subset.singleton 7))
 
+(* [cardinal] counts bits without a loop; check it against one over
+   every subset of 16 terms and a spread of subsets up to 30 terms. *)
+let test_cardinal_counts_bits () =
+  let rec bits s = if s = 0 then 0 else (s land 1) + bits (s lsr 1) in
+  for s = 0 to Subset.full 16 do
+    if Subset.cardinal s <> bits s then
+      Alcotest.failf "cardinal %d = %d, not %d" s (Subset.cardinal s) (bits s)
+  done;
+  let s = ref (Subset.full 30) in
+  while !s > 0 do
+    Alcotest.(check int) (Printf.sprintf "cardinal %d" !s) (bits !s)
+      (Subset.cardinal !s);
+    s := !s - (!s / 7) - 1
+  done;
+  Alcotest.(check int) "30 terms" 30 (Subset.cardinal (Subset.full 30))
+
 let suite =
   [
     ("subset: membership", `Quick, test_membership);
@@ -50,4 +66,5 @@ let suite =
     ("subset: iter_nonempty count", `Quick, test_iter_nonempty_count);
     ("subset: decreasing-size order", `Quick, test_iter_by_decreasing_size);
     ("subset: singleton", `Quick, test_singleton);
+    ("subset: cardinal counts bits", `Quick, test_cardinal_counts_bits);
   ]

@@ -27,45 +27,28 @@ let scan vocab (doc : Pj_text.Document.t) (q : Query.t) =
     doc.Pj_text.Document.tokens;
   Array.map Pj_util.Vec.to_array lists
 
+let form_tokens vocab expansions =
+  let merge acc (form, score) =
+    match Pj_text.Vocab.find vocab form with
+    | None -> acc
+    | Some (tok : int) when List.exists (fun (t, _) -> t = tok) acc ->
+        List.map (fun (t, s) -> (t, if t = tok then Float.max s score else s)) acc
+    | Some tok -> (tok, score) :: acc
+  in
+  List.rev (List.fold_left merge [] expansions)
+
 let of_form_matches arr =
-  let n = Array.length arr in
   let in_order = ref true in
-  for i = 1 to n - 1 do
+  for i = 1 to Array.length arr - 1 do
     if arr.(i - 1).Pj_core.Match0.loc >= arr.(i).Pj_core.Match0.loc then
       in_order := false
   done;
-  (* One form's positions arrive strictly increasing: nothing to sort
-     or drop, so the array is the list. *)
-  if !in_order then arr
-  else begin
-    (* Several expansion forms can share a location only if two
-       distinct lexicon forms intern to the same token, which the
-       vocabulary forbids; still, keep one match per location (the
-       best-scoring). *)
+  (* One form's positions arrive strictly increasing: nothing to sort. *)
+  if not !in_order then
     Array.sort
-      (fun a b ->
-        let c = compare a.Pj_core.Match0.loc b.Pj_core.Match0.loc in
-        if c <> 0 then c
-        else compare b.Pj_core.Match0.score a.Pj_core.Match0.score)
+      (fun a b -> Int.compare a.Pj_core.Match0.loc b.Pj_core.Match0.loc)
       arr;
-    let kept = ref 1 in
-    for i = 1 to n - 1 do
-      if arr.(i).Pj_core.Match0.loc <> arr.(i - 1).Pj_core.Match0.loc then
-        incr kept
-    done;
-    if !kept = n then arr
-    else begin
-      let out = Array.make !kept arr.(0) and k = ref 1 in
-      for i = 1 to n - 1 do
-        if arr.(i).Pj_core.Match0.loc <> arr.(i - 1).Pj_core.Match0.loc
-        then begin
-          out.(!k) <- arr.(i);
-          incr k
-        end
-      done;
-      out
-    end
-  end
+  arr
 
 let from_index idx ~doc_id (q : Query.t) =
   let vocab = Pj_index.Corpus.vocab (Pj_index.Inverted_index.corpus idx) in
@@ -80,17 +63,13 @@ let from_index idx ~doc_id (q : Query.t) =
       | Some expansions ->
           let matches = Pj_util.Vec.create () in
           List.iter
-            (fun (form, score) ->
-              match Pj_text.Vocab.find vocab form with
-              | None -> ()
-              | Some tok ->
-                  Array.iter
-                    (fun pos ->
-                      Pj_util.Vec.push matches
-                        (Pj_core.Match0.make ~payload:tok ~loc:pos ~score ()))
-                    (Pj_index.Inverted_index.positions_in idx ~token:tok
-                       ~doc_id))
-            expansions;
+            (fun (tok, score) ->
+              Array.iter
+                (fun pos ->
+                  Pj_util.Vec.push matches
+                    (Pj_core.Match0.make ~payload:tok ~loc:pos ~score ()))
+                (Pj_index.Inverted_index.positions_in idx ~token:tok ~doc_id))
+            (form_tokens vocab expansions);
           of_form_matches (Pj_util.Vec.to_array matches))
     q.Query.matchers
 

@@ -15,8 +15,7 @@
      max-score early stop kills the tail here.
 
    - "impact_skewed": uniform plus heavy term repetition in a few
-     documents, varying the per-block quantized impact ceilings the
-     skip metadata records.
+     documents: their positions lists grow, their form scores do not.
 
    The pruned hits are checked byte-identical to the exhaustive
    reference ([Pj_reference]) before anything is timed.
@@ -56,7 +55,7 @@ let plant rng tokens form p =
    document carries one tight run of the full-score forms, clearing the
    weak ceiling (0.35 + 0.3 + 0.25 = 0.9) by a wide margin. [spike]
    additionally repeats a weak form many times — term-frequency spikes
-   that lift single blocks' quantized impact ceilings. *)
+   that no form score sees. *)
 let add_doc corpus rng ~strong ~spike =
   let len = 80 + Pj_util.Prng.int rng 120 in
   let tokens = Array.init len (fun _ -> Textgen.random_filler rng) in

@@ -10,13 +10,15 @@
    grammar of Pj_matching.Query_parser (wordnet:X, stem:X, exact:X,
    date, place, city, country, year, and |-disjunctions). *)
 
-(* The first four bytes of a file; "" for a pipe, which has no length
-   and whose bytes a peek would consume. *)
-let sniff_magic path =
+(* The first [n] bytes of a file (all of a shorter one); "" for a
+   pipe, which has no length and whose bytes a peek would consume. *)
+let sniff path n =
   In_channel.with_open_bin path (fun ic ->
       match in_channel_length ic with
-      | len -> really_input_string ic (Stdlib.min 4 len)
+      | len -> really_input_string ic (Stdlib.min n len)
       | exception Sys_error _ -> "")
+
+let sniff_magic path = sniff path 4
 
 (* The magics of proxjoin's own binary files, with what each is and
    what to do with it instead: read as text, any of them would index
@@ -38,7 +40,16 @@ let binary_formats =
   ]
 
 let read_documents path =
-  let magic = sniff_magic path in
+  let head = sniff path 5 in
+  let magic = String.sub head 0 (Stdlib.min 4 (String.length head)) in
+  (* A PJX4 file of another format version is no index this build can
+     serve either, so [serve --index] is the wrong advice for it. *)
+  (if magic = Pj_ondisk.File_format.magic && String.length head = 5 then
+     let v = Char.code head.[4] in
+     if v <> Pj_ondisk.File_format.version then
+       failwith
+         (Printf.sprintf "%s is not documents: %s" path
+            (Pj_ondisk.File_format.version_error v)));
   List.iter
     (fun (m, what, advice) ->
       if m = magic then
@@ -299,7 +310,9 @@ let run_inspect path deep =
   if deep then Pj_ondisk.Mapped_index.check mapped;
   let info = Pj_ondisk.Mapped_index.info mapped in
   let vocab = Pj_ondisk.Mapped_index.vocab mapped in
-  Printf.printf "%s: proxjoin v4 index (%s, CRC ok, opened in %.2f ms)\n" path
+  Printf.printf
+    "%s: proxjoin PJX4 index, version %d (%s, CRC ok, opened in %.2f ms)\n"
+    path info.Pj_ondisk.Mapped_index.version
     (if deep then "deep-checked" else "verified")
     open_ms;
   Printf.printf
@@ -332,8 +345,7 @@ let run_inspect path deep =
       (human_bytes info.Pj_ondisk.Mapped_index.mem_postings_bytes)
       (float_of_int info.Pj_ondisk.Mapped_index.mem_postings_bytes
       /. float_of_int info.Pj_ondisk.Mapped_index.postings_bytes);
-  (* Per-block skip/max summaries for the heaviest terms: how full the
-     blocks run and how the quantized block-max impacts spread. *)
+  (* The heaviest terms: how many blocks their lists span. *)
   let heavy = ref [] in
   for tok = 0 to info.Pj_ondisk.Mapped_index.n_words - 1 do
     match Pj_ondisk.Mapped_index.term_reader mapped tok with
@@ -350,23 +362,14 @@ let run_inspect path deep =
   (match take 5 heavy with
   | [] -> ()
   | top ->
-      Printf.printf "  heaviest terms (df, blocks, block-max impact range):\n";
+      Printf.printf "  heaviest terms (df, blocks, last doc):\n";
       List.iter
         (fun (tok, r) ->
-          let qmin = ref 256 and qmax = ref (-1) and last = ref (-1) in
-          Pj_ondisk.Codec.iter_blocks r
-            (fun ~block:_ ~last_doc ~doc_count:_ ~qmax:q ->
-              if q < !qmin then qmin := q;
-              if q > !qmax then qmax := q;
-              last := last_doc);
-          Printf.printf
-            "    %-16s df %-8d blocks %-6d max %.3f..%.3f  last doc %d\n"
+          Printf.printf "    %-16s df %-8d blocks %-6d last doc %d\n"
             (Pj_text.Vocab.word vocab tok)
             r.Pj_ondisk.Codec.df
             (Pj_ondisk.Codec.n_blocks ~df:r.Pj_ondisk.Codec.df)
-            (Pj_ondisk.Codec.dequantize !qmin)
-            (Pj_ondisk.Codec.dequantize !qmax)
-            !last)
+            (Pj_ondisk.Codec.last_doc r))
         top)
 
 (* --- serve: hold the index hot behind a TCP protocol ------------------- *)
@@ -1029,8 +1032,8 @@ let inspect_cmd =
   Cmd.v
     (Cmd.info "inspect"
        ~doc:
-         "Verify and summarize a v4 index file: versions, counts, section \
-          sizes, compression ratio, per-block skip/max summaries.")
+         "Verify and summarize a v4 index file: format version, counts, \
+          section sizes, compression ratio, the heaviest terms' blocks.")
     Term.(ret (const run $ path $ deep))
 
 let demo_cmd =

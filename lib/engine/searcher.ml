@@ -185,8 +185,8 @@ let weaker_first a b =
 let shared r = !(r.threshold)
 
 (* --- bounding -------------------------------------------------------------
-   Threshold-aware candidate generation on the skip metadata every
-   cursor carries ([block_max_score] / [block_last_doc]):
+   Threshold-aware candidate generation on the block boundaries every
+   cursor reports ([block_last_doc]):
 
    - Essential-form pruning (max-score over the expansion banks): a
      form whose score ceiling cannot lift any document past the
@@ -216,8 +216,9 @@ let shared r = !(r.threshold)
    tie-aware in-fragment rule (candidates arrive in increasing doc id,
    so a tied bound always loses), so the top-k equals the unpruned
    conjunction's. Match scores are the static expansion-form scores,
-   so form presence — not the tf-impact ceiling — is the per-block
-   quantity these bounds are built from. *)
+   so form presence, not term frequency, is the per-block quantity
+   these bounds are built from, and no cursor carries a per-block
+   score ceiling. *)
 
 (* [Scoring.upper_bound] with each term at the score of its picked form
    ([-1]: no form, score 0.), from the values computed once per run. *)

@@ -116,14 +116,6 @@ let count_postings ~n_slots (ids : int array) (runs : int array array) =
           let p = start.(s) + k in
           Posting.of_sorted ~doc_id:doc_of.(p) ~positions:positions.(p)))
 
-(* Adopt one finished array and build its block sidecar now
-   (freeze/seal time), so block-max traversal never pays the one-off
-   build on a query. *)
-let seal_list posts =
-  let pl = Posting_list.of_sorted_array posts in
-  Posting_list.seal pl;
-  pl
-
 let build corpus =
   let n_slots = Pj_text.Vocab.size (Corpus.vocab corpus) in
   let docs = Array.init (Corpus.size corpus) (Corpus.document corpus) in
@@ -132,12 +124,7 @@ let build corpus =
       (Array.map (fun d -> d.Pj_text.Document.id) docs)
       (Array.map (fun d -> d.Pj_text.Document.tokens) docs)
   in
-  let lists =
-    Array.map
-      (fun p -> if Array.length p = 0 then Posting_list.empty else seal_list p)
-      posts
-  in
-  { corpus; store = Dense lists }
+  { corpus; store = Dense (Array.map Posting_list.of_sorted_array posts) }
 
 (* Token ids are global, and a memtable or segment touches a sliver of
    the vocabulary: slots are the distinct tokens of [docs] in
@@ -175,7 +162,9 @@ let build_docs ?(skip = fun _ -> false) corpus docs =
   in
   let lists = Hashtbl.create (Array.length posts) in
   Array.iteri
-    (fun s p -> Hashtbl.add lists (Pj_util.Vec.get tokens s) (seal_list p))
+    (fun s p ->
+      Hashtbl.add lists (Pj_util.Vec.get tokens s)
+        (Posting_list.of_sorted_array p))
     posts;
   { corpus; store = Sparse lists }
 

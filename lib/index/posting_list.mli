@@ -53,16 +53,7 @@ val append_disjoint : t -> t -> t
 (** [append_disjoint a b] splices two lists whose doc-id ranges are
     disjoint and ordered (every id of [a] below every id of [b]) in one
     O(df) array append — how adjacent segments merge a shared term.
-    When [a]'s length is a whole number of blocks and both inputs carry
-    built block sidecars, the result's sidecar is spliced from theirs
-    (O(blocks)) instead of recomputed. Raises [Invalid_argument] when
-    the ranges overlap. *)
-
-val seal : t -> unit
-(** Build (and cache) the per-block skip sidecar now — the freeze/seal
-    hook for lists that will serve many queries, so the first search
-    does not pay the one-off O(df) sidecar build. Idempotent; without
-    it the sidecar is still built lazily on first use. *)
+    Raises [Invalid_argument] when the ranges overlap. *)
 
 (** {1 Cursors}
 
@@ -93,7 +84,6 @@ val custom :
   current_doc:(unit -> int) ->
   next:(unit -> unit) ->
   seek:(int -> unit) ->
-  block_max_score:(unit -> float) ->
   block_last_doc:(unit -> int) ->
   cursor
 (** A cursor over postings that live somewhere other than an in-memory
@@ -118,39 +108,23 @@ val seek : cursor -> int -> unit
 (** [seek c target] advances to the first posting with
     [doc_id >= target] (exhausting the cursor when none remains), by
     galloping search from the current position. Never moves backwards:
-    a [target] at or before the current document id is a no-op. *)
+    a [target] at or before the current document id is a no-op. On an
+    in-memory cursor it allocates nothing. *)
 
-(** {1 Block-max metadata}
+(** {1 Block boundaries}
 
-    Per-block score ceilings, the substrate for block-max (WAND-style)
-    pruning: a traversal may skip a whole block whenever the block's
-    maximum possible contribution cannot beat the current threshold.
-    The on-disk block format stores a round-up-quantized per-block
-    maximum of the posting impact [impact ~tf]; in-memory lists carry
-    an equivalent [block_size]-posting sidecar (built lazily, or at
-    seal time via {!seal}), so every cursor — heap, memtable prefix, or
-    mmap-backed — reports real, block-granular bounds. *)
+    The substrate for block-granular region skips: a traversal that
+    can rule out every document up to a block's last id skips past the
+    whole block. The on-disk format's skip table stores each block's
+    last document; in-memory cursors derive the same boundaries by
+    index arithmetic over [block_size]-posting runs. Nothing stores a
+    per-block score ceiling: match scores are static expansion-form
+    scores, so term frequency would bound nothing (DESIGN §12). *)
 
 val block_size : int
-(** Postings per metadata block (same granularity as the on-disk
-    format): 128. *)
-
-val impact : tf:int -> float
-(** Impact of one posting with term frequency [tf]: the saturation
-    [tf /. (tf + 1)], strictly increasing in [tf] and in [0, 1). *)
-
-val impact_ceiling : float
-(** Least upper bound of {!impact} over every possible posting (1.0) —
-    what a bound must assume when no block metadata is available. *)
-
-val block_max_score : cursor -> float
-(** Upper bound on [impact] over the (visible) postings of the cursor's
-    current block; [0.] once exhausted. Never less than the true
-    maximum (both the on-disk and the in-memory quantization round
-    up). *)
+(** Postings per block (same granularity as the on-disk format): 128. *)
 
 val block_last_doc : cursor -> int
-(** Last (visible) document id of the cursor's current block — the id
-    up to which [block_max_score] is the governing bound, and the
+(** Last (visible) document id of the cursor's current block — the
     "next-shallow" skip target of block-max traversal; [-1] once
     exhausted. A prefix cursor clamps this to its visible prefix. *)

@@ -2,18 +2,8 @@ let block_size = 128
 let n_blocks ~df = (df + block_size - 1) / block_size
 
 (* One skip entry: u32le last doc id, u32le block offset (relative to
-   the end of the skip table), u8 quantized block-max impact. *)
-let skip_entry_size = 9
-
-(* --- impact quantization ----------------------------------------------- *)
-
-let levels = 255.
-
-let clamp_u8 q = if q < 0 then 0 else if q > 255 then 255 else q
-let quantize v = clamp_u8 (int_of_float (Float.round (v *. levels)))
-let quantize_up v = clamp_u8 (int_of_float (Float.ceil (v *. levels)))
-let dequantize q = float_of_int q /. levels
-let quantization_error_bound = 0.5 /. levels
+   the end of the skip table). *)
+let skip_entry_size = 8
 
 (* --- encoding ---------------------------------------------------------- *)
 
@@ -26,14 +16,13 @@ let encode out (posts : Pj_index.Posting.t array) =
   if df > 0 then begin
     let nb = n_blocks ~df in
     let blocks = Buffer.create 256 in
-    let skip = Array.make nb (0, 0, 0) in
+    let skip = Array.make nb (0, 0) in
     let prev_doc = ref (-1) in
     for b = 0 to nb - 1 do
       let off = Buffer.length blocks in
       if off > u32_max then
         invalid_arg "Ondisk.Codec.encode: term blob exceeds 4 GiB";
       let lo = b * block_size and hi = Stdlib.min df ((b + 1) * block_size) in
-      let qmax = ref 0 in
       for i = lo to hi - 1 do
         let p = posts.(i) in
         if p.Pj_index.Posting.doc_id <= !prev_doc then
@@ -44,10 +33,6 @@ let encode out (posts : Pj_index.Posting.t array) =
           (p.Pj_index.Posting.doc_id - !prev_doc);
         prev_doc := p.Pj_index.Posting.doc_id;
         let tf = Array.length p.Pj_index.Posting.positions in
-        let impact = Pj_index.Posting_list.impact ~tf in
-        Buffer.add_char blocks (Char.chr (quantize impact));
-        let q = quantize_up impact in
-        if q > !qmax then qmax := q;
         Pj_util.Bytecodec.write_varint blocks tf;
         let positions = p.Pj_index.Posting.positions in
         for k = 0 to tf - 1 do
@@ -55,13 +40,12 @@ let encode out (posts : Pj_index.Posting.t array) =
             (positions.(k) - if k = 0 then -1 else positions.(k - 1))
         done
       done;
-      skip.(b) <- (!prev_doc, off, !qmax)
+      skip.(b) <- (!prev_doc, off)
     done;
     Array.iter
-      (fun (last, off, qmax) ->
+      (fun (last, off) ->
         add_u32le out last;
-        add_u32le out off;
-        Buffer.add_char out (Char.chr qmax))
+        add_u32le out off)
       skip;
     Buffer.add_buffer out blocks
   end
@@ -72,7 +56,6 @@ type reader = { buf : Layout.buf; blob : int; df : int }
 
 let skip_last r b = Layout.u32le r.buf (r.blob + (b * skip_entry_size))
 let skip_off r b = Layout.u32le r.buf (r.blob + (b * skip_entry_size) + 4)
-let skip_qmax r b = Layout.u8 r.buf (r.blob + (b * skip_entry_size) + 8)
 let blocks_start r = r.blob + (n_blocks ~df:r.df * skip_entry_size)
 
 let block_doc_count r b =
@@ -88,7 +71,6 @@ type state = {
          [Layout.read_varint] advances, one cell per cursor rather than
          one per posting read *)
   mutable doc : int;  (* current doc id; -1 exhausted *)
-  mutable qscore : int;
   mutable tf : int;
   mutable pos_off : int;  (* absolute offset of the current positions run *)
 }
@@ -108,8 +90,6 @@ let read_posting_checked c =
   let delta = Layout.read_varint buf ~pos in
   if delta <= 0 then failwith "Ondisk: corrupt posting block (zero doc delta)";
   c.doc <- c.doc + delta;
-  c.qscore <- Layout.u8 buf !pos;
-  incr pos;
   c.tf <- Layout.read_varint buf ~pos;
   c.pos_off <- !pos;
   Layout.skip_varints buf ~pos c.tf;
@@ -128,17 +108,16 @@ let read_posting_checked c =
 let read_posting c =
   let buf = c.r.buf and p = !(c.off) in
   let len = Layout.length buf in
-  if p + 3 > len then read_posting_checked c
+  if p + 2 > len then read_posting_checked c
   else begin
-    let delta = byte buf p and tf = byte buf (p + 2) in
-    if delta = 0 || delta >= 0x80 || tf >= 0x80 || p + 3 + (9 * tf) > len then
+    let delta = byte buf p and tf = byte buf (p + 1) in
+    if delta = 0 || delta >= 0x80 || tf >= 0x80 || p + 2 + (9 * tf) > len then
       read_posting_checked c
     else begin
       c.doc <- c.doc + delta;
-      c.qscore <- byte buf (p + 1);
       c.tf <- tf;
-      c.pos_off <- p + 3;
-      let q = ref (p + 3) and left = ref tf and run = ref 0 in
+      c.pos_off <- p + 2;
+      let q = ref (p + 2) and left = ref tf and run = ref 0 in
       while !left > 0 do
         let v = byte buf !q in
         if !run = 8 && v > 0x3f then overflow ();
@@ -179,7 +158,6 @@ let state_create r =
       remaining = 0;
       off = ref 0;
       doc = -1;
-      qscore = 0;
       tf = 0;
       pos_off = 0;
     }
@@ -277,7 +255,6 @@ let state_seek c target =
       end
     end
 
-let state_block_max c = if c.doc < 0 then 0. else dequantize (skip_qmax c.r c.block)
 let state_block_last c = if c.doc < 0 then -1 else skip_last c.r c.block
 
 let cursor r =
@@ -287,7 +264,6 @@ let cursor r =
     ~current_doc:(fun () -> c.doc)
     ~next:(fun () -> state_next c)
     ~seek:(fun target -> state_seek c target)
-    ~block_max_score:(fun () -> state_block_max c)
     ~block_last_doc:(fun () -> state_block_last c)
 
 (* Range restriction for shard views: start at [lo], report exhaustion
@@ -298,50 +274,11 @@ let cursor_in_range r ~lo ~hi =
   let c = state_create r in
   state_seek c lo;
   let live () = c.doc >= 0 && c.doc < hi in
-  (* Block-max for the range view: a block straddling [lo, hi) may owe
-     its recorded ceiling to postings the view masks, so its ceiling is
-     recomputed over just the visible postings — walked with a
-     throwaway state (the serving cursor never moves) and cached per
-     block, one O(block) walk however often the bound is consulted.
-     Interior blocks keep the O(1) skip-entry answer. Either way the
-     round-up quantization never under-reports a visible posting. *)
-  let qb = ref (-1) and qmax = ref 0. in
-  let range_block_max () =
-    let b = c.block in
-    if !qb = b then !qmax
-    else begin
-      let first_floor = if b = 0 then 0 else skip_last c.r (b - 1) + 1 in
-      let v =
-        if first_floor >= lo && skip_last c.r b < hi then state_block_max c
-        else begin
-          let w = state_create c.r in
-          enter_block w b;
-          let m = ref 0 in
-          let visit () =
-            if w.doc >= lo && w.doc < hi then
-              m :=
-                Stdlib.max !m
-                  (quantize_up (Pj_index.Posting_list.impact ~tf:w.tf))
-          in
-          visit ();
-          while w.remaining > 0 && w.doc < hi do
-            read_posting w;
-            visit ()
-          done;
-          dequantize !m
-        end
-      in
-      qb := b;
-      qmax := v;
-      v
-    end
-  in
   Pj_index.Posting_list.custom
     ~current:(fun () -> if live () then state_current c else None)
     ~current_doc:(fun () -> if live () then c.doc else -1)
     ~next:(fun () -> if live () then state_next c)
     ~seek:(fun target -> if live () then state_seek c target)
-    ~block_max_score:(fun () -> if live () then range_block_max () else 0.)
     ~block_last_doc:(fun () ->
       if live () then Stdlib.min (state_block_last c) (hi - 1) else -1)
 
@@ -401,12 +338,6 @@ let blob_length r =
 
 let last_doc r = skip_last r (n_blocks ~df:r.df - 1)
 
-let iter_blocks r f =
-  for b = 0 to n_blocks ~df:r.df - 1 do
-    f ~block:b ~last_doc:(skip_last r b) ~doc_count:(block_doc_count r b)
-      ~qmax:(skip_qmax r b)
-  done
-
 let check_blob r =
   let nb = n_blocks ~df:r.df in
   let expected_off = ref 0 in
@@ -417,16 +348,12 @@ let check_blob r =
            (skip_off r b) !expected_off);
     let c = state_create r in
     enter_block c b;
-    let qmax = skip_qmax r b and seen_max = ref 0 in
     let prev = ref (if b = 0 then -1 else skip_last r (b - 1)) in
     let walk () =
       if c.doc <= !prev then
         failwith "Ondisk: doc ids not strictly increasing in block";
       prev := c.doc;
-      ignore (state_positions c);
-      seen_max :=
-        Stdlib.max !seen_max
-          (quantize_up (Pj_index.Posting_list.impact ~tf:c.tf))
+      ignore (state_positions c)
     in
     walk ();
     while c.remaining > 0 do
@@ -437,9 +364,5 @@ let check_blob r =
       failwith
         (Printf.sprintf "Ondisk: block %d last doc %d, skip entry says %d" b
            c.doc (skip_last r b));
-    if !seen_max > qmax then
-      failwith
-        (Printf.sprintf "Ondisk: block %d max impact %d above skip ceiling %d"
-           b !seen_max qmax);
     expected_off := !(c.off) - blocks_start r
   done

@@ -1,14 +1,13 @@
-(** Block compression of posting lists — the v4 postings codec.
+(** Block compression of posting lists — the PJX4 postings codec.
 
     One term's postings are packed into a {e term blob}: a skip table
     of fixed-width entries (one per block) followed by the blocks
     themselves, each holding up to {!block_size} documents as
-    delta-varint doc ids, a quantized impact byte, the term frequency
-    and delta-varint occurrence positions. The skip entry carries the
-    block's last document id, its byte offset and a quantized ceiling
-    of the block's best impact — everything a cursor needs to leap
-    whole blocks during a galloping seek and everything a block-max
-    traversal needs to prune them.
+    delta-varint doc ids, the term frequency and delta-varint
+    occurrence positions. The skip entry carries the block's last
+    document id and its byte offset — everything a cursor needs to
+    leap whole blocks during a galloping seek, and the block boundary
+    a block-max traversal skips to.
 
     Doc-id deltas chain {e across} blocks: the first delta of block
     [b] is relative to block [b-1]'s last document id, which the skip
@@ -21,26 +20,6 @@ val block_size : int
 val n_blocks : df:int -> int
 (** Number of blocks of a list with [df] postings —
     [ceil (df / block_size)]; the blob stores no explicit count. *)
-
-(** {1 Impact quantization}
-
-    Impacts ([Posting_list.impact], in [0, 1)) are stored as one byte
-    in 255 levels. Per-posting bytes round to nearest, so the decoded
-    impact is within [1. /. 510.] of the true value; block maxima
-    round {e up}, so a decoded block ceiling is never below the true
-    maximum and block-max pruning stays lossless. *)
-
-val quantize : float -> int
-(** Round to nearest level; clamped to [0, 255]. *)
-
-val quantize_up : float -> int
-(** Round up — for block maxima. *)
-
-val dequantize : int -> float
-
-val quantization_error_bound : float
-(** [1. /. 510.]: the worst-case absolute error of
-    [dequantize (quantize v)] for [v] in [0, 1]. *)
 
 (** {1 Encoding} *)
 
@@ -75,7 +54,8 @@ val cursor : reader -> Pj_index.Posting_list.cursor
 val cursor_in_range : reader -> lo:int -> hi:int -> Pj_index.Posting_list.cursor
 (** The blob restricted to documents [lo, hi) — the per-shard view of
     a monolithic postings section. Seeks to [lo] on creation; reports
-    exhaustion at the first document [>= hi]. *)
+    exhaustion at the first document [>= hi], and clamps
+    [block_last_doc] to [hi - 1]. *)
 
 val decode : reader -> Pj_index.Posting_list.t
 (** Materialize the whole list (for [Inverted_index.postings]). *)
@@ -93,13 +73,8 @@ val last_doc : reader -> int
 (** The list's last document id, read from its final skip entry — O(1).
     The list must be non-empty. *)
 
-val iter_blocks :
-  reader -> (block:int -> last_doc:int -> doc_count:int -> qmax:int -> unit) -> unit
-(** Visit every skip entry in order — O(1) per block, no block
-    decoding. The substrate for [inspect]'s per-block summaries. *)
-
 val check_blob : reader -> unit
 (** Decode every block completely and verify the skip table against
-    it (offsets, last doc ids, doc counts, maxima, monotone ids).
+    it (offsets, last doc ids, doc counts, monotone ids).
     Raises [Failure "Ondisk: ..."] on any inconsistency — the
     deep-verification path behind [inspect] and the fuzz tests. *)

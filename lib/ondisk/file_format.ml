@@ -1,8 +1,8 @@
-(* Shared constants of the v4 on-disk index format. See DESIGN.md §11
+(* Shared constants of the PJX4 on-disk index format. See DESIGN.md §11
    for the byte-layout diagram.
 
    File =
-     magic "PJX4" | u8 version (4)
+     magic "PJX4" | u8 version (5)
      payload:
        vocab    : varint n_words, then per word varint length + bytes
        layout   : varint n_shards, then per shard varint doc count
@@ -21,8 +21,17 @@
 
 let magic = "PJX4"
 let end_magic = "4XJP"
-let version = 4
+let version = 5
 let header_size = 5 (* magic + version byte: payload starts here *)
 let dict_entry_size = 12
 let trailer_words = 11
 let trailer_size = (trailer_words * 8) + 4 + 4 (* words + CRC + end magic *)
+
+(* Why a file whose version byte reads [v] is refused. Version 4 term
+   blobs held one more byte per posting and per skip entry; nothing
+   converts them, so the advice is to rebuild. *)
+let version_error v =
+  Printf.sprintf
+    "unsupported PJX4 format version %d (this build reads version %d); \
+     rebuild the index from its source text"
+    v version

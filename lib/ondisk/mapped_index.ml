@@ -47,7 +47,7 @@ let parse path buf =
   if Layout.sub_string buf ~pos:0 ~len:4 <> File_format.magic then
     fail path "not a v4 proxjoin index (bad magic)";
   let v = Layout.u8 buf 4 in
-  if v <> File_format.version then fail path "unsupported version %d" v;
+  if v <> File_format.version then fail path "%s" (File_format.version_error v);
   if
     Layout.sub_string buf ~pos:(size - 4) ~len:4 <> File_format.end_magic
   then fail path "truncated file (missing end magic)";

@@ -51,8 +51,8 @@ val vocab : t -> Pj_text.Vocab.t
 
 val term_reader : t -> int -> Codec.reader option
 (** The raw term blob of a token id ([None] when it has no postings) —
-    the inspection hook for per-block summaries via
-    [Codec.iter_blocks]. *)
+    the inspection hook for per-term summaries ([Codec.n_blocks],
+    [Codec.last_doc]). *)
 
 val verify : t -> unit
 (** CRC-32 of the payload against the footer. O(file size). Raises

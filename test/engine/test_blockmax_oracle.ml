@@ -14,8 +14,8 @@
    - [Quality_ordered]: strong forms concentrated in low doc ids, as
      after a quality-ordering doc-id assignment — the tail of the scan
      is all-skippable regions.
-   - [Impact_skewed]: heavy term repetition in a few documents, so
-     per-block quantized impact ceilings vary block to block.
+   - [Impact_skewed]: heavy term repetition in a few documents: long
+     positions lists, with the same form scores as everywhere else.
 
    Each seed is printed before it runs; to replay one, set
    $BLOCKMAX_SEED. *)
@@ -52,8 +52,7 @@ let random_doc rng layout ~doc ~n_docs =
       if Pj_util.Prng.float rng 1. < strong_p then begin
         emit w;
         if layout = Impact_skewed && Pj_util.Prng.int rng 4 = 0 then
-          (* tf spikes: repeated occurrences lift this block's
-             quantized impact ceiling without changing any form score *)
+          (* tf spikes: repeated occurrences change no form score *)
           for _ = 1 to 1 + Pj_util.Prng.int rng 6 do
             emit w
           done

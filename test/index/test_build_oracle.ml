@@ -1,5 +1,5 @@
 (* The counting builder against the accumulate-then-sort reference
-   (Pj_reference): posting lists and block sidecars must agree for
+   (Pj_reference): posting lists and block boundaries must agree for
    [build] over whole corpora and [Corpus.sub] views, and for
    [build_docs] with and without [~skip]. *)
 
@@ -29,8 +29,8 @@ let print_docs docs =
   String.concat " | "
     (List.map (fun d -> String.concat " " (List.map string_of_int d)) docs)
 
-(* Postings, then the block sidecar as a cursor reports it at every
-   posting: (doc, positions, block-max bound, block last doc). *)
+(* Postings, then the block boundary as a cursor reports it at every
+   posting: (doc, positions, block last doc). *)
 let observe pl =
   let c = Posting_list.cursor pl in
   let out = ref [] in
@@ -41,7 +41,6 @@ let observe pl =
         out :=
           ( p.Posting.doc_id,
             Array.to_list p.Posting.positions,
-            Posting_list.block_max_score c,
             Posting_list.block_last_doc c )
           :: !out;
         Posting_list.next c;

@@ -96,6 +96,38 @@ let test_seek_matches_linear_scan () =
     done
   done
 
+(* A heap cursor seeks in place, over a whole list or over a prefix
+   of a growing array: no closure, cell or option per seek. Only the
+   cursor itself and [Gc.minor_words]' results may allocate, so the
+   budget is a constant however many seeks run. *)
+let test_seek_noalloc () =
+  let n = 100_000 in
+  let posts =
+    Array.init n (fun i -> Posting.of_sorted ~doc_id:(i * 3) ~positions:[| i |])
+  in
+  let budget = 100. in
+  List.iter
+    (fun (what, make) ->
+      let w0 = Gc.minor_words () in
+      let c = make () in
+      let target = ref 0 and seeks = ref 0 in
+      while Posting_list.current_doc c >= 0 do
+        (* short hops within a block and long gallops across many *)
+        target := !target + if !seeks mod 16 = 15 then 1_000 else 7;
+        Posting_list.seek c !target;
+        incr seeks
+      done;
+      let words = Gc.minor_words () -. w0 in
+      if !seeks < 1_000 then Alcotest.failf "%s: only %d seeks" what !seeks;
+      if words > budget then
+        Alcotest.failf "%s: %.0f words over %d seeks (budget %.0f)" what words
+          !seeks budget)
+    [
+      ( "heap cursor",
+        fun () -> Posting_list.cursor (Posting_list.of_sorted_array posts) );
+      ("prefix cursor", fun () -> Posting_list.cursor_prefix posts ~len:(n / 2));
+    ]
+
 let suite =
   [
     ("cursor: empty list", `Quick, test_empty);
@@ -103,4 +135,5 @@ let suite =
     ("cursor: seek semantics", `Quick, test_seek_semantics);
     ("cursor: seek below first", `Quick, test_seek_first_element);
     ("cursor: seek = linear scan", `Quick, test_seek_matches_linear_scan);
+    ("cursor: seek allocates nothing", `Quick, test_seek_noalloc);
   ]

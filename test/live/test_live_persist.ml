@@ -433,6 +433,56 @@ let test_damaged_segment_refused () =
         before (dir_contents dir))
     damage
 
+(* Segments this build wrote, each with its version byte (byte 4,
+   outside the CRC) set back to 4, the layout of an older build whose
+   postings carried an impact byte. [open_dir] refuses the directory
+   with one [Failure] naming a segment and its version, and nothing in
+   it is touched: no orphan cleanup, no WAL replay or rewrite. *)
+let test_old_version_segments_refused () =
+  let dir = fresh_dir () in
+  let live = Live_index.open_dir ~config:(config ~wal:true dir) dir in
+  add_docs live (List.init 6 Fun.id);
+  ignore (Live_index.flush live);
+  (* Acknowledged, not flushed: these two live only in the WAL. *)
+  add_docs live [ 6; 7 ];
+  Live_index.close live;
+  let segments =
+    match Manifest.read ~dir with
+    | Some m ->
+        List.map
+          (fun e -> Filename.concat dir e.Manifest.file)
+          m.Manifest.segments
+    | None -> Alcotest.fail "no manifest"
+  in
+  Alcotest.(check int) "two segments" 2 (List.length segments);
+  List.iter
+    (fun path ->
+      let b = Bytes.of_string (read_file path) in
+      Bytes.set b 4 '\x04';
+      write_file path (Bytes.to_string b))
+    segments;
+  (* Crash droppings [cleanup_orphans] would delete if it ran. *)
+  write_file (Filename.concat dir "seg-000099.seg") "orphan";
+  write_file (Filename.concat dir "seg-000098.seg.tmp") "stale";
+  let before = dir_contents dir in
+  List.iter
+    (fun wal ->
+      match Live_index.open_dir ~config:(config ~wal dir) dir with
+      | live ->
+          Live_index.close live;
+          Alcotest.fail "a directory of version-4 segments was opened"
+      | exception Failure msg ->
+          if
+            not
+              (List.exists (contains msg) segments
+              && contains msg "version 4")
+          then
+            Alcotest.failf "error %S names no segment and its version" msg;
+          Alcotest.(check (list (pair string string)))
+            (Printf.sprintf "directory byte-identical (wal=%b)" wal)
+            before (dir_contents dir))
+    [ true; false ]
+
 let test_wal_recovers_unflushed () =
   let dir = fresh_dir () in
   let live = Live_index.open_dir ~config:(config ~wal:true dir) dir in
@@ -817,6 +867,8 @@ let suite =
       test_segment_files_hold_local_ids;
     Alcotest.test_case "damaged segment refused untouched" `Quick
       test_damaged_segment_refused;
+    Alcotest.test_case "version-4 segments refused untouched" `Quick
+      test_old_version_segments_refused;
     Alcotest.test_case "wal recovers unflushed writes" `Quick
       test_wal_recovers_unflushed;
     Alcotest.test_case "wal rotates across flushes" `Quick

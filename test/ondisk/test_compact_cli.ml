@@ -1,10 +1,11 @@
 (* The built CLI against every proxjoin binary file that is not a
-   corpus source: [compact] reads raw text or a v4 file and nothing
-   else. A legacy v3 corpus (fixtures/legacy_v3.pjix: three documents,
-   written by the v1-v3 reference writer before it was deleted), a
-   legacy live segment, a live manifest and a WAL (the live suite's
-   parent_live_dir) each draw one error line naming the format, a
-   non-zero exit, no DST and an untouched source. *)
+   corpus source: [compact] reads raw text or a v4 file of the current
+   format version and nothing else. A legacy v3 corpus
+   (fixtures/legacy_v3.pjix: three documents, written by the v1-v3
+   reference writer before it was deleted), a legacy live segment, a
+   live manifest and a WAL (the live suite's parent_live_dir), and a
+   PJX4 file of format version 4 each draw one error line naming the
+   format, a non-zero exit, no DST and an untouched source. *)
 
 let exe = "../../bin/main.exe" (* provided by the dune (deps) clause *)
 
@@ -95,14 +96,54 @@ let refused_sources =
     ("live WAL", "PJWL", Filename.concat live_dir "WAL", "--live-dir");
   ]
 
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
+(* A file this build compacted, with its version byte (byte 4, outside
+   the CRC) set back to 4: the layout of an older build, whose postings
+   carried an impact byte. *)
+let with_version_4 f =
+  let docs = Filename.temp_file "pj_compact_cli" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove docs)
+    (fun () ->
+      write_file docs
+        "lenovo partners with the nba\n\ndell and lenovo compete\n";
+      with_dst (fun old ->
+          let code, out = run [ "compact"; docs; old ] in
+          Alcotest.(check int) ("text compacts: " ^ out) 0 code;
+          let b = Bytes.of_string (read_file old) in
+          Bytes.set b 4 '\x04';
+          write_file old (Bytes.to_string b);
+          f old))
+
+let version_4_advice = "rebuild the index from its source text"
+
 let test_compact_refuses_binaries () =
+  with_version_4 @@ fun old ->
   List.iter
     (fun (what, magic, src, hint) ->
       with_dst (fun dst ->
           expect_refused ~what ~magic ~hint [ "compact"; src; dst ] src;
           Alcotest.(check bool) (what ^ ": no DST") false
             (Sys.file_exists dst || Sys.file_exists (dst ^ ".tmp"))))
-    refused_sources
+    (refused_sources
+    @ [ ("PJX4 format version 4", "version 4", old, version_4_advice) ])
+
+(* The commands that open an index, and [isearch], which reads
+   documents, refuse a version-4 file the same way: one line naming
+   the version and advising a rebuild. *)
+let test_version_4_refused () =
+  with_version_4 @@ fun old ->
+  List.iter
+    (fun (what, args) ->
+      expect_error ~what ~says:[ old; "version 4"; version_4_advice ] args old)
+    [
+      ("serve --index", [ "serve"; "--index"; old; "--port"; "0" ]);
+      ("inspect", [ "inspect"; old ]);
+      ("inspect --deep", [ "inspect"; old; "--deep" ]);
+      ("isearch", [ "isearch"; old; "-t"; "exact:lenovo" ]);
+    ]
 
 (* Text compacts; its v4 output compacts again to the same bytes; and
    a v4 file is no document file for the text-reading commands. *)
@@ -192,6 +233,7 @@ let suite =
     ("compact cli: refuses proxjoin binaries", `Quick,
       test_compact_refuses_binaries);
     ("compact cli: text and v4 sources", `Quick, test_text_and_v4_sources);
+    ("compact cli: version 4 refused", `Quick, test_version_4_refused);
     ("compact cli: search and extract refuse binaries", `Quick,
       test_search_and_extract_refuse_binaries);
     ("compact cli: serve refuses the wrong format", `Quick,

@@ -54,8 +54,7 @@ val index_lists :
 val build_index : Pj_index.Corpus.t -> Pj_index.Inverted_index.t
 (** The reference index over every document of the corpus, served
     through {!Pj_index.Inverted_index.of_provider}: one slot per
-    vocabulary token, as {!Pj_index.Inverted_index.build}. Block
-    sidecars are built lazily. *)
+    vocabulary token, as {!Pj_index.Inverted_index.build}. *)
 
 (** {1 Shard layouts} *)
 

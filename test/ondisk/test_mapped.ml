@@ -397,6 +397,36 @@ let test_live_files_rejected_by_v4_reader () =
     (fun name -> expect_ondisk_rejection ~what:name (Filename.concat dir name))
     [ "seg-000000.seg"; "MANIFEST"; "WAL" ]
 
+(* The version byte (byte 4) sits outside the CRC, so the version
+   check alone stands between the reader and a file of another layout:
+   every version but this build's is refused with an error naming it,
+   and the unpatched file still opens. *)
+let test_other_versions_refused () =
+  let idx = Pj_index.Inverted_index.build (corpus_of sample_docs) in
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  with_temp (fun path ->
+      Writer.write idx path;
+      let original = read_bytes path in
+      List.iter
+        (fun v ->
+          let b = Bytes.of_string original in
+          Bytes.set b 4 (Char.chr v);
+          write_bytes path (Bytes.to_string b);
+          match Mapped_index.open_file path with
+          | _ -> Alcotest.failf "version %d opened" v
+          | exception Failure msg ->
+              if not (contains msg (Printf.sprintf "format version %d " v))
+              then Alcotest.failf "version %d: error %S names no version" v msg)
+        (List.filter
+           (fun v -> v <> File_format.version)
+           [ 0; 1; 2; 3; 4; 5; 6; 255 ]);
+      write_bytes path original;
+      Mapped_index.check (Mapped_index.open_file path))
+
 (* Crash-safety: the v4 writer publishes atomically. *)
 let test_crashed_write_leaves_old_file () =
   let corpus = corpus_of sample_docs in
@@ -438,5 +468,7 @@ let suite =
     ("mapped: legacy rejected by v4 reader", `Quick, test_legacy_rejected_by_v4_reader);
     ("mapped: live files rejected by v4 reader", `Quick,
       test_live_files_rejected_by_v4_reader);
+    ("mapped: other format versions refused", `Quick,
+      test_other_versions_refused);
     ("mapped: crashed write leaves old file", `Quick, test_crashed_write_leaves_old_file);
   ]

@@ -31,54 +31,6 @@
    structurally identical hits to a from-scratch build over the same
    surviving documents. Results land in BENCH_ingest.json. *)
 
-(* The query and scoring every search here (and bench-failpoint's
-   end-to-end arm) runs: three terms, each a full-score form and a
-   dense degraded one, matching the forms [gen_doc] plants. *)
-let query =
-  Pj_matching.Query.make "bench"
-    [
-      Pj_matching.Matcher.of_table ~name:"t1" [ ("alpha", 1.0); ("alfa", 0.35) ];
-      Pj_matching.Matcher.of_table ~name:"t2" [ ("bravo", 0.9); ("brav", 0.3) ];
-      Pj_matching.Matcher.of_table ~name:"t3"
-        [ ("charlie", 0.8); ("charli", 0.25) ];
-    ]
-
-let scoring = Pj_core.Scoring.Win (Pj_core.Scoring.win_exponential ~alpha:0.1)
-let k = 10
-
-(* One document: filler plus planted forms. Degraded forms are dense,
-   so most documents are conjunctive candidates; a strong document
-   carries one tight run of the full-score forms. *)
-let gen_doc rng ~strong =
-  let len = 80 + Pj_util.Prng.int rng 120 in
-  let tokens =
-    Array.init len (fun _ -> Pj_workload.Textgen.random_filler rng)
-  in
-  let plant form p =
-    if Pj_util.Prng.float rng 1. < p then begin
-      let n = 1 + Pj_util.Prng.int rng 3 in
-      for _ = 1 to n do
-        tokens.(Pj_util.Prng.int rng len) <- form
-      done
-    end
-  in
-  plant "alfa" 0.9;
-  plant "brav" 0.85;
-  plant "charli" 0.8;
-  if strong then begin
-    let pos = Pj_util.Prng.int rng (len - 3) in
-    tokens.(pos) <- "alpha";
-    tokens.(pos + 1) <- "bravo";
-    tokens.(pos + 2) <- "charlie"
-  end;
-  tokens
-
-let gen_docs rng n =
-  List.init n (fun i -> gen_doc rng ~strong:(i mod 25 = 0))
-
-let percentile_ms latencies p =
-  1000. *. Pj_util.Stats.percentile latencies p
-
 let rec rm_rf path =
   match Unix.lstat path with
   | { Unix.st_kind = Unix.S_DIR; _ } ->
@@ -88,6 +40,14 @@ let rec rm_rf path =
       Unix.rmdir path
   | _ -> Unix.unlink path
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+(* The first [n] documents of [rest] (in order) and the others. *)
+let rec take n acc rest =
+  if n = 0 then (List.rev acc, rest)
+  else
+    match rest with
+    | [] -> (List.rev acc, [])
+    | d :: tl -> take (n - 1) (d :: acc) tl
 
 (* One durability arm: ingest [docs] into a dir-backed index in
    50-doc [add_batch] groups — the server's group-commit shape, so
@@ -111,13 +71,6 @@ let durability_run ~wal docs =
     }
   in
   let live = Pj_live.Live_index.open_dir ~config dir in
-  let rec take n acc rest =
-    if n = 0 then (List.rev acc, rest)
-    else
-      match rest with
-      | [] -> (List.rev acc, [])
-      | d :: tl -> take (n - 1) (d :: acc) tl
-  in
   let t0 = Pj_util.Timing.monotonic_now () in
   let rec go rest =
     match rest with
@@ -135,16 +88,16 @@ let durability_run ~wal docs =
   rm_rf dir;
   (dt, stats.Pj_live.Live_index.wal_fsyncs)
 
-let search_once live = Pj_live.Live_index.search ~k live scoring query
+let search_once live =
+  Pj_live.Live_index.search ~k:Runs.k live Runs.scoring Runs.query
 
-let run ~quick ~repetitions =
-  ignore repetitions;
+let run ~quick =
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 1 lsl 22 };
   let n_docs = if quick then 400 else 10_000 in
   let n_concurrent = if quick then 400 else 10_000 in
   let idle_searches = if quick then 200 else 1000 in
   let rng = Pj_util.Prng.create 77 in
-  let docs = gen_docs rng n_docs in
+  let docs = Runs.gen_docs rng n_docs in
   (* Capacity 64 dated from the rebuild-per-add era, when a large
      memtable made every add slower; with O(doc) appends a deeper
      memtable just means fewer seals and less background merge churn,
@@ -186,17 +139,14 @@ let run ~quick ~repetitions =
   in
   let live_hits = search_once live in
   let scratch_hits =
-    Pj_engine.Searcher.search ~k scratch_searcher scoring query
+    Pj_engine.Searcher.search ~k:Runs.k scratch_searcher Runs.scoring
+      Runs.query
   in
   assert (live_hits = scratch_hits);
-  let observe () =
-    let t0 = Pj_util.Timing.monotonic_now () in
-    ignore (search_once live);
-    Pj_util.Timing.monotonic_now () -. t0
-  in
+  let observe () = snd (Pj_util.Timing.time (fun () -> search_once live)) in
   ignore (observe ());
   (* --- search latency, under concurrent ingest --------------------- *)
-  let stream = gen_docs rng n_concurrent in
+  let stream = Runs.gen_docs rng n_concurrent in
   let stream_rate = 1000. (* docs/s — the issue's four-digit target *) in
   let ingesting = Atomic.make true in
   (* The stream arrives in small batches through [add_batch] — the
@@ -208,13 +158,6 @@ let run ~quick ~repetitions =
   let writer =
     Domain.spawn (fun () ->
         let t0 = Pj_util.Timing.monotonic_now () in
-        let rec take n acc rest =
-          if n = 0 then (List.rev acc, rest)
-          else
-            match rest with
-            | [] -> (List.rev acc, [])
-            | d :: tl -> take (n - 1) (d :: acc) tl
-        in
         let rec go i rest =
           match rest with
           | [] -> ()
@@ -243,24 +186,28 @@ let run ~quick ~repetitions =
   ignore (observe ());
   let idle = Array.init idle_searches (fun _ -> observe ()) in
   let stats = Pj_live.Live_index.stats live in
+  let idle_p50 = Runs.percentile_ms idle 50.
+  and idle_p99 = Runs.percentile_ms idle 99.
+  and during_p50 = Runs.percentile_ms during 50.
+  and during_p99 = Runs.percentile_ms during 99. in
   Runs.print_header "bench-ingest: search latency" [ "p50"; "p99"; "n" ];
   Runs.print_row "idle"
     [
-      Printf.sprintf "%.3f ms" (percentile_ms idle 50.);
-      Printf.sprintf "%.3f ms" (percentile_ms idle 99.);
+      Printf.sprintf "%.3f ms" idle_p50;
+      Printf.sprintf "%.3f ms" idle_p99;
       string_of_int (Array.length idle);
     ];
   Runs.print_row
     (Printf.sprintf "ingest @ %.0f docs/s" stream_rate)
     [
-      Printf.sprintf "%.3f ms" (percentile_ms during 50.);
-      Printf.sprintf "%.3f ms" (percentile_ms during 99.);
+      Printf.sprintf "%.3f ms" during_p50;
+      Printf.sprintf "%.3f ms" during_p99;
       string_of_int (Array.length during);
     ];
   Pj_live.Live_index.close live;
   (* --- durability: what the write-ahead log costs ------------------- *)
   let n_dur = if quick then 400 else 4_000 in
-  let dur_docs = gen_docs rng n_dur in
+  let dur_docs = Runs.gen_docs rng n_dur in
   (* One run per arm is noise, not a result: the arms run interleaved,
      alternating which goes first, and each pair yields one ratio. The
      median ratio is reported with its min and max. *)
@@ -306,38 +253,29 @@ let run ~quick ~repetitions =
     "[bench-ingest] wal-on throughput = %.0f%% of wal-off (median of %d \
      pairs, min %.0f%%, max %.0f%%)\n"
     (100. *. wal_ratio) pairs (100. *. ratio_min) (100. *. ratio_max);
-  let path = "BENCH_ingest.json" in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"docs\": %d,\n\
-    \  \"memtable_capacity\": %d,\n\
-    \  \"ingest_s\": %.6f,\n\
-    \  \"ingest_docs_per_s\": %.1f,\n\
-    \  \"ingest_stream_rate_docs_per_s\": %.0f,\n\
-    \  \"search_idle_p50_ms\": %.6f,\n\
-    \  \"search_idle_p99_ms\": %.6f,\n\
-    \  \"search_ingest_p50_ms\": %.6f,\n\
-    \  \"search_ingest_p99_ms\": %.6f,\n\
-    \  \"searches_during_ingest\": %d,\n\
-    \  \"final_generation\": %d,\n\
-    \  \"final_segments\": %d,\n\
-    \  \"merges\": %d,\n\
-    \  \"durability_docs\": %d,\n\
-    \  \"ingest_wal_off_docs_per_s\": %.1f,\n\
-    \  \"ingest_wal_docs_per_s\": %.1f,\n\
-    \  \"wal_fsyncs\": %d,\n\
-    \  \"wal_throughput_ratio\": %.3f,\n\
-    \  \"wal_throughput_ratio_min\": %.3f,\n\
-    \  \"wal_throughput_ratio_max\": %.3f,\n\
-    \  \"wal_throughput_pairs\": %d\n\
-     }\n"
-    n_docs config.Pj_live.Live_index.memtable_capacity ingest_s docs_per_s
-    stream_rate (percentile_ms idle 50.) (percentile_ms idle 99.)
-    (percentile_ms during 50.)
-    (percentile_ms during 99.)
-    (Array.length during) stats.Pj_live.Live_index.generation
-    stats.Pj_live.Live_index.segments stats.Pj_live.Live_index.merges n_dur
-    base_rate wal_rate wal_fsyncs wal_ratio ratio_min ratio_max pairs;
-  close_out oc;
-  Printf.printf "[bench-ingest] wrote %s\n" path
+  Runs.write_json "ingest"
+    (Runs.Obj
+       [
+         ("docs", Runs.Int n_docs);
+         ( "memtable_capacity",
+           Runs.Int config.Pj_live.Live_index.memtable_capacity );
+         ("ingest_s", Runs.Num (6, ingest_s));
+         ("ingest_docs_per_s", Runs.Num (1, docs_per_s));
+         ("ingest_stream_rate_docs_per_s", Runs.Num (0, stream_rate));
+         ("search_idle_p50_ms", Runs.Num (6, idle_p50));
+         ("search_idle_p99_ms", Runs.Num (6, idle_p99));
+         ("search_ingest_p50_ms", Runs.Num (6, during_p50));
+         ("search_ingest_p99_ms", Runs.Num (6, during_p99));
+         ("searches_during_ingest", Runs.Int (Array.length during));
+         ("final_generation", Runs.Int stats.Pj_live.Live_index.generation);
+         ("final_segments", Runs.Int stats.Pj_live.Live_index.segments);
+         ("merges", Runs.Int stats.Pj_live.Live_index.merges);
+         ("durability_docs", Runs.Int n_dur);
+         ("ingest_wal_off_docs_per_s", Runs.Num (1, base_rate));
+         ("ingest_wal_docs_per_s", Runs.Num (1, wal_rate));
+         ("wal_fsyncs", Runs.Int wal_fsyncs);
+         ("wal_throughput_ratio", Runs.Num (3, wal_ratio));
+         ("wal_throughput_ratio_min", Runs.Num (3, ratio_min));
+         ("wal_throughput_ratio_max", Runs.Num (3, ratio_max));
+         ("wal_throughput_pairs", Runs.Int pairs);
+       ])

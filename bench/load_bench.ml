@@ -26,21 +26,7 @@ module Wire = Pj_frame.Wire
 module Server = Pj_server.Server
 module Router = Pj_cluster.Router
 
-(* --- corpus and query set --------------------------------------------- *)
-
-let markers = Array.init 16 (fun i -> Printf.sprintf "marker%02d" i)
-
-let gen_doc rng =
-  let len = 40 + Pj_util.Prng.int rng 40 in
-  let tokens =
-    Array.init len (fun _ -> Pj_workload.Textgen.random_filler rng)
-  in
-  let n_plant = 2 + Pj_util.Prng.int rng 3 in
-  for _ = 1 to n_plant do
-    tokens.(Pj_util.Prng.int rng len) <-
-      markers.(Pj_util.Prng.int rng (Array.length markers))
-  done;
-  tokens
+(* --- query set --------------------------------------------------------- *)
 
 (* 61 distinct SEARCH lines cycling through families, ks and marker
    pairs. 61 is prime — and in particular coprime to the connection
@@ -55,13 +41,13 @@ let query_lines rng =
       let family = [| "win"; "med"; "max" |].(i mod 3) in
       let alpha = [| 0.1; 0.2; 0.3 |].(i mod 3) in
       let k = 5 + (i mod 6) in
-      let a = Pj_util.Prng.int rng (Array.length markers) in
+      let a = Pj_util.Prng.int rng (Array.length Runs.markers) in
       let b =
-        (a + 1 + Pj_util.Prng.int rng (Array.length markers - 1))
-        mod Array.length markers
+        (a + 1 + Pj_util.Prng.int rng (Array.length Runs.markers - 1))
+        mod Array.length Runs.markers
       in
       Printf.sprintf "SEARCH %s %g %d exact:%s exact:%s" family alpha k
-        markers.(a) markers.(b))
+        Runs.markers.(a) Runs.markers.(b))
 
 let build_searcher docs =
   let corpus = Pj_index.Corpus.create () in
@@ -192,10 +178,7 @@ let run_arm ~port ~conns ~rate ~duration lines =
       end)
     outcome;
   let lats = Array.of_list !answered in
-  let pct p =
-    if Array.length lats = 0 then 0.
-    else 1000. *. Pj_util.Stats.percentile lats p
-  in
+  let pct p = if Array.length lats = 0 then 0. else Runs.percentile_ms lats p in
   {
     arm_rate = rate;
     arm_conns = conns;
@@ -259,37 +242,34 @@ let row name a =
         a.arm_counts.(o_timeout) a.arm_counts.(o_err);
     ]
 
-let json_arm name a =
-  Printf.sprintf
-    "  \"%s\": {\n\
-    \    \"offered_qps\": %.1f,\n\
-    \    \"connections\": %d,\n\
-    \    \"requests\": %d,\n\
-    \    \"hits\": %d,\n\
-    \    \"degraded\": %d,\n\
-    \    \"busy\": %d,\n\
-    \    \"timeout\": %d,\n\
-    \    \"errors\": %d,\n\
-    \    \"p50_ms\": %.4f,\n\
-    \    \"p99_ms\": %.4f,\n\
-    \    \"p999_ms\": %.4f\n\
-    \  }" name a.arm_rate a.arm_conns a.arm_total a.arm_counts.(o_hits)
-    a.arm_counts.(o_degraded) a.arm_counts.(o_busy) a.arm_counts.(o_timeout)
-    a.arm_counts.(o_err) a.arm_p50 a.arm_p99 a.arm_p999
+let json_of_arm a =
+  Runs.Obj
+    [
+      ("offered_qps", Runs.Num (1, a.arm_rate));
+      ("connections", Runs.Int a.arm_conns);
+      ("requests", Runs.Int a.arm_total);
+      ("hits", Runs.Int a.arm_counts.(o_hits));
+      ("degraded", Runs.Int a.arm_counts.(o_degraded));
+      ("busy", Runs.Int a.arm_counts.(o_busy));
+      ("timeout", Runs.Int a.arm_counts.(o_timeout));
+      ("errors", Runs.Int a.arm_counts.(o_err));
+      ("p50_ms", Runs.Num (4, a.arm_p50));
+      ("p99_ms", Runs.Num (4, a.arm_p99));
+      ("p999_ms", Runs.Num (4, a.arm_p999));
+    ]
 
 let spec_of server =
   { Router.host = "127.0.0.1"; port = Server.port server; base = None }
 
 let never_searches ~scoring:_ ~k:_ ~deadline:_ _query = Ok ([], [])
 
-let run ~quick ~repetitions =
-  ignore repetitions;
+let run ~quick =
   let n_docs = if quick then 1_000 else 4_000 in
   let conns = if quick then 64 else 500 in
   let duration = if quick then 2.0 else 10.0 in
   let probe_s = if quick then 0.5 else 2.0 in
   let rng = Pj_util.Prng.create 1729 in
-  let docs = Array.init n_docs (fun _ -> gen_doc rng) in
+  let docs = Array.init n_docs (fun _ -> Runs.marker_doc rng) in
   let lines = query_lines rng in
   let half = n_docs / 2 in
   let docs_a = Array.sub docs 0 half in
@@ -380,22 +360,15 @@ let run ~quick ~repetitions =
         Printf.printf
           "[bench-cluster] warning: routed shed %d/%d at half capacity\n"
           (shed routed_arm) routed_arm.arm_total;
-      let path = "BENCH_cluster.json" in
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\n\
-        \  \"docs\": %d,\n\
-        \  \"connections\": %d,\n\
-        \  \"duration_s\": %.1f,\n\
-        \  \"closed_loop_qps\": %.1f,\n\
-        \  \"offered_qps\": %.1f,\n\
-         %s,\n\
-         %s,\n\
-         %s\n\
-         }\n"
-        n_docs conns duration closed rate
-        (json_arm "mono" mono_arm)
-        (json_arm "routed" routed_arm)
-        (json_arm "degraded" degraded_arm);
-      close_out oc;
-      Printf.printf "[bench-cluster] wrote %s\n" path)
+      Runs.write_json "cluster"
+        (Runs.Obj
+           [
+             ("docs", Runs.Int n_docs);
+             ("connections", Runs.Int conns);
+             ("duration_s", Runs.Num (1, duration));
+             ("closed_loop_qps", Runs.Num (1, closed));
+             ("offered_qps", Runs.Num (1, rate));
+             ("mono", json_of_arm mono_arm);
+             ("routed", json_of_arm routed_arm);
+             ("degraded", json_of_arm degraded_arm);
+           ]))

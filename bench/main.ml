@@ -1,29 +1,60 @@
 (* Benchmark harness regenerating every table and figure of the paper's
-   evaluation (Section VIII), plus the ablations of DESIGN.md and a
-   Bechamel micro-benchmark suite.
+   evaluation (Section VIII), plus the ablations of DESIGN.md and the
+   BENCH_*.json producers.
 
      dune exec bench/main.exe                  # everything, paper scale
      dune exec bench/main.exe -- --quick       # reduced document counts
      dune exec bench/main.exe -- --only fig6,fig12
      dune exec bench/main.exe -- --list        # available experiment ids *)
 
-let available =
+type scale = { quick : bool; n_docs : int; trec_docs : int; repetitions : int }
+
+let scale quick =
+  {
+    quick;
+    n_docs = (if quick then 100 else 500);
+    trec_docs = (if quick then 200 else 1000);
+    repetitions = (if quick then 2 else 3);
+  }
+
+(* Every experiment id with its runner, in run order. *)
+let experiments { quick; n_docs; trec_docs; repetitions } =
+  let cfg = { Figures.default_config with Figures.n_docs; repetitions } in
   [
-    "fig6"; "fig7"; "fig8"; "fig9"; "fig10"; "fig11"; "fig12"; "dbworld";
-    "fig2_ablation"; "max_ablation"; "dedup_ablation"; "byloc_ablation";
-    "switch_ablation"; "winvalid_ablation"; "stream_ablation";
-    "search_ablation"; "parallel_ablation"; "alpha_ablation"; "daat";
-    "topk"; "failpoint"; "ingest"; "storage"; "cluster"; "bechamel";
+    ("fig6", fun () -> Figures.fig6 cfg);
+    ("fig7", fun () -> Figures.fig7 cfg);
+    ("fig8", fun () -> Figures.fig8 cfg);
+    ("fig9", fun () -> Figures.fig9 cfg);
+    ("fig10", fun () -> Figures.fig10 cfg);
+    ("fig11", fun () -> Trec_bench.fig11 ~n_docs:trec_docs ~repetitions);
+    ("fig12", fun () -> Trec_bench.fig12 ~n_docs:trec_docs);
+    ("dbworld", fun () -> Dbworld_bench.run ~repetitions);
+    ("fig2_ablation", Ablations.fig2_ablation);
+    ( "max_ablation",
+      fun () -> Ablations.max_ablation ~n_docs:(n_docs / 5) ~repetitions );
+    ("dedup_ablation", fun () -> Ablations.dedup_ablation ~n_docs ~repetitions);
+    ("byloc_ablation", fun () -> Ablations.byloc_ablation ~n_docs ~repetitions);
+    ( "switch_ablation",
+      fun () -> Ablations.switch_ablation ~n_docs ~repetitions );
+    ( "winvalid_ablation",
+      fun () -> Ablations.winvalid_ablation ~n_docs ~repetitions );
+    ( "stream_ablation",
+      fun () -> Ablations.stream_ablation ~n_docs ~repetitions );
+    ("search_ablation", fun () -> Ablations.search_ablation ~repetitions);
+    ( "parallel_ablation",
+      fun () -> Ablations.parallel_ablation ~n_docs ~repetitions );
+    ("alpha_ablation", fun () -> Ablations.alpha_ablation ~n_docs);
+    ("topk", fun () -> Topk_bench.run ~quick ~repetitions);
+    ("failpoint", fun () -> Failpoint_bench.run ~quick ~repetitions);
+    ("ingest", fun () -> Ingest_bench.run ~quick);
+    ("storage", fun () -> Storage_bench.run ~quick);
+    ("cluster", fun () -> Load_bench.run ~quick);
   ]
 
+let ids = List.map fst (experiments (scale false))
+
 let run_experiments ~quick ~only ~csv =
-  let selected id = match only with [] -> true | ids -> List.mem id ids in
-  let n_docs = if quick then 100 else 500 in
-  let trec_docs = if quick then 200 else 1000 in
-  let repetitions = if quick then 2 else 3 in
-  let cfg =
-    { Figures.default_config with Figures.n_docs; repetitions }
-  in
+  let s = scale quick in
   (match csv with
   | Some dir ->
       if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -32,37 +63,10 @@ let run_experiments ~quick ~only ~csv =
   let t0 = Unix.gettimeofday () in
   Printf.printf
     "proxjoin benchmark harness — %d synthetic docs, %d TREC docs, %d repetitions\n"
-    n_docs trec_docs repetitions;
-  if selected "fig6" then Figures.fig6 cfg;
-  if selected "fig7" then Figures.fig7 cfg;
-  if selected "fig8" then Figures.fig8 cfg;
-  if selected "fig9" then Figures.fig9 cfg;
-  if selected "fig10" then Figures.fig10 cfg;
-  if selected "fig11" then Trec_bench.fig11 ~n_docs:trec_docs ~repetitions;
-  if selected "fig12" then Trec_bench.fig12 ~n_docs:trec_docs;
-  if selected "dbworld" then Dbworld_bench.run ~repetitions;
-  if selected "fig2_ablation" then Ablations.fig2_ablation ();
-  if selected "max_ablation" then
-    Ablations.max_ablation ~n_docs:(n_docs / 5) ~repetitions;
-  if selected "dedup_ablation" then Ablations.dedup_ablation ~n_docs ~repetitions;
-  if selected "byloc_ablation" then Ablations.byloc_ablation ~n_docs ~repetitions;
-  if selected "switch_ablation" then Ablations.switch_ablation ~n_docs ~repetitions;
-  if selected "winvalid_ablation" then
-    Ablations.winvalid_ablation ~n_docs ~repetitions;
-  if selected "stream_ablation" then
-    Ablations.stream_ablation ~n_docs ~repetitions;
-  if selected "search_ablation" then Ablations.search_ablation ~repetitions;
-  if selected "parallel_ablation" then
-    Ablations.parallel_ablation ~n_docs ~repetitions;
-  if selected "alpha_ablation" then Ablations.alpha_ablation ~n_docs;
-  if selected "daat" then Daat_bench.run ~quick ~repetitions;
-  if selected "topk" then Topk_bench.run ~quick ~repetitions;
-  if selected "failpoint" then Failpoint_bench.run ~quick ~repetitions;
-  if selected "ingest" then Ingest_bench.run ~quick ~repetitions;
-  if selected "storage" then Storage_bench.run ~quick ~repetitions;
-  if selected "cluster" then Load_bench.run ~quick ~repetitions;
-  if selected "bechamel" then
-    Bechamel_suite.run ~quota_s:(if quick then 0.1 else 0.25);
+    s.n_docs s.trec_docs s.repetitions;
+  List.iter
+    (fun (id, run) -> if only = [] || List.mem id only then run ())
+    (experiments s);
   Runs.set_csv_dir None;
   Runs.report_cov_summary ();
   Printf.printf "\ntotal harness time: %.1fs\n" (Unix.gettimeofday () -. t0)
@@ -91,11 +95,11 @@ let csv_arg =
 
 let main quick only list_flag csv =
   if list_flag then begin
-    List.iter print_endline available;
+    List.iter print_endline ids;
     `Ok ()
   end
   else begin
-    match List.filter (fun id -> not (List.mem id available)) only with
+    match List.filter (fun id -> not (List.mem id ids)) only with
     | [] ->
         run_experiments ~quick ~only ~csv;
         `Ok ()

@@ -129,3 +129,160 @@ let report_cov_summary () =
         (Array.length a)
         (100. *. Pj_util.Stats.mean a)
         (100. *. snd (Pj_util.Stats.min_max a))
+
+(* --- the bench kit: what every BENCH_*.json producer shares ----------- *)
+
+(* The query, scoring and k every synthetic-corpus search runs (topk,
+   ingest, storage, failpoint): three terms, each a full-score form and
+   a dense degraded one, matching the forms [gen_doc] plants. *)
+let query =
+  Pj_matching.Query.make "bench"
+    [
+      Pj_matching.Matcher.of_table ~name:"t1" [ ("alpha", 1.0); ("alfa", 0.35) ];
+      Pj_matching.Matcher.of_table ~name:"t2" [ ("bravo", 0.9); ("brav", 0.3) ];
+      Pj_matching.Matcher.of_table ~name:"t3"
+        [ ("charlie", 0.8); ("charli", 0.25) ];
+    ]
+
+let scoring = Scoring.Win (Scoring.win_exponential ~alpha:0.1)
+let k = 10
+
+(* One document of [min_len] to [min_len + len_span - 1] filler tokens
+   plus planted forms. The weak forms are dense, so almost every
+   document is a conjunctive candidate; a strong document carries one
+   tight run of the full-score forms, clearing the weak ceiling
+   (0.35 + 0.3 + 0.25 = 0.9) by a wide margin. [spike] additionally
+   repeats a weak form many times — term-frequency spikes that no form
+   score sees. The order of the random draws is part of every recorded
+   BENCH figure: change it and the corpora change. *)
+let gen_doc rng ~min_len ~len_span ~strong ~spike =
+  let len = min_len + Pj_util.Prng.int rng len_span in
+  let tokens =
+    Array.init len (fun _ -> Pj_workload.Textgen.random_filler rng)
+  in
+  let plant form p =
+    if Pj_util.Prng.float rng 1. < p then begin
+      let n = 1 + Pj_util.Prng.int rng 3 in
+      for _ = 1 to n do
+        tokens.(Pj_util.Prng.int rng len) <- form
+      done
+    end
+  in
+  plant "alfa" 0.9;
+  plant "brav" 0.85;
+  plant "charli" 0.8;
+  if spike then
+    for _ = 1 to 12 do
+      tokens.(Pj_util.Prng.int rng len) <- "alfa"
+    done;
+  if strong then begin
+    let pos = Pj_util.Prng.int rng (len - 3) in
+    tokens.(pos) <- "alpha";
+    tokens.(pos + 1) <- "bravo";
+    tokens.(pos + 2) <- "charlie"
+  end;
+  tokens
+
+(* The ingest and failpoint corpus: [n] documents of 80-199 tokens,
+   every 25th strong. *)
+let gen_docs rng n =
+  List.init n (fun i ->
+      gen_doc rng ~min_len:80 ~len_span:120 ~strong:(i mod 25 = 0)
+        ~spike:false)
+
+(* The cluster bench's corpus: short filler documents with two to four
+   of 16 marker words planted, which its SEARCH lines pair up. *)
+let markers = Array.init 16 (fun i -> Printf.sprintf "marker%02d" i)
+
+let marker_doc rng =
+  let len = 40 + Pj_util.Prng.int rng 40 in
+  let tokens =
+    Array.init len (fun _ -> Pj_workload.Textgen.random_filler rng)
+  in
+  let n_plant = 2 + Pj_util.Prng.int rng 3 in
+  for _ = 1 to n_plant do
+    tokens.(Pj_util.Prng.int rng len) <-
+      markers.(Pj_util.Prng.int rng (Array.length markers))
+  done;
+  tokens
+
+(* Bytes [f] allocates. On OCaml 5.1 [Gc.allocated_bytes] leaves out
+   most of what the minor heap took since its last collection (1,000
+   ten-float arrays read as 11 KB, not 88 KB), so a short call
+   under-reports; [Gc.minor_words] reads the allocation pointer itself.
+   Blocks allocated straight into the major heap are added from the
+   counters. *)
+let allocated_bytes f =
+  let _, p0, ma0 = Gc.counters () and w0 = Gc.minor_words () in
+  f ();
+  let _, p1, ma1 = Gc.counters () and w1 = Gc.minor_words () in
+  (w1 -. w0 +. (ma1 -. ma0 -. (p1 -. p0))) *. float_of_int (Sys.word_size / 8)
+
+type point = {
+  mean_s : float;
+  alloc_bytes : float;
+}
+
+(* One warm-up call, [repetitions] timed calls (their CoV joins the
+   dispersion summary), then the bytes one more call allocates. *)
+let measure ~repetitions f =
+  f ();
+  let m = log_cov (Pj_util.Timing.measure ~repetitions f) in
+  { mean_s = m.Pj_util.Timing.mean_s; alloc_bytes = allocated_bytes f }
+
+let percentile_ms latencies p = 1000. *. Pj_util.Stats.percentile latencies p
+
+(* BENCH_*.json values. A number carries the digits it is written
+   with; [Obj] and [Arr] put one member a line, [Row] puts an object on
+   one line (CI greps some rows whole). *)
+type json =
+  | Int of int
+  | Num of int * float
+  | Obj of (string * json) list
+  | Row of (string * json) list
+  | Arr of json list
+
+let rec render buf indent = function
+  | Int n -> Buffer.add_string buf (string_of_int n)
+  | Num (digits, x) -> Printf.bprintf buf "%.*f" digits x
+  | Row members ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (key, v) ->
+          if i > 0 then Buffer.add_string buf ", ";
+          Printf.bprintf buf "\"%s\": " key;
+          render buf indent v)
+        members;
+      Buffer.add_char buf '}'
+  | Obj members ->
+      block buf indent '{' '}'
+        (List.map
+           (fun (key, v) () ->
+             Printf.bprintf buf "\"%s\": " key;
+             render buf (indent + 2) v)
+           members)
+  | Arr items ->
+      block buf indent '[' ']'
+        (List.map (fun v () -> render buf (indent + 2) v) items)
+
+(* One member a line, each indented one level past the brackets. *)
+and block buf indent opening closing members =
+  Buffer.add_char buf opening;
+  List.iteri
+    (fun i member ->
+      Buffer.add_string buf (if i > 0 then ",\n" else "\n");
+      Buffer.add_string buf (String.make (indent + 2) ' ');
+      member ())
+    members;
+  Printf.bprintf buf "\n%s%c" (String.make indent ' ') closing
+
+(* Write BENCH_<name>.json and say so. *)
+let write_json name json =
+  let path = Printf.sprintf "BENCH_%s.json" name in
+  let buf = Buffer.create 1024 in
+  render buf 0 json;
+  Buffer.add_char buf '\n';
+  let oc = open_out path in
+  Buffer.output_buffer oc buf;
+  close_out oc;
+  Printf.printf "[bench-%s] wrote %s\n" name path

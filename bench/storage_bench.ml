@@ -22,30 +22,6 @@
    identical hits to the in-memory index before any timing is trusted.
    Results land in BENCH_storage.json. *)
 
-let gen_doc rng ~strong =
-  let len = 40 + Pj_util.Prng.int rng 80 in
-  let tokens =
-    Array.init len (fun _ -> Pj_workload.Textgen.random_filler rng)
-  in
-  let plant form p =
-    if Pj_util.Prng.float rng 1. < p then begin
-      let n = 1 + Pj_util.Prng.int rng 3 in
-      for _ = 1 to n do
-        tokens.(Pj_util.Prng.int rng len) <- form
-      done
-    end
-  in
-  plant "alfa" 0.9;
-  plant "brav" 0.85;
-  plant "charli" 0.8;
-  if strong then begin
-    let pos = Pj_util.Prng.int rng (len - 3) in
-    tokens.(pos) <- "alpha";
-    tokens.(pos + 1) <- "bravo";
-    tokens.(pos + 2) <- "charlie"
-  end;
-  tokens
-
 let rss_kb () =
   (* VmRSS from /proc/self/status; 0 when unavailable (non-Linux). *)
   try
@@ -66,17 +42,10 @@ let rss_kb () =
     scan ()
   with Sys_error _ -> 0
 
-let percentile_ms latencies p =
-  1000. *. Pj_util.Stats.percentile latencies p
-
 let search_searcher sr =
-  Pj_engine.Searcher.search ~k:Ingest_bench.k sr Ingest_bench.scoring
-    Ingest_bench.query
+  Pj_engine.Searcher.search ~k:Runs.k sr Runs.scoring Runs.query
 
-let observe sr =
-  let t0 = Pj_util.Timing.monotonic_now () in
-  ignore (search_searcher sr);
-  Pj_util.Timing.monotonic_now () -. t0
+let observe sr = snd (Pj_util.Timing.time (fun () -> search_searcher sr))
 
 (* --- decode: cursor walk and seek cost -------------------------------- *)
 
@@ -132,27 +101,14 @@ let decode_costs ~reps idx =
       List.map (fun s -> (s, ns_per_unit ~reps idx (seek_by s))) seek_strides;
   }
 
-type scale_result = {
-  sc_docs : int;
-  sc_v4_bytes : int;
-  sc_postings_bytes : int;
-  sc_mem_postings_bytes : int;
-  sc_open_ms : float;
-  sc_rss_mmap_kb : int;
-  sc_rss_mem_kb : int;
-  sc_mem_p50 : float;
-  sc_mem_p99 : float;
-  sc_mmap_p50 : float;
-  sc_mmap_p99 : float;
-  sc_mmap_decode : decode_result;
-  sc_mem_decode : decode_result;
-}
-
 let run_scale ~n_docs ~searches ~decode_reps =
   let rng = Pj_util.Prng.create 1009 in
   let corpus = Pj_index.Corpus.create () in
   for i = 0 to n_docs - 1 do
-    ignore (Pj_index.Corpus.add_tokens corpus (gen_doc rng ~strong:(i mod 25 = 0)))
+    ignore
+      (Pj_index.Corpus.add_tokens corpus
+         (Runs.gen_doc rng ~min_len:40 ~len_span:80 ~strong:(i mod 25 = 0)
+            ~spike:false))
   done;
   let t0 = Pj_util.Timing.monotonic_now () in
   let idx = Pj_index.Inverted_index.build corpus in
@@ -175,6 +131,8 @@ let run_scale ~n_docs ~searches ~decode_reps =
         1000. *. (Pj_util.Timing.monotonic_now () -. t0) /. float_of_int opens
       in
       let info = Pj_ondisk.Mapped_index.info mapped in
+      let postings_bytes = info.Pj_ondisk.Mapped_index.postings_bytes
+      and mem_postings_bytes = info.Pj_ondisk.Mapped_index.mem_postings_bytes in
       let mmap_index = Pj_ondisk.Mapped_index.index mapped in
       let mmap_searcher = Pj_engine.Searcher.create mmap_index in
       (* --- sanity: identical hits before timing anything ------------- *)
@@ -194,27 +152,30 @@ let run_scale ~n_docs ~searches ~decode_reps =
       Runs.print_header
         (Printf.sprintf "bench-storage: %d docs (index build %.2f s)" n_docs
            build_s)
-        [ "v4 file"; "postings"; "in-mem"; "open" ]
-      ;
+        [ "v4 file"; "postings"; "in-mem"; "open" ];
       Runs.print_row "footprint"
         [
           Printf.sprintf "%d B" v4_bytes;
-          Printf.sprintf "%d B" info.Pj_ondisk.Mapped_index.postings_bytes;
-          Printf.sprintf "%d B" info.Pj_ondisk.Mapped_index.mem_postings_bytes;
+          Printf.sprintf "%d B" postings_bytes;
+          Printf.sprintf "%d B" mem_postings_bytes;
           Printf.sprintf "%.3f ms" open_ms;
         ];
+      let mem_p50 = Runs.percentile_ms mem_lat 50.
+      and mem_p99 = Runs.percentile_ms mem_lat 99.
+      and mmap_p50 = Runs.percentile_ms mmap_lat 50.
+      and mmap_p99 = Runs.percentile_ms mmap_lat 99. in
       Runs.print_header "bench-storage: search latency"
         [ "p50"; "p99"; "rss delta" ];
       Runs.print_row "in-memory"
         [
-          Printf.sprintf "%.3f ms" (percentile_ms mem_lat 50.);
-          Printf.sprintf "%.3f ms" (percentile_ms mem_lat 99.);
+          Printf.sprintf "%.3f ms" mem_p50;
+          Printf.sprintf "%.3f ms" mem_p99;
           Printf.sprintf "%d kB" rss_mem;
         ];
       Runs.print_row "mmap"
         [
-          Printf.sprintf "%.3f ms" (percentile_ms mmap_lat 50.);
-          Printf.sprintf "%.3f ms" (percentile_ms mmap_lat 99.);
+          Printf.sprintf "%.3f ms" mmap_p50;
+          Printf.sprintf "%.3f ms" mmap_p99;
           Printf.sprintf "%d kB" rss_mmap;
         ];
       Runs.print_header "bench-storage: cursor decode (ns)"
@@ -226,73 +187,46 @@ let run_scale ~n_docs ~searches ~decode_reps =
             (Printf.sprintf "%.1f" d.walk_ns
             :: List.map (fun (_, ns) -> Printf.sprintf "%.1f" ns) d.seek_ns))
         [ ("in-memory", mem_decode); ("mmap", mmap_decode) ];
-      {
-        sc_docs = n_docs;
-        sc_v4_bytes = v4_bytes;
-        sc_postings_bytes = info.Pj_ondisk.Mapped_index.postings_bytes;
-        sc_mem_postings_bytes =
-          info.Pj_ondisk.Mapped_index.mem_postings_bytes;
-        sc_open_ms = open_ms;
-        sc_rss_mmap_kb = rss_mmap;
-        sc_rss_mem_kb = rss_mem;
-        sc_mem_p50 = percentile_ms mem_lat 50.;
-        sc_mem_p99 = percentile_ms mem_lat 99.;
-        sc_mmap_p50 = percentile_ms mmap_lat 50.;
-        sc_mmap_p99 = percentile_ms mmap_lat 99.;
-        sc_mmap_decode = mmap_decode;
-        sc_mem_decode = mem_decode;
-      })
+      let seeks side d =
+        List.map
+          (fun (stride, ns) ->
+            (Printf.sprintf "%s_seek_ns_stride%d" side stride, Runs.Num (2, ns)))
+          d.seek_ns
+      in
+      Runs.Obj
+        ([
+           ("docs", Runs.Int n_docs);
+           ("v4_file_bytes", Runs.Int v4_bytes);
+           ("v4_postings_bytes", Runs.Int postings_bytes);
+           ("mem_postings_bytes", Runs.Int mem_postings_bytes);
+           ( "postings_mem_over_disk",
+             Runs.Num
+               (3, float_of_int mem_postings_bytes /. float_of_int postings_bytes)
+           );
+           ("open_ms", Runs.Num (6, open_ms));
+           ("rss_delta_mmap_kb", Runs.Int rss_mmap);
+           ("rss_delta_mem_kb", Runs.Int rss_mem);
+           ("mem_p50_ms", Runs.Num (6, mem_p50));
+           ("mem_p99_ms", Runs.Num (6, mem_p99));
+           ("mmap_p50_ms", Runs.Num (6, mmap_p50));
+           ("mmap_p99_ms", Runs.Num (6, mmap_p99));
+           ("mmap_p99_over_mem_p99", Runs.Num (3, mmap_p99 /. mem_p99));
+           ("mmap_walk_ns_per_posting", Runs.Num (2, mmap_decode.walk_ns));
+           ("mem_walk_ns_per_posting", Runs.Num (2, mem_decode.walk_ns));
+         ]
+        @ seeks "mmap" mmap_decode @ seeks "mem" mem_decode))
 
-let json_of_scale r =
-  Printf.sprintf
-    "    {\n\
-    \      \"docs\": %d,\n\
-    \      \"v4_file_bytes\": %d,\n\
-    \      \"v4_postings_bytes\": %d,\n\
-    \      \"mem_postings_bytes\": %d,\n\
-    \      \"postings_mem_over_disk\": %.3f,\n\
-    \      \"open_ms\": %.6f,\n\
-    \      \"rss_delta_mmap_kb\": %d,\n\
-    \      \"rss_delta_mem_kb\": %d,\n\
-    \      \"mem_p50_ms\": %.6f,\n\
-    \      \"mem_p99_ms\": %.6f,\n\
-    \      \"mmap_p50_ms\": %.6f,\n\
-    \      \"mmap_p99_ms\": %.6f,\n\
-    \      \"mmap_p99_over_mem_p99\": %.3f,\n\
-    \      \"mmap_walk_ns_per_posting\": %.2f,\n\
-    \      \"mem_walk_ns_per_posting\": %.2f,\n\
-    %s\n\
-    \    }"
-    r.sc_docs r.sc_v4_bytes r.sc_postings_bytes r.sc_mem_postings_bytes
-    (float_of_int r.sc_mem_postings_bytes /. float_of_int r.sc_postings_bytes)
-    r.sc_open_ms r.sc_rss_mmap_kb r.sc_rss_mem_kb r.sc_mem_p50 r.sc_mem_p99
-    r.sc_mmap_p50 r.sc_mmap_p99
-    (r.sc_mmap_p99 /. r.sc_mem_p99)
-    r.sc_mmap_decode.walk_ns r.sc_mem_decode.walk_ns
-    (String.concat ",\n"
-       (List.concat_map
-          (fun (side, d) ->
-            List.map
-              (fun (stride, ns) ->
-                Printf.sprintf "      \"%s_seek_ns_stride%d\": %.2f" side
-                  stride ns)
-              d.seek_ns)
-          [ ("mmap", r.sc_mmap_decode); ("mem", r.sc_mem_decode) ]))
-
-let run ~quick ~repetitions =
-  ignore repetitions;
+let run ~quick =
   let scales =
     if quick then [ (400, 100, 5) ] else [ (2000, 500, 21); (100_000, 200, 7) ]
   in
-  let results =
-    List.map
-      (fun (n_docs, searches, decode_reps) ->
-        run_scale ~n_docs ~searches ~decode_reps)
-      scales
-  in
-  let path = "BENCH_storage.json" in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"scales\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" (List.map json_of_scale results));
-  close_out oc;
-  Printf.printf "[bench-storage] wrote %s\n" path
+  Runs.write_json "storage"
+    (Runs.Obj
+       [
+         ( "scales",
+           Runs.Arr
+             (List.map
+                (fun (n_docs, searches, decode_reps) ->
+                  run_scale ~n_docs ~searches ~decode_reps)
+                scales) );
+       ])

@@ -28,104 +28,33 @@
    in ns and allocated bytes per solve. Results land in
    BENCH_topk.json. *)
 
-open Pj_workload
-
-let query =
-  Pj_matching.Query.make "bench"
-    [
-      Pj_matching.Matcher.of_table ~name:"t1" [ ("alpha", 1.0); ("alfa", 0.35) ];
-      Pj_matching.Matcher.of_table ~name:"t2" [ ("bravo", 0.9); ("brav", 0.3) ];
-      Pj_matching.Matcher.of_table ~name:"t3"
-        [ ("charlie", 0.8); ("charli", 0.25) ];
-    ]
-
-let scoring = Pj_core.Scoring.Win (Pj_core.Scoring.win_exponential ~alpha:0.1)
-let k = 10
-
-let plant rng tokens form p =
-  if Pj_util.Prng.float rng 1. < p then begin
-    let n = 1 + Pj_util.Prng.int rng 3 in
-    for _ = 1 to n do
-      tokens.(Pj_util.Prng.int rng (Array.length tokens)) <- form
-    done
-  end
-
-(* One document: filler plus planted forms. The weak forms are dense,
-   so almost every document is a conjunctive candidate; a strong
-   document carries one tight run of the full-score forms, clearing the
-   weak ceiling (0.35 + 0.3 + 0.25 = 0.9) by a wide margin. [spike]
-   additionally repeats a weak form many times — term-frequency spikes
-   that no form score sees. *)
-let add_doc corpus rng ~strong ~spike =
-  let len = 80 + Pj_util.Prng.int rng 120 in
-  let tokens = Array.init len (fun _ -> Textgen.random_filler rng) in
-  plant rng tokens "alfa" 0.9;
-  plant rng tokens "brav" 0.85;
-  plant rng tokens "charli" 0.8;
-  if spike then
-    for _ = 1 to 12 do
-      tokens.(Pj_util.Prng.int rng len) <- "alfa"
-    done;
-  if strong then begin
-    let pos = Pj_util.Prng.int rng (len - 3) in
-    tokens.(pos) <- "alpha";
-    tokens.(pos + 1) <- "bravo";
-    tokens.(pos + 2) <- "charlie"
-  end;
-  ignore (Pj_index.Corpus.add_tokens corpus tokens)
-
 let build_corpus ~n_docs ~layout rng =
   let corpus = Pj_index.Corpus.create () in
+  let add ~strong ~spike =
+    ignore
+      (Pj_index.Corpus.add_tokens corpus
+         (Runs.gen_doc rng ~min_len:80 ~len_span:120 ~strong ~spike))
+  in
   (match layout with
   | `Quality_ordered ->
       let n_strong = n_docs / 25 in
       for _ = 1 to n_strong do
-        add_doc corpus rng ~strong:true ~spike:false
+        add ~strong:true ~spike:false
       done;
       for _ = n_strong + 1 to n_docs do
-        add_doc corpus rng ~strong:false ~spike:false
+        add ~strong:false ~spike:false
       done
   | `Uniform ->
       for _ = 1 to n_docs do
-        add_doc corpus rng
-          ~strong:(Pj_util.Prng.float rng 1. < 0.008)
-          ~spike:false
+        add ~strong:(Pj_util.Prng.float rng 1. < 0.008) ~spike:false
       done
   | `Impact_skewed ->
       for _ = 1 to n_docs do
-        add_doc corpus rng
+        add
           ~strong:(Pj_util.Prng.float rng 1. < 0.008)
           ~spike:(Pj_util.Prng.float rng 1. < 0.05)
       done);
   corpus
-
-type point = {
-  mean_s : float;
-  alloc_bytes : float;
-}
-
-(* Bytes [f] allocates. On OCaml 5.1 [Gc.allocated_bytes] leaves out
-   most of what the minor heap took since its last collection (1,000
-   ten-float arrays read as 11 KB, not 88 KB), so a short call
-   under-reports; [Gc.minor_words] reads the allocation pointer itself.
-   Blocks allocated straight into the major heap are added from the
-   counters. *)
-let allocated_bytes f =
-  let _, p0, ma0 = Gc.counters () and w0 = Gc.minor_words () in
-  f ();
-  let _, p1, ma1 = Gc.counters () and w1 = Gc.minor_words () in
-  (w1 -. w0 +. (ma1 -. ma0 -. (p1 -. p0))) *. float_of_int (Sys.word_size / 8)
-
-(* Single queries are sub-millisecond; scale the repetition count up
-   and warm up first (see bench-shard). *)
-let measure_point ~repetitions f =
-  f ();
-  let repetitions = repetitions * 20 in
-  let m = Runs.log_cov (Pj_util.Timing.measure ~repetitions f) in
-  { mean_s = m.Pj_util.Timing.mean_s; alloc_bytes = allocated_bytes f }
-
-let json_point { mean_s; alloc_bytes } =
-  Printf.sprintf "{\"mean_s\": %.9f, \"alloc_bytes\": %.0f}" mean_s alloc_bytes
 
 let hit_key (h : Pj_engine.Searcher.hit) =
   (h.Pj_engine.Searcher.doc_id, h.Pj_engine.Searcher.score)
@@ -135,12 +64,18 @@ let run_layout ~repetitions ~n_docs ~name layout =
   let corpus = build_corpus ~n_docs ~layout rng in
   let index = Pj_index.Inverted_index.build corpus in
   let searcher = Pj_engine.Searcher.create index in
-  let search () = Pj_engine.Searcher.search ~k searcher scoring query in
+  (* [?k] boxed once here, so the row counts only what the search
+     itself allocates. *)
+  let k = Some Runs.k in
+  let search () =
+    Pj_engine.Searcher.search ?k searcher Runs.scoring Runs.query
+  in
   (* Losslessness gate: the pruned traversal must reproduce the
      reference top-k bit for bit before any timing counts. *)
   if
     List.map hit_key (search ())
-    <> List.map hit_key (Pj_reference.search ~k index scoring query)
+    <> List.map hit_key
+         (Pj_reference.search ~k:Runs.k index Runs.scoring Runs.query)
   then
     failwith
       (Printf.sprintf "bench-topk (%s): blockmax differs from reference" name);
@@ -150,15 +85,15 @@ let run_layout ~repetitions ~n_docs ~name layout =
      conjunctive candidate. The traversal never aligns the candidates it
      region-skips. *)
   let conjunctive =
-    Array.length (Pj_engine.Searcher.candidates searcher query)
+    Array.length (Pj_engine.Searcher.candidates searcher Runs.query)
   in
   let aligned = ref 0 in
   ignore
-    (Pj_engine.Searcher.search_fragment ~k
+    (Pj_engine.Searcher.search_fragment ~k:Runs.k
        ~accept:(fun _ ->
          incr aligned;
          true)
-       searcher scoring query);
+       searcher Runs.scoring Runs.query);
   let aligned = !aligned in
   let aligned_ratio =
     float_of_int aligned /. float_of_int (Stdlib.max 1 conjunctive)
@@ -170,15 +105,27 @@ let run_layout ~repetitions ~n_docs ~name layout =
        name n_docs aligned conjunctive aligned_ratio)
     [ "latency"; "alloc B" ];
   let blockmax =
-    measure_point ~repetitions (fun () ->
+    Runs.measure ~repetitions (fun () ->
         ignore (Sys.opaque_identity (search ())))
   in
   Runs.print_row "blockmax"
-    [ Runs.seconds blockmax.mean_s; Printf.sprintf "%.0f" blockmax.alloc_bytes ];
-  Printf.sprintf
-    "    %S: {\"blockmax\": %s, \"candidates\": %d, \"aligned\": %d, \
-     \"aligned_ratio\": %.4f}"
-    name (json_point blockmax) conjunctive aligned aligned_ratio
+    [
+      Runs.seconds blockmax.Runs.mean_s;
+      Printf.sprintf "%.0f" blockmax.Runs.alloc_bytes;
+    ];
+  ( name,
+    Runs.Row
+      [
+        ( "blockmax",
+          Runs.Row
+            [
+              ("mean_s", Runs.Num (9, blockmax.Runs.mean_s));
+              ("alloc_bytes", Runs.Num (0, blockmax.Runs.alloc_bytes));
+            ] );
+        ("candidates", Runs.Int conjunctive);
+        ("aligned", Runs.Int aligned);
+        ("aligned_ratio", Runs.Num (4, aligned_ratio));
+      ] )
 
 (* --- per-solve row ------------------------------------------------------ *)
 
@@ -187,7 +134,7 @@ let run_layout ~repetitions ~n_docs ~name layout =
 let t4 = Pj_matching.Matcher.of_table ~name:"t4" [ ("zza", 0.6); ("zzb", 0.3) ]
 
 let solve_queries =
-  let m = query.Pj_matching.Query.matchers in
+  let m = Runs.query.Pj_matching.Query.matchers in
   List.map
     (fun ms -> Pj_matching.Query.make "solve" ms)
     [ [ m.(0); m.(1) ]; [ m.(0); m.(1); m.(2) ]; [ m.(0); m.(1); m.(2); t4 ] ]
@@ -225,7 +172,7 @@ let time_solves ~rounds scoring problems =
   in
   Array.sort compare times;
   let n = float_of_int (Array.length problems) in
-  (times.(rounds / 2) *. 1e9 /. n, allocated_bytes pass /. n)
+  (times.(rounds / 2) *. 1e9 /. n, Runs.allocated_bytes pass /. n)
 
 let run_solves ~quick index =
   let problems = solve_problems index ~per_query:(if quick then 100 else 300) in
@@ -246,21 +193,25 @@ let run_solves ~quick index =
         Runs.print_row
           (Pj_core.Scoring.name scoring)
           [ Printf.sprintf "%.0f" ns; Printf.sprintf "%.0f" bytes ];
-        Printf.sprintf
-          "      %S: {\"ns_per_solve\": %.1f, \"bytes_per_solve\": %.1f}" name
-          ns bytes)
+        ( name,
+          Runs.Row
+            [
+              ("ns_per_solve", Runs.Num (1, ns));
+              ("bytes_per_solve", Runs.Num (1, bytes));
+            ] ))
       [
         ("win_exponential", Pj_core.Scoring.Win (Pj_core.Scoring.win_exponential ~alpha:0.1));
         ("med_exponential", Pj_core.Scoring.Med (Pj_core.Scoring.med_exponential ~alpha:0.1));
         ("max_sum", Pj_core.Scoring.Max (Pj_core.Scoring.max_sum ~alpha:0.1));
       ]
   in
-  Printf.sprintf
-    "  \"solve\": {\n    \"problems\": %d,\n    \"families\": {\n%s\n    }\n  }"
-    (Array.length problems) (String.concat ",\n" rows)
+  Runs.Obj
+    [ ("problems", Runs.Int (Array.length problems)); ("families", Runs.Obj rows) ]
 
 let run ~quick ~repetitions =
   let n_docs = if quick then 2000 else 10_000 in
+  (* Single queries are sub-millisecond: scale the repetitions up. *)
+  let repetitions = repetitions * 20 in
   let layouts =
     List.map
       (fun (name, layout) -> run_layout ~repetitions ~n_docs ~name layout)
@@ -275,19 +226,11 @@ let run ~quick ~repetitions =
       (Pj_index.Inverted_index.build
          (build_corpus ~n_docs ~layout:`Uniform (Pj_util.Prng.create 2024)))
   in
-  let path = "BENCH_topk.json" in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"n_docs\": %d,\n\
-    \  \"k\": %d,\n\
-    \  \"layouts\": {\n\
-     %s\n\
-    \  },\n\
-     %s\n\
-     }\n"
-    n_docs k
-    (String.concat ",\n" layouts)
-    solves;
-  close_out oc;
-  Printf.printf "[bench-topk] wrote %s\n" path
+  Runs.write_json "topk"
+    (Runs.Obj
+       [
+         ("n_docs", Runs.Int n_docs);
+         ("k", Runs.Int Runs.k);
+         ("layouts", Runs.Obj layouts);
+         ("solve", solves);
+       ])

@@ -43,7 +43,6 @@ type t = {
   mutable on_epoch : int -> unit;
 }
 
-let n_legs t = Array.length t.legs
 let backend_retries t = Atomic.get t.retries
 let failovers t = Atomic.get t.failovers
 

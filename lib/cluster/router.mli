@@ -72,8 +72,6 @@ val create :
     [Error] when a base cannot be derived — a router that cannot
     place a leg's doc ids must not start. *)
 
-val n_legs : t -> int
-
 val scatter :
   t ->
   Pj_server.Protocol.search_request ->

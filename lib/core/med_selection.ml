@@ -4,8 +4,6 @@ type options = {
   right : (float * Match0.t) option;
 }
 
-let no_options = { left = None; at = None; right = None }
-
 (* Choose one option per other term, maximizing total contribution,
    subject to the anchor being the median: with R terms strictly after
    and A terms exactly at the anchor (plus the anchor member itself),

@@ -18,8 +18,6 @@ type options = {
   right : (float * Match0.t) option; (** best strictly-after candidate *)
 }
 
-val no_options : options
-
 val select : int -> options array -> Match0.t array option
 (** [select n others] picks one candidate from each element of [others]
     (the [n - 1] terms other than the anchor member's), maximizing total

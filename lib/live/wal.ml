@@ -51,11 +51,6 @@ let fsync_policy_of_string s =
                "unknown fsync policy %S (expected per-batch, every:<ms> or never)"
                s))
 
-let fsync_policy_to_string = function
-  | Per_batch -> "per-batch"
-  | Every_ms ms -> Printf.sprintf "every:%d" ms
-  | Never -> "never"
-
 let header =
   let b = Buffer.create 8 in
   Buffer.add_string b magic;

@@ -61,8 +61,6 @@ val fsync_policy_of_string : string -> (fsync_policy, string) result
 (** Parse the CLI spelling: ["per-batch"], ["never"], or
     ["every:<ms>"] with a positive interval. *)
 
-val fsync_policy_to_string : fsync_policy -> string
-
 val open_dir : dir:string -> fsync_policy:fsync_policy -> record list * t
 (** Replay-then-open: returns every intact record (for the caller to
     re-apply) and the log opened for append positioned after the last
